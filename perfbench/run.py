@@ -1,16 +1,19 @@
 """lbisim benchmark: time to a correct verdict, end to end and per layer.
 
-    python3 perfbench/run.py --workload ccs-games --seed 1 --seconds 25 \
+    python3 perfbench/run.py --workload ccs-games --seed 1 --seconds 30 \
         --trace 0
 
 Run from the root of a checkout: the program is imported from ./src.
 One process, one client, no threads.  Each timed case starts from cold
 memo caches, as a fresh `lbisim` process would.  Cases repeat in passes
-until --seconds have passed (the first pass always completes); a case's
-time is the fastest of its passes.  The last line of standard
-output is one JSON object: {"correct", "attempted", "failed",
-"metrics"}.  With --trace 1 a first untraced pass is followed by traced
-passes, and the metrics are the per-layer split (see README.md).
+until --seconds have passed (the first pass always completes).  Each
+call's time is scaled to a reference host speed measured by a
+calibration op around it, and a case's time is the median of its calls.
+A case is one attempt, whatever the number of its calls: its outcome
+must be the same in every call.  The last line of standard output is
+one JSON object: {"correct", "attempted", "failed", "metrics"}.  With
+--trace 1 two untraced passes are followed by traced passes, and the
+metrics are the per-layer split (see README.md).
 
     python3 perfbench/run.py --selftest --seed 1
 
@@ -20,13 +23,16 @@ every game's pair count repeats exactly under two PYTHONHASHSEED values.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import gc
 import importlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import resource
 import statistics
@@ -41,7 +47,7 @@ sys.path.insert(0, str(HERE))
 from spans import Tracer  # noqa: E402
 from workloads import EQ, NEQ, UNKNOWN, WORKLOADS, Case  # noqa: E402
 
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
 TAIL_BEYOND = 10
 OK, WRONG, BUDGET, REFUSED, CRASH = "ok", "wrong", "budget", "refused", \
     "crash"
@@ -179,7 +185,8 @@ def run_pipeline(modules, case: Case) -> Outcome:
 
 
 class Runner:
-    """Runs cases against cold caches; accumulates cache statistics."""
+    """Runs cases; clears the program's caches; accumulates cache
+    statistics while a tracer is installed."""
 
     def __init__(self, modules):
         self.modules = modules
@@ -198,10 +205,7 @@ class Runner:
         gc.collect()
 
     def run(self, case: Case) -> Outcome:
-        if case.cold:
-            self.cold()
-        else:
-            gc.collect()
+        """One call into the program; the caller clears caches first."""
         if case.kind == "pipeline":
             out = run_pipeline(self.modules, case)
         else:
@@ -215,105 +219,195 @@ class Runner:
         return out
 
 
+# --- the host's speed --------------------------------------------------------
+#
+# The shared host's speed drifts by up to a factor of two, on scales from
+# a fraction of a second to minutes, and the drift reaches CPU time as
+# well as wall time.  So a calibration op of fixed work runs before
+# every timed call, and each call's time is scaled by the speed around
+# it: reported seconds are seconds on a host where the calibration op
+# takes CAL_REF_S.  The op does what the program mostly does: it
+# canonicalises small term trees (nested tuples) bottom-up through a
+# memo dict, sorting children and building frozensets.  Its trees are
+# fixed, so its work never changes with the program under test.
+
+CAL_REF_S = 0.0013
+CAL_WINDOW_S = 0.1
+CAL_MARKS = 4                          # calibration ops before each call
+
+
+def calibration_trees() -> list:
+    rng = random.Random(7)
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return ("nil",)
+        if rng.random() < 0.4:
+            return ("pre", rng.choice("abcde"), tree(depth - 1))
+        return ("par", tuple(tree(depth - 1)
+                             for _ in range(rng.randint(2, 3))))
+    return [tree(6) for _ in range(40)]
+
+
+def calibrate(trees) -> tuple[float, float]:
+    """(mid time, seconds) of one calibration op."""
+    t0 = time.perf_counter()
+    memo = {}
+
+    def canon(t):
+        r = memo.get(t)
+        if r is None:
+            if t[0] == "pre":
+                r = ("pre", t[1], canon(t[2]))
+            elif t[0] == "par":
+                kids = sorted((canon(c) for c in t[1]), key=repr)
+                r = ("par", tuple(kids), frozenset(k[0] for k in kids))
+            else:
+                r = t
+            memo[t] = r
+        return r
+
+    for t in trees:
+        canon(t)
+    t1 = time.perf_counter()
+    return (t0 + t1) / 2, t1 - t0
+
+
+class Speed:
+    """Calibration marks of a run; scales a span's time to CAL_REF_S."""
+
+    def __init__(self):
+        self.trees = calibration_trees()
+        self.at = []
+        self.took = []
+        for _ in range(CAL_MARKS):     # first calls run slower
+            calibrate(self.trees)
+
+    def mark(self):
+        for _ in range(CAL_MARKS):
+            at, took = calibrate(self.trees)
+            self.at.append(at)
+            self.took.append(took)
+
+    def scale(self, start, end) -> float:
+        """Reference seconds of the span [start, end]: its wall time over
+        the median calibration time within one span length (at least
+        CAL_WINDOW_S) on each side.  The marks that bracket the span
+        always count."""
+        pad = max(end - start, CAL_WINDOW_S)
+        lo = bisect.bisect_left(self.at, start - pad)
+        hi = bisect.bisect_right(self.at, end + pad)
+        lo = min(lo, max(bisect.bisect_left(self.at, start) - 1, 0))
+        hi = max(hi, bisect.bisect_right(self.at, end) + 1)
+        return (end - start) * CAL_REF_S / statistics.median(
+            self.took[lo:hi])
+
+
 # --- measurement -------------------------------------------------------------
 
-def measure(runner, cases, seconds, *, whole_passes=False):
-    """Passes over `cases` until `seconds` have passed.  The first pass
-    always completes; later passes stop at the deadline unless
-    `whole_passes`.  Returns (outcomes per case, completed passes,
-    summed case seconds per completed pass)."""
+class Sample:
+    __slots__ = ("outcome", "start", "end", "ref_s")
+
+    def __init__(self, outcome, start, end):
+        self.outcome = outcome
+        self.start = start
+        self.end = end
+        self.ref_s = None
+
+
+def sample(runner, cases, seconds, *, whole_passes=False):
+    """Passes over `cases` in order until `seconds` have passed.  The
+    first pass always completes; later ones end before a call that its
+    mean time says would overrun the deadline, or with `whole_passes`
+    only between passes.  Before each call the caches are cleared and the
+    host's speed is measured.  Returns ({case name: [Sample]}, Speed)."""
     results = {c.name: [] for c in cases}
-    pass_seconds = []
+    speed = Speed()
     deadline = time.perf_counter() + seconds
-    while True:
-        busy = 0.0
-        for case in cases:
-            if pass_seconds and not whole_passes \
-                    and time.perf_counter() >= deadline:
-                return results, len(pass_seconds), pass_seconds
-            out = runner.run(case)
-            busy += out.seconds
-            results[case.name].append(out)
-        pass_seconds.append(busy)
-        if time.perf_counter() >= deadline:
-            return results, len(pass_seconds), pass_seconds
+    for i in itertools.count():
+        case = cases[i % len(cases)]
+        if i >= len(cases) and (i % len(cases) == 0 or not whole_passes):
+            done = results[case.name]
+            mean = sum(x.end - x.start for x in done) / len(done)
+            if time.perf_counter() + (0 if whole_passes else mean) \
+                    >= deadline:
+                break
+        runner.cold()
+        speed.mark()
+        t0 = time.perf_counter()
+        out = runner.run(case)
+        t1 = time.perf_counter()
+        results[case.name].append(Sample(out, t0, t1))
+    speed.mark()
+    for samples in results.values():
+        for x in samples:
+            x.ref_s = speed.scale(x.start, x.end)
+    return results, speed
 
 
-def fastest(outs) -> float:
-    """A case's time: the fastest of its passes.  Other processes on the
-    machine only ever add time, and they come and go within a run."""
-    return min(o.seconds for o in outs)
-
-
-def latency(outs) -> float:
-    """Time to a correct answer; a case that failed in any pass counts as
-    infinitely slow."""
-    if any(o.status != OK for o in outs):
-        return math.inf
-    return fastest(outs)
-
-
-def summarize(cases, results):
-    ran = [c for c in cases if results[c.name]]
-    per_case = {c.name: latency(results[c.name]) for c in ran}
-    all_outs = [o for c in ran for o in results[c.name]]
-    pass_time = sum(fastest(results[c.name]) for c in ran)
-    good = sum(results[c.name][0].cases for c in ran
-               if math.isfinite(per_case[c.name]))
+def summarize(cases, outcomes, times):
+    """End-to-end figures from each case's outcomes and its time.  A case
+    is one attempt: its outcome must repeat in every sample (consistency
+    checks that), and a case that failed counts as infinitely slow."""
+    firsts = [outcomes[c.name][0] for c in cases]
+    per_case = {c.name: times[c.name] if o.status == OK else math.inf
+                for c, o in zip(cases, firsts)}
+    good = sum(o.cases for o in firsts if o.status == OK)
+    busy = sum(times.values())
     finite = sorted(v for v in per_case.values() if math.isfinite(v))
     if len(finite) > TAIL_BEYOND:
         k = len(finite) - TAIL_BEYOND - 1
         tail, tail_pct = finite[k], 100.0 * (k + 1) / len(finite)
     else:
         tail, tail_pct = (finite[-1] if finite else math.inf), 100.0
-    exhausted = [results[c.name] for c in ran
-                 if results[c.name][0].status == BUDGET]
-    failed = sum(o.status != OK for o in all_outs)
+    exhausted = [(times[c.name], o.pairs) for c, o in zip(cases, firsts)
+                 if o.status == BUDGET]
+    failed = sum(o.status != OK for o in firsts)
     return {
         "per_case": per_case,
-        "attempted": len(all_outs),
+        "attempted": len(cases),
         "failed": failed,
         "p50": statistics.median(per_case.values()),
         "tail": tail,
         "tail_pct": tail_pct,
         "tail_n": len(finite),
-        "cases_per_s": good / pass_time if pass_time else 0.0,
-        "fail_share": failed / len(all_outs),
-        "wrong": sum(results[c.name][0].wrong for c in ran),
+        "cases_per_s": good / busy if busy else 0.0,
+        "fail_share": failed / len(cases),
+        "wrong": sum(o.wrong for o in firsts),
         "exhaust_us_per_pair": (
-            1e6 * sum(fastest(outs) for outs in exhausted)
-            / sum(outs[0].pairs for outs in exhausted)) if exhausted
-        else None,
+            1e6 * sum(t for t, _ in exhausted)
+            / sum(p for _, p in exhausted)) if exhausted else None,
     }
 
 
-def consistency(cases, results, known_wrong):
+def consistency(cases, outcomes, known_wrong):
     """Checks behind `correct`; returns a list of problems."""
     problems = []
     for case in cases:
-        outs = results[case.name]
+        outs = outcomes[case.name]
         counts = {o.pairs for o in outs if o.pairs is not None}
         if len(counts) > 1:
             problems.append(f"{case.name}: pair counts differ between "
-                            f"passes: {sorted(counts)}")
-        if any(o.status == WRONG for o in outs) and \
-                case.name not in known_wrong:
+                            f"calls: {sorted(counts)}")
+        statuses = {o.status for o in outs}
+        if len(statuses) > 1:
+            problems.append(f"{case.name}: outcomes differ between calls: "
+                            f"{sorted(statuses)}")
+        if WRONG in statuses and case.name not in known_wrong:
             problems.append(f"{case.name}: contradicts the oracle "
                             f"({case.law})")
     return problems
 
 
-def report_cases(cases, results):
+def report_cases(cases, outcomes, times, label):
     for case in cases:
-        outs = results[case.name]
-        if not outs:
-            continue
+        outs = outcomes[case.name]
         o = outs[0]
         pairs = "" if o.pairs is None else f" pairs={o.pairs}"
         tag = f" [seed defect: {case.known_defect}]" \
             if case.known_defect and o.status == WRONG else ""
         print(f"case {case.name}: {o.status} {o.detail}{pairs} "
-              f"fastest={fastest(outs) * 1e3:.3f}ms x{len(outs)}{tag}")
+              f"{label}={times[case.name] * 1e3:.3f}ms x{len(outs)}{tag}")
 
 
 def rss_mb() -> float:
@@ -328,8 +422,8 @@ def _ratio(hits, calls):
 
 def layer_metrics(runner, tracer, cases, plain, passes, overhead):
     """Per-layer split of the traced passes; outcome counts, time per
-    exhausted pair and the suite's case count come from the untraced
-    pass `plain`."""
+    exhausted pair and the suite's case count come from the outcomes of
+    the untraced pass `plain`."""
     calls, incl, own = tracer.times()
     hits, misses = runner.hits, runner.misses
 
@@ -346,7 +440,8 @@ def layer_metrics(runner, tracer, cases, plain, passes, overhead):
     its_hits, its_calls = cache("its_transitions")
     per = 1.0 / passes
     solve_incl = incl["equivalence.solve"]
-    exhaust = summarize(cases, plain)["exhaust_us_per_pair"]
+    exhaust = summarize(cases, plain, {c.name: plain[c.name][0].seconds
+                                       for c in cases})["exhaust_us_per_pair"]
     first = [plain[c.name][0] for c in cases]
     suite_cases = sum(o.cases for c, o in zip(cases, first)
                       if c.kind == "corpus" and o.status == OK)
@@ -410,16 +505,20 @@ def layer_metrics(runner, tracer, cases, plain, passes, overhead):
 
 def setup(root: Path, workload: str, seed: int):
     """Import the program and build the inputs, SETUP_REPEATS times;
-    returns (modules, cases, median seconds)."""
-    times = []
+    returns (modules, cases, median reference seconds)."""
+    speed = Speed()
+    spans = []
     for _ in range(SETUP_REPEATS):
         _purge()
         gc.collect()                   # the last import's modules
+        speed.mark()
         t0 = time.perf_counter()
         modules = import_program(root)
         cases = WORKLOADS[workload](seed)
-        times.append(time.perf_counter() - t0)
-    return modules, cases, statistics.median(times)
+        spans.append((t0, time.perf_counter()))
+    speed.mark()
+    return modules, cases, statistics.median(
+        speed.scale(t0, t1) for t0, t1 in spans)
 
 
 def print_summary(workload, s, setup_s, peak):
@@ -427,8 +526,8 @@ def print_summary(workload, s, setup_s, peak):
           f"{s['failed']} failed")
     print(f"setup_s = {setup_s:.6f} s (median of {SETUP_REPEATS})")
     print(f"verdict_p50_s = {s['p50']:.6f} s "
-          f"(median over {len(s['per_case'])} cases of each case's fastest "
-          f"pass; a failed case counts as infinitely slow)")
+          f"(median over {len(s['per_case'])} cases of each case's median "
+          f"call; a failed case counts as infinitely slow)")
     print(f"verdict_tail_s = {s['tail']:.6f} s (p{s['tail_pct']:.1f} of "
           f"{s['tail_n']} correctly answered cases, {TAIL_BEYOND} beyond it)")
     print(f"cases_per_s = {s['cases_per_s']:.4f} 1/s")
@@ -444,10 +543,21 @@ def bench(args, root: Path) -> int:
     runner = Runner(modules)
     known_wrong = {c.name for c in cases if c.known_defect}
     if not args.trace:
-        results, _, _ = measure(runner, cases, args.seconds)
-        s = summarize(cases, results)
+        results, speed = sample(runner, cases, args.seconds)
+        outcomes = {n: [x.outcome for x in v] for n, v in results.items()}
+        times = {n: statistics.median(x.ref_s for x in v)
+                 for n, v in results.items()}
+        s = summarize(cases, outcomes, times)
         peak = rss_mb()
-        report_cases(cases, results)
+        report_cases(cases, outcomes, times, "median")
+        wall = summarize(cases, outcomes, {
+            n: statistics.median(x.end - x.start for x in v)
+            for n, v in results.items()})
+        print(f"calls: {sum(map(len, results.values()))}; calibration op "
+              f"median {statistics.median(speed.took) * 1e3:.3f} ms "
+              f"(reference {CAL_REF_S * 1e3:.3f} ms); unscaled wall "
+              f"p50 {wall['p50']:.6f} s, tail {wall['tail']:.6f} s, "
+              f"{wall['cases_per_s']:.4f} cases/s")
         print_summary(args.workload, s, setup_s, peak)
         metrics = {
             "setup_s": {"value": setup_s, "unit": "s"},
@@ -458,26 +568,34 @@ def bench(args, root: Path) -> int:
         }
     else:
         start = time.perf_counter()
-        plain, _, plain_busy = measure(runner, cases, 0)
+        warm, _ = sample(runner, cases, 0)     # first calls run slower
+        plain, _ = sample(runner, cases, 0)
         runner.cold()                  # cache statistics start from here
         tracer = runner.tracer = Tracer()
         tracer.install(modules)
         try:
             remaining = args.seconds - (time.perf_counter() - start)
-            traced, passes, traced_busy = measure(
-                runner, cases, max(remaining, 0), whole_passes=True)
+            traced, _ = sample(runner, cases, max(remaining, 0),
+                               whole_passes=True)
             runner.cold()              # fold in the last case's statistics
         finally:
             tracer.uninstall()
-        results = {c.name: plain[c.name] + traced[c.name] for c in cases}
-        report_cases(cases, results)
-        metrics = layer_metrics(
-            runner, tracer, cases, plain, passes,
-            statistics.mean(traced_busy) - plain_busy[0])
-        s = summarize(cases, results)
+        n_passes = len(traced[cases[0].name])
+        overhead = (sum(x.ref_s for v in traced.values() for x in v)
+                    / n_passes
+                    - sum(x.ref_s for v in plain.values() for x in v))
+        outcomes = {n: [x.outcome for x in warm[n] + plain[n] + traced[n]]
+                    for n in plain}
+        plain = {n: [x.outcome for x in v] for n, v in plain.items()}
+        times = {n: statistics.median(x.ref_s for x in v)
+                 for n, v in traced.items()}
+        report_cases(cases, outcomes, times, "traced median")
+        metrics = layer_metrics(runner, tracer, cases, plain, n_passes,
+                                overhead)
+        s = summarize(cases, outcomes, times)
         for name, m in metrics.items():
             print(f"{name} = {m['value']:.6g} {m['unit']}")
-    problems = consistency(cases, results, known_wrong)
+    problems = consistency(cases, outcomes, known_wrong)
     for p in problems:
         print(f"CHECK FAILED {p}")
     print(json.dumps({"correct": not problems, "attempted": s["attempted"],
@@ -488,7 +606,11 @@ def bench(args, root: Path) -> int:
 def pair_counts(args, root: Path) -> int:
     modules, cases, _ = setup(root, args.workload, args.seed)
     runner = Runner(modules)
-    counts = {c.name: runner.run(c).pairs for c in cases if c.kind == "check"}
+    counts = {}
+    for case in cases:
+        if case.kind == "check":
+            runner.cold()
+            counts[case.name] = runner.run(case).pairs
     print(json.dumps(counts, sort_keys=True))
     return 0
 
@@ -524,6 +646,7 @@ def selftest(args, root: Path) -> int:
     bad = 0
     for want, label, argv, expect in _SELFTEST:
         case = Case(label, "check", argv, expect, budget=2000)
+        runner.cold()
         got = runner.run(case)
         mark = "ok  " if got.status == want else "FAIL"
         bad += got.status != want
@@ -559,7 +682,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--selftest", action="store_true")
     ap.add_argument("--pair-counts", action="store_true",

@@ -51,7 +51,6 @@ class Case:
     law: str = ""
     budget: int = 0
     known_defect: str = ""
-    cold: bool = True              # clear the program's caches first
     # pipeline cases
     text: str = ""
     calculus: str = ""
@@ -296,9 +295,9 @@ def ma_games(seed: int) -> list[Case]:
 
 def corpus_sweep(seed: int) -> list[Case]:
     """One call of `lbisim corpus` per check of each calculus's default
-    spec, so that every check is a timed case of its own.  Caches start
-    cold at each calculus and stay warm across its checks, as in one
-    `lbisim corpus` run of the whole spec.
+    spec, so that every check is a timed case of its own.  Like every
+    case, each starts from cold caches, as a fresh `lbisim corpus`
+    process would.
 
     The suite draws its random terms from its own spec seed, and their
     cost varies from one suite seed to the next by more than the bounds
@@ -308,13 +307,12 @@ def corpus_sweep(seed: int) -> list[Case]:
     random.Random(seed).shuffle(order)
     cases = []
     for calc in order:
-        for i, check in enumerate(CORPUS_CHECKS[calc]):
+        for check in CORPUS_CHECKS[calc]:
             spec = json.dumps({"calculus": calc, "seed": 0,
                                "checks": [check]})
             cases.append(Case(f"corpus/{calc}/{check}", "corpus",
                               ["corpus", "--format", "json", spec],
-                              "ok", "the suite's own cross-checks",
-                              cold=i == 0))
+                              "ok", "the suite's own cross-checks"))
     return cases
 
 
