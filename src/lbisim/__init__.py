@@ -23,9 +23,9 @@ from .errors import (CrossCalculusError, DivergenceBudgetExceededError,
                      IncompleteSubstitutionError, LbisimError,
                      MalformedTermError, MAUnsupportedError, ParseError,
                      UnsupportedQuantificationError)
-from .lts import (ItsTransition, OrdinaryTransition, TransitionSystem,
-                  instantiate, its_transitions, lts_to_dot, lts_to_json,
-                  ordinary_transitions)
+from .lts import (ItsTransition, OrdinaryTransition, instantiate,
+                  its_transitions, lts_to_dot, lts_to_json,
+                  ordinary_transitions, reachable)
 from .reduction import ReductionStep, barbs, reduct_terms, reducts
 from .syntax import parse_label, parse_term, print_label, print_term
 from .terms import (Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the relation holds (or every corpus check passed), 1 it
-does not hold, 2 usage or parse error, 3 a search budget was exhausted.
+does not hold, 2 usage or parse error, 3 a search budget was exhausted,
+4 an internal error (a crash never reports a verdict).
 Term arguments are taken literally or, with a leading ``@``, read from a
 file.
 """
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .corpus import run_suite
 from .equivalence import (
@@ -19,7 +21,7 @@ from .equivalence import (
     pred_ccs, pred_open, semi_saturated_bisim, strong_bisim,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError, ParseError
-from .lts import TransitionSystem, lts_to_dot, lts_to_json
+from .lts import lts_to_dot, lts_to_json, reachable
 from .reduction import barbs, reducts
 from .syntax import parse_label, parse_term, print_term
 from .terms import Calculus
@@ -28,6 +30,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read_arg(text: str) -> str:
@@ -141,8 +144,7 @@ def _cmd_lts(args) -> int:
     calc = Calculus(args.calculus)
     term = parse_term(_read_arg(args.term), calc)
     kind = "ordinary" if args.ordinary else "its"
-    ts = TransitionSystem(kind)
-    states, edges = ts.reachable(term, max_states=args.max_states)
+    states, edges = reachable(term, kind, max_states=args.max_states)
     if args.format == "dot":
         sys.stdout.write(lts_to_dot(states, edges))
         return EXIT_HOLDS
@@ -323,6 +325,10 @@ def main(argv=None) -> int:
     except (LbisimError, OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(args, str(exc))
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        _fail(args, f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def _fail(args, message: str) -> None:

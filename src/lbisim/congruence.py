@@ -29,7 +29,8 @@ from .errors import LbisimError
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
-    free_names, fresh_name, par, rename_free, restricts, same_calculus,
+    free_names, fresh_name, fresh_names, par, rename_free, restricts,
+    same_calculus,
 )
 
 _MAX_CLUSTER = 7  # binder clusters are permuted exhaustively
@@ -189,22 +190,11 @@ def node_key(node: Node):
 
 # --- alpha-canonical renaming and sorting ----------------------------------
 
-def _cluster_names(avoid, k: int) -> list[str]:
-    out = []
-    i = 0
-    while len(out) < k:
-        cand = f"f{i}"
-        if cand not in avoid:
-            out.append(cand)
-        i += 1
-    return out
-
-
 def _alpha(node: Node, env: dict) -> Node:
     if isinstance(node, Restrict):
         names, body = strip_restricts(node)
         outer_free = {env.get(x, x) for x in free_names(node)}
-        fresh = _cluster_names(outer_free, len(names))
+        fresh = fresh_names(outer_free, len(names))
         if len(names) > _MAX_CLUSTER:
             return restricts(fresh, _alpha_big(names, body, env, fresh))
         best = None
@@ -512,22 +502,3 @@ def particle_matches(cf: CanonicalForm):
                                         _drop(cf.parts, i))
 
 
-_SHAPES = {
-    "cap-in": lambda cf: cap_matches(cf, "in"),
-    "cap-out": lambda cf: cap_matches(cf, "out"),
-    "cap-open": lambda cf: cap_matches(cf, "open"),
-    "ambient": ambient_matches,
-    "ambient-cap-in": lambda cf: ambient_cap_matches(cf, "in"),
-    "ambient-cap-out": lambda cf: ambient_cap_matches(cf, "out"),
-    "summand-tau": lambda cf: summand_matches(cf, "tau"),
-    "summand-recv": lambda cf: summand_matches(cf, "recv"),
-    "summand-send": lambda cf: summand_matches(cf, "send"),
-    "particle": particle_matches,
-}
-
-
-def decompose(term: Term, shape: str):
-    """Enumerate the ways `term` matches a rule premise shape."""
-    if shape not in _SHAPES:
-        raise LbisimError(f"unknown decomposition shape {shape!r}")
-    return list(_SHAPES[shape](canonicalize(term)))

@@ -15,19 +15,22 @@ The relations:
     (async uses the asynchronous input clause: an input may also be
     answered by an internal step, leaving the message `'a` next to the
     defender's residual).
-  * l_bisim(L) plays on the instance transition systems: attacks whose
-    label lies in L must be answered by the same label; any other attack
-    C[-] is answered by one reduction step of C[defender].  ipo_bisim is
+  * l_bisim(L) plays one game on the instance transition systems:
+    attacks whose label lies in L must be answered by the same label;
+    any other attack C[-] is answered by one reduction step of
+    C[defender].  The endpoints are calls of it: ipo_bisim is
     l_bisim(ALL), semi_saturated_bisim is l_bisim(EMPTY), and
-    barbed_semi_saturated_bisim additionally requires equal barbs at
-    every pair (deciding barbs via the capturing labels of the calculus;
-    quantifying over all contexts instead is refused).
+    barbed_semi_saturated_bisim is l_bisim(EMPTY) that additionally
+    requires equal barbs at every pair (deciding barbs via the capturing
+    labels of the calculus; quantifying over all contexts instead is
+    refused).  With a pool, the same game closes label variables over
+    the pool instead of playing them symbolically.
 
 Symbolic moves carry the canonical variables X1, X2, x; the engine
 freshens them to per-pair constants so that the attacker's and defender's
 residuals share them.  Witnesses re-number those constants W1, W2, ...
 (w1 ... for name variables) step by step, and `verify_witness` replays a
-witness against the public move generators.
+witness through the attacks and answers of the game that produced it.
 """
 from __future__ import annotations
 
@@ -131,12 +134,12 @@ class LabelSet:
     patterns: tuple[Label, ...] = ()
 
     def contains(self, label: Label) -> bool:
+        if self.kind == "all":
+            return True
+        if self.kind == "empty":
+            return False
         body = canonical_label(label).body
         match self.kind:
-            case "all":
-                return True
-            case "empty":
-                return False
             case "lm":
                 other = _two_parts(body)
                 return (isinstance(other, Prefix)
@@ -343,22 +346,31 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             return GameResult(True, None, len(pairs), rounds)
 
 
+def _show(term: Term, procs: dict, names: dict) -> str:
+    """Print a game state with its internal variables renamed."""
+    from .syntax import print_term
+    return print_term(canonical_term(
+        Term(term.calculus, rename_vars(term.node, procs, names))))
+
+
+def _back(attack: _Attack) -> tuple[dict, dict]:
+    """Maps from an attack's fresh variables back to the label variables
+    they stand for."""
+    return ({internal: canonical for canonical, internal
+             in attack.fresh_procs},
+            {internal: canonical for canonical, internal
+             in attack.fresh_names})
+
+
 def _build_witness(pairs, root) -> list[WitnessMove]:
-    from .syntax import print_label, print_term
     moves: list[WitnessMove] = []
     ren_p: dict = {}               # internal proc var -> Wk
     ren_n: dict = {}               # internal name var -> wk
-    counter = [0]
-
-    def text(term: Term) -> str:
-        return print_term(
-            canonical_term(Term(term.calculus,
-                                rename_vars(term.node, ren_p, ren_n))))
-
+    counter = 0
     key = root
     while True:
         node = pairs[key]
-        pair_text = (text(node.p), text(node.q))
+        pair_text = (_show(node.p, ren_p, ren_n), _show(node.q, ren_p, ren_n))
         kind, *info = node.fail
         if kind == "barb":
             side, name = info
@@ -367,26 +379,16 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
                                      "barb unmatched"))
             return moves
         attack, answers = node.attacks[info[0]]
-        back_p = {internal: canonical for canonical, internal
-                  in attack.fresh_procs}
-        back_n = {internal: canonical for canonical, internal
-                  in attack.fresh_names}
-
-        def xform(term: Term) -> str:
-            return print_term(canonical_term(
-                Term(term.calculus,
-                     rename_vars(term.node, ren_p | back_p, ren_n | back_n))))
-
-        att_text = xform(attack.target)
+        back_p, back_n = _back(attack)
+        show_p, show_n = ren_p | back_p, ren_n | back_n
+        att_text = _show(attack.target, show_p, show_n)
         intro = {}
         for canonical, internal in attack.fresh_procs:
-            counter[0] += 1
-            intro[canonical] = f"W{counter[0]}"
-            ren_p[internal] = f"W{counter[0]}"
+            counter += 1
+            intro[canonical] = ren_p[internal] = f"W{counter}"
         for canonical, internal in attack.fresh_names:
-            counter[0] += 1
-            intro[canonical] = f"w{counter[0]}"
-            ren_n[internal] = f"w{counter[0]}"
+            counter += 1
+            intro[canonical] = ren_n[internal] = f"w{counter}"
         side_text = "left" if attack.side == 0 else "right"
         if not answers:
             moves.append(WitnessMove(pair_text, side_text, "move", attack.text,
@@ -398,7 +400,8 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
         best_node = pairs[best]
         defender = best_node.q if attack.side == 0 else best_node.p
         moves.append(WitnessMove(pair_text, side_text, "move", attack.text,
-                                 att_text, xform(defender), intro, None))
+                                 att_text, _show(defender, show_p, show_n),
+                                 intro, None))
         key = best
 
 
@@ -443,7 +446,10 @@ class _AsyncGame(_OrdinaryGame):
 
 
 class _SymbolicGame:
-    """l_bisim(L) on the symbolic ITS."""
+    """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
+    answered by the same label, any other attack C[-] by one reduction of
+    C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
+    semi-saturated bisimilarity."""
 
     def __init__(self, calculus: Calculus, labels: LabelSet, barbed: bool):
         self.calculus = calculus
@@ -487,27 +493,8 @@ class _SymbolicGame:
                 for side, state in ((0, p), (1, q))
                 for tr in its_transitions(state)]
 
-    def answers(self, attack, defender):
-        if self.labels.contains(attack.label):
-            pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
-            return [
-                canonical_term(Term(defender.calculus,
-                                    rename_vars(tr.target.node, pm, nm)))
-                for tr in its_transitions(defender)
-                if tr.label.body == attack.label.body
-            ]
-        pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
-        ctx = Label(attack.label.calculus,
-                    rename_vars(attack.label.body, pm, nm))
-        return list(reduct_terms(plug(ctx, defender)))
-
-
-class _IpoGame(_SymbolicGame):
-    """IPO bisimilarity: every attack must be answered with the same
-    label.  Kept separate from the label-set game so the endpoint
-    identity l_bisim(ALL) = ipo exercises two code paths."""
-
-    def answers(self, attack, defender):
+    def _same_label(self, attack, defender):
+        """The defender's moves with the attack's label."""
         pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
         return [
             canonical_term(Term(defender.calculus,
@@ -516,31 +503,24 @@ class _IpoGame(_SymbolicGame):
             if tr.label.body == attack.label.body
         ]
 
-
-class _SemiSatGame(_SymbolicGame):
-    """Semi-saturated bisimilarity: every attack C is answered by one
-    reduction of C[defender]."""
-
     def answers(self, attack, defender):
+        if self.labels.contains(attack.label):
+            return self._same_label(attack, defender)
         pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
         ctx = Label(attack.label.calculus,
                     rename_vars(attack.label.body, pm, nm))
         return list(reduct_terms(plug(ctx, defender)))
 
 
-class _InstantiatedGame:
-    """l_bisim(L) with label variables closed over a finite pool."""
+class _InstantiatedGame(_SymbolicGame):
+    """l_bisim(L) with label variables closed over a finite pool, so
+    every move carries a closed label."""
 
     def __init__(self, calculus, labels: LabelSet, barbed: bool,
                  pool: tuple[Term, ...], names: tuple[str, ...]):
-        self.calculus = calculus
-        self.labels = labels
-        self.barbed = barbed
+        super().__init__(calculus, labels, barbed)
         self.pool = pool
         self.names = names
-
-    def pair_barb_fail(self, p, q):
-        return _SymbolicGame.pair_barb_fail(self, p, q)
 
     def _closures(self, tr: ItsTransition):
         pvars = []
@@ -577,18 +557,38 @@ class _InstantiatedGame:
                                        inst.label, inst.target))
         return out
 
-    def answers(self, attack, defender):
-        if self.labels.contains(attack.label):
-            res = []
-            seen = set()
-            for tr in its_transitions(defender):
-                for inst in self._closures(tr):
-                    if inst.label.body == attack.label.body \
-                            and inst.target.node not in seen:
-                        seen.add(inst.target.node)
-                        res.append(inst.target)
-            return res
-        return list(reduct_terms(plug(attack.label, defender)))
+    def _same_label(self, attack, defender):
+        res = []
+        seen = set()
+        for tr in its_transitions(defender):
+            for inst in self._closures(tr):
+                if inst.label.body == attack.label.body \
+                        and inst.target.node not in seen:
+                    seen.add(inst.target.node)
+                    res.append(inst.target)
+        return res
+
+
+def _pool_names(p, q, pool) -> tuple[str, ...]:
+    names = set(free_names(p.node)) | set(free_names(q.node))
+    for t in pool:
+        names |= free_names(t.node)
+    names.add(fresh_name(names))
+    return tuple(sorted(names))
+
+
+def _its_game(calc: Calculus, p: Term, q: Term, labels: LabelSet,
+              barbed: bool, pool) -> _SymbolicGame:
+    """The game l_bisim plays and verify_witness replays."""
+    if pool is None:
+        return _SymbolicGame(calc, labels, barbed)
+    pool = tuple(canonical_term(t) for t in pool)
+    for t in pool:
+        if t.calculus is not calc or not is_pure(t.node):
+            raise MalformedTermError("instantiation pool terms must be "
+                                     "pure terms of the same calculus")
+    return _InstantiatedGame(calc, labels, barbed, pool,
+                             _pool_names(p, q, pool))
 
 
 # --- public solvers --------------------------------------------------------
@@ -620,46 +620,23 @@ def async_bisim(p: Term, q: Term, *, max_pairs: int = DEFAULT_MAX_PAIRS) \
     return _solve(_AsyncGame(calc), p, q, max_pairs)
 
 
-def _pool_names(p, q, pool) -> tuple[str, ...]:
-    names = set(free_names(p.node)) | set(free_names(q.node))
-    for t in pool:
-        names |= free_names(t.node)
-    names.add(fresh_name(names))
-    return tuple(sorted(names))
-
-
 def l_bisim(p: Term, q: Term, labels: LabelSet, *,
             barbed: bool = False,
             pool=None,
             max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
     calc = _entry(p, q)
-    if pool is None:
-        game = _SymbolicGame(calc, labels, barbed)
-    else:
-        pool = tuple(canonical_term(t) for t in pool)
-        for t in pool:
-            if t.calculus is not calc or not is_pure(t.node):
-                raise MalformedTermError("instantiation pool terms must be "
-                                         "pure terms of the same calculus")
-        game = _InstantiatedGame(calc, labels, barbed, pool,
-                                 _pool_names(p, q, pool))
-    return _solve(game, p, q, max_pairs)
+    return _solve(_its_game(calc, p, q, labels, barbed, pool), p, q,
+                  max_pairs)
 
 
 def ipo_bisim(p: Term, q: Term, *, pool=None,
               max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    if pool is not None:
-        return l_bisim(p, q, ALL, pool=pool, max_pairs=max_pairs)
-    calc = _entry(p, q)
-    return _solve(_IpoGame(calc, ALL, False), p, q, max_pairs)
+    return l_bisim(p, q, ALL, pool=pool, max_pairs=max_pairs)
 
 
 def semi_saturated_bisim(p: Term, q: Term, *, pool=None,
                          max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    if pool is not None:
-        return l_bisim(p, q, EMPTY, pool=pool, max_pairs=max_pairs)
-    calc = _entry(p, q)
-    return _solve(_SemiSatGame(calc, EMPTY, False), p, q, max_pairs)
+    return l_bisim(p, q, EMPTY, pool=pool, max_pairs=max_pairs)
 
 
 def barbed_semi_saturated_bisim(p: Term, q: Term, *,
@@ -811,88 +788,68 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
 
 # --- witness replay --------------------------------------------------------
 
-def _replay_game(relation, calc, labels, barbed, pool, p, q):
-    if relation == "strong":
-        return _OrdinaryGame(calc)
-    if relation == "async":
-        return _AsyncGame(calc)
-    sets = {"ipo": ALL, "semi-sat": EMPTY, "barbed-semi-sat": EMPTY,
-            "l-bisim": labels}
-    labelset = sets[relation]
-    if labelset is None:
-        raise LbisimError("l-bisim replay needs its label set")
-    barbed = barbed or relation == "barbed-semi-sat"
-    if pool is None:
-        return _SymbolicGame(calc, labelset, barbed)
-    pool = tuple(canonical_term(t) for t in pool)
-    return _InstantiatedGame(calc, labelset, barbed, pool,
-                             _pool_names(p, q, pool))
+_REPLAY_LABELS = {"ipo": ALL, "semi-sat": EMPTY, "barbed-semi-sat": EMPTY}
 
 
 def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
                    labels: "LabelSet | None" = None, pool=None) -> bool:
-    """Replay a failure witness against the move generators.
+    """Replay a failure witness through the game that produced it.
 
-    Every step's attacker move must exist, every recorded defender answer
-    must be a legal answer, and the last step must be a genuine dead end
-    (no answer, or an unmatched barb).  Witness states rename the
-    variables introduced along the trace to W1, W2, ... (w1 ... for name
-    variables); `intro_vars` of each step records that renaming, which is
-    undone here to recompute moves in canonical X-naming.
+    Every step's attacker move must be one of the game's attacks, every
+    recorded defender answer one of the game's answers to it, and the
+    last step a genuine dead end (no answer, or an unmatched barb).
+    Witness states rename the variables introduced along the trace to
+    W1, W2, ... (w1 ... for name variables); `intro_vars` of each step
+    records that renaming, and the replay applies it to the next pair.
     """
-    from .syntax import print_label, print_term
+    from .syntax import print_term
     if result.verdict or not result.witness:
         raise LbisimError("only inequivalence results carry a witness")
     calc = same_calculus(p, q)
-    game = _replay_game(relation, calc, labels, False, pool, p, q)
-    ordinary = isinstance(game, _OrdinaryGame)
+    if relation == "strong":
+        game = _OrdinaryGame(calc)
+    elif relation == "async":
+        game = _AsyncGame(calc)
+    elif relation == "l-bisim":
+        if labels is None:
+            raise LbisimError("l-bisim replay needs its label set")
+        game = _its_game(calc, p, q, labels, False, pool)
+    elif relation in _REPLAY_LABELS:
+        game = _its_game(calc, p, q, _REPLAY_LABELS[relation],
+                         relation == "barbed-semi-sat", pool)
+    else:
+        raise LbisimError(f"unknown relation {relation!r}")
     cur_p, cur_q = canonical_term(p), canonical_term(q)
     for step in result.witness:
         if (print_term(cur_p), print_term(cur_q)) != step.pair:
             return False
-        attacker, defender = ((cur_p, cur_q) if step.side == "left"
-                              else (cur_q, cur_p))
-        if step.kind == "barb":
-            return step.move in barbs(attacker) - barbs(defender)
-        # find the recorded attacker move
-        found = None
-        if ordinary:
-            for tr in ordinary_transitions(attacker):
-                if tr.action == step.move \
-                        and print_term(tr.target) == step.attacker_target:
-                    found = (tr.target, None)
-                    break
-        else:
-            for tr in its_transitions(attacker):
-                if print_label(tr.label) == step.move \
-                        and print_term(tr.target) == step.attacker_target:
-                    found = (tr.target, tr.label)
-                    break
-        if found is None:
-            return False
-        att_target, label = found
-        # recompute the legal answers
         side = 0 if step.side == "left" else 1
-        if ordinary:
-            answers = game.answers(_Attack(side, step.move, None, att_target),
-                                   defender)
-        elif game.labels.contains(label):
-            answers = [tr.target for tr in its_transitions(defender)
-                       if tr.label.body == label.body]
+        if step.kind == "barb":
+            return game.pair_barb_fail(cur_p, cur_q) == ("barb", side,
+                                                         step.move)
+        for attack in game.attacks(cur_p, cur_q):
+            back_p, back_n = _back(attack)
+            if attack.side == side and attack.text == step.move \
+                    and _show(attack.target, back_p, back_n) \
+                    == step.attacker_target:
+                break
         else:
-            answers = list(reduct_terms(plug(label, defender)))
+            return False
+        answers = game.answers(attack, cur_q if side == 0 else cur_p)
         if step.defender_target is None:
             return not answers and step.reason == "no answer"
         chosen = next((a for a in answers
-                       if print_term(a) == step.defender_target), None)
-        if chosen is None:
+                       if _show(a, back_p, back_n) == step.defender_target),
+                      None)
+        if chosen is None or set(step.intro_vars) \
+                != set(back_p.values()) | set(back_n.values()):
             return False
-        pm = {k: v for k, v in step.intro_vars.items() if v.startswith("W")}
-        nm = {k: v for k, v in step.intro_vars.items() if v.startswith("w")}
+        ren_p = {i: step.intro_vars[c] for i, c in back_p.items()}
+        ren_n = {i: step.intro_vars[c] for i, c in back_n.items()}
         nxt_att = canonical_term(
-            Term(calc, rename_vars(att_target.node, pm, nm)))
+            Term(calc, rename_vars(attack.target.node, ren_p, ren_n)))
         nxt_def = canonical_term(
-            Term(calc, rename_vars(chosen.node, pm, nm)))
-        cur_p, cur_q = ((nxt_att, nxt_def) if step.side == "left"
+            Term(calc, rename_vars(chosen.node, ren_p, ren_n)))
+        cur_p, cur_q = ((nxt_att, nxt_def) if side == 0
                         else (nxt_def, nxt_att))
     return False

@@ -26,7 +26,6 @@ with target (nu A)(Q | X1).
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,52 +199,35 @@ def instantiate(tr: ItsTransition, subst: Substitution) -> ItsTransition:
     return ItsTransition(tr.source, label, target, tr.rule)
 
 
-class TransitionSystem:
-    """Lazy transition cache: concurrent readers, serialised writers."""
-
-    def __init__(self, kind: str = "its"):
-        if kind not in ("its", "ordinary"):
-            raise ValueError(f"unknown transition-system kind {kind!r}")
-        self.kind = kind
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-
-    def outgoing(self, term: Term):
-        key = (term.calculus, canonicalize(term).node)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self.kind == "its":
-            trs = its_transitions(term)
-        else:
-            trs = ordinary_transitions(term)
-        with self._lock:
-            self._cache.setdefault(key, trs)
-        return trs
-
-    def reachable(self, term: Term, *, max_states: int = 2000):
-        """Breadth-first closure; raises DivergenceBudgetExceededError when
-        the state budget is exhausted (the MA ITS may be infinite)."""
-        root = canonical_term(term)
-        states = [root]
-        index = {root.node: 0}
-        edges = []
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for state in frontier:
-                for tr in self.outgoing(state):
-                    if tr.target.node not in index:
-                        if len(states) >= max_states:
-                            raise DivergenceBudgetExceededError(
-                                max_states, len(states) + 1)
-                        index[tr.target.node] = len(states)
-                        states.append(tr.target)
-                        nxt.append(tr.target)
-                    edges.append(tr)
-            frontier = nxt
-        return states, edges
+def reachable(term: Term, kind: str = "its", max_states: int = 2000):
+    """Breadth-first closure under the ITS or the ordinary transitions;
+    raises DivergenceBudgetExceededError when the state budget is
+    exhausted (the MA ITS may be infinite)."""
+    if kind == "its":
+        outgoing = its_transitions
+    elif kind == "ordinary":
+        outgoing = ordinary_transitions
+    else:
+        raise ValueError(f"unknown transition-system kind {kind!r}")
+    root = canonical_term(term)
+    states = [root]
+    index = {root.node: 0}
+    edges = []
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for tr in outgoing(state):
+                if tr.target.node not in index:
+                    if len(states) >= max_states:
+                        raise DivergenceBudgetExceededError(
+                            max_states, len(states) + 1)
+                    index[tr.target.node] = len(states)
+                    states.append(tr.target)
+                    nxt.append(tr.target)
+                edges.append(tr)
+        frontier = nxt
+    return states, edges
 
 
 def _label_text(tr) -> str:

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .congruence import (
-    CanonicalForm, canonical_term, canonicalize, components, node_key,
-    summand_matches, particle_matches, ambient_matches,
+    CanonicalForm, _summands, canonical_term, canonicalize, components,
+    node_key, summand_matches, particle_matches, ambient_matches,
 )
 from .terms import (
-    Amb, Calculus, Cap, Msg, Node, Prefix, Recv,
-    Send, Sum, Term, par, restricts,
+    Amb, Calculus, Cap, Msg, Prefix, Recv, Send, Term, par, restricts,
 )
 
 
@@ -90,14 +89,14 @@ def _ccs_steps(cf: CanonicalForm):
         yield "Tau", ("tau",), [m.continuation, *m.rest]
     parts = cf.parts
     for i, c in enumerate(parts):
-        for s, srest in _summands_of(c):
+        for s, _ in _summands(c):
             if not isinstance(s.action, Recv):
                 continue
             a = s.action.channel
             for j, d in enumerate(parts):
                 if j == i:
                     continue
-                for s2, _ in _summands_of(d):
+                for s2, _ in _summands(d):
                     if isinstance(s2.action, Send) and s2.action.channel == a:
                         new = _drop2(parts, i, j) + [s.body, s2.body]
                         yield "Comm", ("comm", i, j), new
@@ -108,7 +107,7 @@ def _accs_steps(cf: CanonicalForm):
         yield "Tau", ("tau",), [m.continuation, *m.rest]
     parts = cf.parts
     for i, c in enumerate(parts):
-        for s, srest in _summands_of(c):
+        for s, _ in _summands(c):
             if not isinstance(s.action, Recv):
                 continue
             a = s.action.channel
@@ -116,20 +115,6 @@ def _accs_steps(cf: CanonicalForm):
                 if j != i and isinstance(d, Msg) and d.channel == a:
                     new = _drop2(parts, i, j) + [s.body]
                     yield "Comm", ("comm", i, j), new
-
-
-def _summands_of(c: Node):
-    match c:
-        case Prefix():
-            yield c, ()
-        case Sum(children=cs):
-            for s in cs:
-                if isinstance(s, Prefix):
-                    yield s, ()
-
-
-def _tau_matches_unconditional(cf: CanonicalForm):
-    return summand_matches(cf, "tau")
 
 
 @lru_cache(maxsize=1 << 16)

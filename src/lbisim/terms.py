@@ -202,14 +202,6 @@ def _vars_in_order(node: Node):
             return
 
 
-def proc_vars(node: Node) -> frozenset[str]:
-    return frozenset(n for k, n in _vars_in_order(node) if k == "proc")
-
-
-def name_vars(node: Node) -> frozenset[str]:
-    return frozenset(n for k, n in _vars_in_order(node) if k == "name")
-
-
 def is_pure(node: Node) -> bool:
     return next(_vars_in_order(node), None) is None
 
@@ -307,11 +299,6 @@ def _check(calc: Calculus, node: Node, allow_hole: bool) -> None:
             _check(calc, b, allow_hole)
             return
     raise MalformedTermError(f"unknown node {node!r}")
-
-
-def check_term(term: Term) -> Term:
-    check_node(term.calculus, term.node)
-    return term
 
 
 def same_calculus(a, b) -> Calculus:

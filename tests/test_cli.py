@@ -1,11 +1,12 @@
 """End-to-end checks of the command line, driven through ``main(argv)``.
 
 Exit codes are part of the contract: 0 holds / suite passed, 1 does not
-hold, 2 usage or parse error, 3 budget exhausted.
+hold, 2 usage or parse error, 3 budget exhausted, 4 internal error.
 """
 
 import json
 
+import lbisim.cli
 from lbisim.cli import main
 
 
@@ -90,6 +91,22 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, _ = run(capsys, "check", "--calculus", "ccs", "--rel",
                      "strong", "a.0 + a.0", "a.0")
     assert code == 3
+
+
+def test_internal_error_exits_four_without_verdict(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(lbisim.cli, "strong_bisim", crash)
+    argv = ("check", "--calculus", "ccs", "--rel", "strong", "a.0", "b.0")
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "RecursionError" in err
+    code, out, _ = run(capsys, "check", "--format", "json", *argv[1:])
+    assert code == 4
+    payload = json.loads(out)
+    assert "verdict" not in payload and "internal error" in payload["error"]
 
 
 def test_at_file_terms(capsys, tmp_path):

@@ -109,27 +109,25 @@ def test_flagship_pair_relations():
 
 
 def test_endpoint_identities_on_samples():
-    def verdict(fn, *args, **kw):
-        try:
-            return fn(*args, **kw).verdict
-        except DivergenceBudgetExceededError:
-            return "budget"
-
-    cases = [
-        (ACCS, "a.'a + tau.0", "tau.0"),
-        (ACCS, "'a", "0"),
-        (ACCS, "a.0", "a.0 + a.0"),
-        (CCS, "a.0 | b.0", "a.b.0 + b.a.0"),
-        (CCS, "a.b.0", "a.0"),
-        (MA, "n[0]", "0"),
-        (MA, "n[in m.0]", "n[0]"),
-        (MA, "open n.0", "open n.0"),
+    """Verdicts (IPO, L, semi-saturated) for the calculus's L; the
+    flagship pair separates IPO from the rest."""
+    labels = {CCS: LCCS, ACCS: LA, MA: LM}
+    table = [
+        (ACCS, "a.'a + tau.0", "tau.0", (False, True, True)),
+        (ACCS, "'a", "0", (False, False, False)),
+        (ACCS, "a.0", "a.0 + a.0", (True, True, True)),
+        (CCS, "a.0 | b.0", "a.b.0 + b.a.0", (True, True, True)),
+        (CCS, "a.b.0", "a.0", (False, False, False)),
+        (MA, "n[0]", "0", (False, False, False)),
+        (MA, "n[in m.0]", "n[0]", (False, False, False)),
+        (MA, "open n.0", "open n.0", (True, True, True)),
     ]
-    for calc, s1, s2 in cases:
+    for calc, s1, s2, want in table:
         p, q = parse_term(s1, calc), parse_term(s2, calc)
-        assert verdict(ipo_bisim, p, q) == verdict(l_bisim, p, q, ALL)
-        assert verdict(semi_saturated_bisim, p, q) \
-            == verdict(l_bisim, p, q, EMPTY)
+        got = (ipo_bisim(p, q).verdict,
+               l_bisim(p, q, labels[calc]).verdict,
+               semi_saturated_bisim(p, q).verdict)
+        assert got == want, (calc, s1, s2)
 
 
 # --- label sets ------------------------------------------------------------
@@ -272,10 +270,18 @@ def test_instantiated_pool_agrees_with_symbolic():
         p, q = parse_term(s1, ACCS), parse_term(s2, ACCS)
         assert l_bisim(p, q, LA).verdict \
             == l_bisim(p, q, LA, pool=pool).verdict
-    p, q = parse_term("a.'a + tau.0", ACCS), parse_term("tau.0", ACCS)
-    r = ipo_bisim(p, q, pool=pool)
-    assert r.verdict is False
-    assert verify_witness(p, q, r, "ipo", pool=pool) is True
+    # pool games attack with closed labels, and their witnesses replay
+    # through the same instantiated game
+    witnessed = [("ipo", "a.'a + tau.0", "tau.0")] + [
+        (rel, s1, s2) for rel in ("ipo", "semi-sat")
+        for s1, s2 in (("'a", "0"), ("'a | 'b", "'a"))]
+    solvers = {"ipo": ipo_bisim, "semi-sat": semi_saturated_bisim}
+    for rel, s1, s2 in witnessed:
+        p, q = parse_term(s1, ACCS), parse_term(s2, ACCS)
+        r = solvers[rel](p, q, pool=pool)
+        assert r.verdict is False and r.witness, (rel, s1)
+        assert verify_witness(p, q, r, rel, pool=pool) is True, (rel, s1)
+        assert verify_witness(q, p, r, rel, pool=pool) is False, (rel, s1)
     with pytest.raises(MalformedTermError):
         l_bisim(p, q, LA, pool=[parse_term("n[0]", MA)])
 

@@ -6,8 +6,8 @@ import pytest
 from lbisim.corpus import (check_lts_correspondence, enumerate_terms,
                            random_term)
 from lbisim.errors import DivergenceBudgetExceededError, MAUnsupportedError
-from lbisim.lts import (TransitionSystem, instantiate, its_transitions,
-                        lts_to_dot, lts_to_json, ordinary_transitions)
+from lbisim.lts import (instantiate, its_transitions, lts_to_dot,
+                        lts_to_json, ordinary_transitions, reachable)
 from lbisim.reduction import reduct_terms
 from lbisim.syntax import parse_term, print_label, print_term
 from lbisim.terms import Calculus, Substitution, plug
@@ -148,14 +148,14 @@ def test_instantiated_transitions_are_reductions():
 
 
 def test_reachable_budget():
-    ts = TransitionSystem("its")
     with pytest.raises(DivergenceBudgetExceededError):
-        ts.reachable(parse_term("n[in n.0]", MA), max_states=6)
+        reachable(parse_term("n[in n.0]", MA), "its", max_states=6)
+    with pytest.raises(ValueError):
+        reachable(parse_term("a.0", CCS), "sideways")
 
 
 def test_reachable_and_dumps():
-    ts = TransitionSystem("ordinary")
-    states, edges = ts.reachable(parse_term("a.b.0 | 'a.0", CCS))
+    states, edges = reachable(parse_term("a.b.0 | 'a.0", CCS), "ordinary")
     data = lts_to_json(states, edges)
     assert data["states"][0] == "a.b.0 | 'a.0"
     assert any(tr["label"] == "tau" for tr in data["transitions"])
@@ -164,7 +164,7 @@ def test_reachable_and_dumps():
     assert '"a.b.0 | \'a.0"' in dot
 
 
-def test_its_cache_returns_same_tuple():
-    ts = TransitionSystem("its")
+def test_congruent_terms_give_same_transitions():
     t = parse_term("a.0", CCS)
-    assert ts.outgoing(t) is ts.outgoing(parse_term("a.0 | 0", CCS))
+    assert its_transitions(t) == its_transitions(parse_term("a.0 | 0", CCS))
+    assert its_transitions(t)
