@@ -47,8 +47,10 @@ def _actions(calc: Calculus, names):
 
 
 @lru_cache(maxsize=None)
-def _terms_of_size(calc: Calculus, names: tuple, size: int) -> tuple:
-    if size <= 0:
+def _terms_of_size(calc: Calculus, names: tuple, size: int,
+                   max_depth: int) -> tuple:
+    """Raw terms of exactly `size` constructors and depth <= `max_depth`."""
+    if size <= 0 or max_depth < 0:
         return ()
     if size == 1:
         base = [Nil()]
@@ -56,7 +58,7 @@ def _terms_of_size(calc: Calculus, names: tuple, size: int) -> tuple:
             base += [Msg(a) for a in names]
         return tuple(base)
     out = []
-    for body in _terms_of_size(calc, names, size - 1):
+    for body in _terms_of_size(calc, names, size - 1, max_depth - 1):
         for act in _actions(calc, names):
             out.append(Prefix(act, body))
         for n in names:
@@ -68,8 +70,8 @@ def _terms_of_size(calc: Calculus, names: tuple, size: int) -> tuple:
         right_size = size - 1 - left_size
         if left_size > right_size:
             break
-        lefts = _terms_of_size(calc, names, left_size)
-        rights = _terms_of_size(calc, names, right_size)
+        lefts = _terms_of_size(calc, names, left_size, max_depth - 1)
+        rights = _terms_of_size(calc, names, right_size, max_depth - 1)
         for t1 in lefts:
             for t2 in rights:
                 out.append(Par((t1, t2)))
@@ -102,9 +104,7 @@ def enumerate_terms(calc: Calculus, names, *, count: int,
     out: list[Term] = []
     for size in range(1, max_size + 1):
         batch = []
-        for raw in _terms_of_size(calc, names, size):
-            if depth(raw) > max_depth:
-                continue
+        for raw in _terms_of_size(calc, names, size, max_depth):
             t = canonical_term(Term(calc, raw))
             if t.node in seen:
                 continue

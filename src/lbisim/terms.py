@@ -10,12 +10,19 @@ Extended syntax adds process variables (`@X`) and ambient-name variables
 (`?x[...]`, MA only).  A term with no variables is *pure*.  Labels are
 terms with exactly one hole `-`; they double as the unary contexts of the
 instance transition systems.
+
+Names, actions and nodes are interned (hash-consed): constructing one
+that is structurally equal to a live object returns that object, so
+`==` is `is` and hashing is O(1) whatever the tree's size.  Construction
+is positional, fields in declaration order (`Prefix(Recv("a"), Nil())`);
+`match` class patterns work as with dataclasses.  `Term`, `Label` and
+`Substitution` stay dataclasses and compare their interned fields.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-
 from enum import Enum
 
 from .errors import (
@@ -33,93 +40,137 @@ class Calculus(Enum):
 
 # --- syntax tree -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class NameVar:
+# Interned nodes by (class, *fields).  An entry holds only a weak
+# reference, so a node dies with its last outside reference and its
+# entry with it.
+_INTERNED: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, _table=_INTERNED) -> None:
+    # A newer node may already have taken the key of a dead one.
+    if _table.get(ref.key) is ref:
+        del _table[ref.key]
+
+
+class _Interned:
+    """Hash-consed immutable syntax: constructing a node that already
+    exists returns the existing object, so `==` and `hash` are identity.
+
+    A subclass lists its fields in `__slots__`; construction is
+    positional, in that order, as with `match` class patterns.
+    """
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        setters = cls._setters
+        if len(fields) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} "
+                            f"positional fields, got {len(fields)}")
+        obj = object.__new__(cls)
+        for setter, value in zip(setters, fields):
+            setter(obj, value)
+        ref = _Ref(obj, _forget)
+        ref.key = key
+        _INTERNED[key] = ref
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NameVar(_Interned):
     """Ambient-name variable; ranges over ambient names, never bound."""
-    name: str
+    __slots__ = ("name",)
 
 
 # A "name position" holds either a concrete name (str) or a NameVar.
 Name = "str | NameVar"
 
 
-@dataclass(frozen=True)
-class Tau:
-    pass
+class Tau(_Interned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Recv:
-    channel: str
+class Recv(_Interned):
+    __slots__ = ("channel",)
 
 
-@dataclass(frozen=True)
-class Send:
-    channel: str
+class Send(_Interned):
+    __slots__ = ("channel",)
 
 
-@dataclass(frozen=True)
-class Cap:
+class Cap(_Interned):
     """Mobility capability: op is one of "in", "out", "open"."""
-    op: str
-    amb: "str | NameVar"
+    __slots__ = ("op", "amb")       # amb: str | NameVar
 
 
 Action = "Tau | Recv | Send | Cap"
 
 
-@dataclass(frozen=True)
-class Node:
-    pass
+class Node(_Interned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nil(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prefix(Node):
-    action: "Tau | Recv | Send | Cap"
-    body: Node
+    __slots__ = ("action", "body")  # action: Tau | Recv | Send | Cap
 
 
-@dataclass(frozen=True)
 class Sum(Node):
-    children: tuple[Node, ...]
+    __slots__ = ("children",)       # tuple[Node, ...]
 
 
-@dataclass(frozen=True)
 class Par(Node):
-    children: tuple[Node, ...]
+    __slots__ = ("children",)       # tuple[Node, ...]
 
 
-@dataclass(frozen=True)
 class Restrict(Node):
-    name: str
-    body: Node
+    __slots__ = ("name", "body")
 
 
-@dataclass(frozen=True)
 class Amb(Node):
-    name: "str | NameVar"
-    body: Node
+    __slots__ = ("name", "body")    # name: str | NameVar
 
 
-@dataclass(frozen=True)
 class Msg(Node):
     """ACCS output particle (an unguarded message in the ether)."""
-    channel: str
+    __slots__ = ("channel",)
 
 
-@dataclass(frozen=True)
 class ProcVar(Node):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Hole(Node):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

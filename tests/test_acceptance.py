@@ -22,7 +22,10 @@ from lbisim import (
     plug,
     print_term,
     reduct_terms,
+    ALL,
+    EMPTY,
     LA,
+    LabelSet,
 )
 from lbisim.corpus import (
     _LABELS_FOR,
@@ -143,10 +146,38 @@ def test_criterion_07_predicates_match_transitions(corpora):
     assert r.total == len(corpora[CCS]) and not r.failures
 
 
+# The flagship pair, bare and in parallel contexts: IPO tells the sides
+# apart, LA and semi-saturated bisimilarity do not.
+_SEPARATING = [("a.'a + tau.0" + ctx, "tau.0" + ctx)
+               for ctx in ("", " | 'b", " | b.0 | 'c")]
+
+
+def _separating_pairs():
+    return [(parse_term(p, ACCS), parse_term(q, ACCS))
+            for p, q in _SEPARATING]
+
+
 def test_criterion_08_endpoint_identities(pair_sets):
     for calc, pairs in pair_sets.items():
         r = check_endpoints(calc, pairs)
         assert r.total == len(pairs) and not r.failures, calc
+    pairs = _separating_pairs()
+    for p, q in pairs:
+        verdicts = tuple(l_bisim(p, q, labels).verdict
+                         for labels in (ALL, LA, EMPTY))
+        assert verdicts == (False, True, True), print_term(p)
+    r = check_endpoints(ACCS, pairs)
+    assert r.total == len(pairs) and not r.failures
+
+
+def test_criterion_08_fails_when_empty_plays_as_all(monkeypatch):
+    contains = LabelSet.contains
+    monkeypatch.setattr(
+        LabelSet, "contains",
+        lambda self, label: self is EMPTY or contains(self, label))
+    r = check_endpoints(ACCS, _separating_pairs())
+    assert len(r.failures) == len(_SEPARATING)
+    assert all(f.endswith("(LA but not EMPTY)") for f in r.failures)
 
 
 def test_criterion_09_congruence_sampling():

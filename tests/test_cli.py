@@ -5,6 +5,10 @@ hold, 2 usage or parse error, 3 budget exhausted, 4 internal error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import lbisim.cli
 from lbisim.cli import main
@@ -223,3 +227,31 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "check", "--calculus", "ccs", "a.0", "b.0")[0] == 2
+
+
+_HASH_ORDER_QUERIES = [
+    ("accs", ["ipo"], "a.'a + tau.0", "tau.0"),
+    ("ccs", ["semi-sat"], "b.0 | 'c.0 | a.0 + a.0", "b.0 | 'c.0 | a.0"),
+    ("ma", ["l-bisim", "--labels", "LM"], "n[in m.0] | j[0]",
+     "n[out m.0] | j[0]"),
+]
+
+
+def test_output_does_not_depend_on_hash_order():
+    """Nodes hash by identity, so set order follows memory addresses;
+    verdicts, witnesses and pair counts must not."""
+    src = str(Path(lbisim.cli.__file__).resolve().parents[1])
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for calc, rel, p, q in _HASH_ORDER_QUERIES:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lbisim.cli", "check", "--format",
+                 "json", "--calculus", calc, "--rel", *rel, p, q],
+                env=env, capture_output=True, check=False)
+            assert proc.returncode in (0, 1), proc.stderr
+            outputs.setdefault((calc, p, q), set()).add(proc.stdout)
+    for key, seen in outputs.items():
+        assert len(seen) == 1, key
+    flagship = json.loads(outputs["accs", "a.'a + tau.0", "tau.0"].pop())
+    assert flagship["verdict"] == "inequivalent" and flagship["witness"]

@@ -1,7 +1,13 @@
+import copy
+import gc
+import hashlib
+import pickle
 import random
 
 import pytest
 
+from lbisim import terms
+from lbisim.corpus import enumerate_terms
 from lbisim.errors import (CrossCalculusError, IncompleteSubstitutionError,
                            MalformedTermError)
 from lbisim.syntax import parse_label, parse_term, print_term
@@ -137,3 +143,80 @@ def test_terms_hash_and_compare_structurally():
     b = parse_term("a.0 | b.0", CCS)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# --- interning -------------------------------------------------------------
+
+def test_equal_nodes_are_one_object():
+    built = Par((Amb("n", Nil()),
+                 Amb(NameVar("x"), Prefix(Cap("in", "m"), ProcVar("X")))))
+    assert parse_term("n[0] | ?x[in m.@X]", MA).node is built
+    assert Prefix(Send("a"), Hole()) is Prefix(Send("a"), Hole())
+    assert Amb("x", Nil()) is not Amb(NameVar("x"), Nil())
+    assert Sum((Nil(), Nil())) is not Par((Nil(), Nil()))
+
+
+def test_nodes_are_immutable():
+    node = Prefix(Tau(), Nil())
+    with pytest.raises(AttributeError):
+        node.body = Msg("a")
+    with pytest.raises(AttributeError):
+        del node.action
+    with pytest.raises(AttributeError):
+        NameVar("x").name = "y"
+    assert node.body is Nil()
+
+
+def test_repr_keeps_field_names():
+    node = Par((Prefix(Cap("in", NameVar("x")), Nil()), Msg("a")))
+    assert repr(node) == ("Par(children=(Prefix(action=Cap(op='in', "
+                          "amb=NameVar(name='x')), body=Nil()), "
+                          "Msg(channel='a')))")
+    assert repr(Tau()) == "Tau()"
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    node = parse_term("(nu a)(a.'b.0 + tau.0 | c.0)", CCS).node
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    term = Term(CCS, node)
+    assert pickle.loads(pickle.dumps(term)).node is node
+
+
+def test_intern_table_is_weak():
+    gc.collect()
+    before = len(terms._INTERNED)
+    node = Prefix(Recv("weak0"), Par((Msg("weak1"), Restrict("weak2",
+                                                             Nil()))))
+    assert len(terms._INTERNED) == before + 5
+    del node
+    gc.collect()
+    assert len(terms._INTERNED) == before
+
+
+# sha256 of the printed corpus, one term a line, recorded before the
+# enumeration was depth-pruned: (calculus, names, count) -> digest.
+_CORPUS_DIGESTS = {
+    (CCS, ("a", "b"), 320):
+        "1ae6bffe84c018138c54700cae8fd29f976a46153bc3bffaab6dfd836a76f4e3",
+    (ACCS, ("a", "b"), 320):
+        "e29b95781101dbc83e8f7ba4cf7ac2ffe390e733751e50f5eb29f80ad3a2438b",
+    (MA, ("a", "b"), 320):
+        "be7d93d5bd8cee6add2162ddd8c52ed1e87bcdb894678cc95984c2428c09a223",
+    (CCS, ("a", "b"), 300):
+        "922c91f697f0f7154ad7d1b69dea097c3682e543a40824c8e837b15a100240a7",
+    (ACCS, ("a", "b"), 300):
+        "4fa00b1aabe166e376dfa222fa84b89cbe029255d436dde44c6771473e3a0580",
+    (MA, ("n", "m"), 300):
+        "8e1661b952003d2716f340e7963ebf7cef9d8820854fa3fc42461433818f5173",
+}
+
+
+@pytest.mark.parametrize("calc,names,count", list(_CORPUS_DIGESTS))
+def test_enumerate_terms_output_is_pinned(calc, names, count):
+    corpus = enumerate_terms(calc, names, count=count)
+    assert len(corpus) == count
+    text = "\n".join(print_term(t) for t in corpus)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _CORPUS_DIGESTS[calc, names, count]
