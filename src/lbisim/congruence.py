@@ -13,6 +13,15 @@
     lexicographically least body;
   * sort parallel components and summands by a total order on terms.
 
+A parallel composition none of whose children has a binder at the top
+of its canonical form needs neither step: its canonical form is the
+sorted flattened components of the children's canonical forms, which
+the canonical-form cache already holds.  (The full pass computes the
+same node: with no binders to hoist or rename, normalising flattens the
+children and alpha-renaming sorts the components.)  Reduct and ITS
+targets and plugged `- | T` contexts in CCS and ACCS have that shape;
+any other node takes the full pass.
+
 Two terms are structurally congruent exactly when their canonical forms
 are equal, so `equiv` is canonical-form equality.  The pruning step is a
 convention on top of the textbook axiom sets (which cannot derive
@@ -284,14 +293,12 @@ def _alpha_big(names: list, body: Node, env: dict, fresh: list) -> Node:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Top binder cluster plus sorted parallel components."""
+    """Top binder cluster plus sorted parallel components of the
+    canonical node."""
     calculus: Calculus
     binders: tuple[str, ...]
     parts: tuple[Node, ...]
-
-    @property
-    def node(self) -> Node:
-        return restricts(self.binders, par(*self.parts))
+    node: Node
 
     @property
     def term(self) -> Term:
@@ -309,6 +316,15 @@ class CanonicalForm:
 
 @lru_cache(maxsize=1 << 17)
 def _canon_node(calc: Calculus, node: Node) -> Node:
+    if isinstance(node, Par):
+        parts: list[Node] = []
+        for c in node.children:
+            c = _canon_node(calc, c)
+            if isinstance(c, Restrict):
+                break
+            parts.extend(components(c))
+        else:
+            return par(*sorted(parts, key=node_key))
     return _alpha(_normalize(node, calc), {})
 
 
@@ -323,7 +339,8 @@ def canonicalize(term) -> CanonicalForm:
     else:
         node = _canon_node(term.calculus, term.node)
     binders, core = strip_restricts(node)
-    return CanonicalForm(term.calculus, tuple(binders), components(core))
+    return CanonicalForm(term.calculus, tuple(binders), components(core),
+                         node)
 
 
 def canonical_term(term: Term) -> Term:

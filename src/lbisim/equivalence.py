@@ -28,7 +28,17 @@ The relations:
 
 Symbolic moves carry the canonical variables X1, X2, x; the engine
 freshens them to per-pair constants so that the attacker's and defender's
-residuals share them.  Witnesses re-number those constants W1, W2, ...
+residuals share them.  A constant is `V` (process) or `v` (name) followed
+by a game-wide counter spelt as its digit count and then its digits
+(V19, V210, ...), so it sorts as a string after every earlier constant,
+and a move's label variables get their constants in sorted order.
+Canonical forms compare a variable only with variables of its own kind,
+by name, and normalisation never looks at variables; so a renaming that
+keeps the order of a canonical state's process variables and of its name
+variables leaves it canonical.  A freshened target is therefore used as
+it stands, and canonicalised again only when the renaming reorders its
+variables (when a label names one of the state's own name variables).
+Witnesses re-number those constants W1, W2, ...
 (w1 ... for name variables) step by step, and `verify_witness` replays a
 witness through the attacks and answers of the game that produced it.
 """
@@ -445,6 +455,28 @@ class _AsyncGame(_OrdinaryGame):
         return exact + extra
 
 
+def _keeps_order(names, ren: dict) -> bool:
+    new = [ren.get(n, n) for n in sorted(names)]
+    return all(a < b for a, b in zip(new, new[1:]))
+
+
+def _renamed(term: Term, procs: dict, names: dict) -> Term:
+    """A canonical game state with its variables renamed, canonical.
+
+    The renamed state is canonical already when the renaming keeps the
+    string order of the state's process variables and of its name
+    variables; otherwise it is canonicalised again."""
+    if not procs and not names:
+        return term
+    pvars, nvars = set(), set()
+    for kind, name in _vars_in_order(term.node):
+        (pvars if kind == "proc" else nvars).add(name)
+    renamed = Term(term.calculus, rename_vars(term.node, procs, names))
+    if _keeps_order(pvars, procs) and _keeps_order(nvars, names):
+        return renamed
+    return canonical_term(renamed)
+
+
 class _SymbolicGame:
     """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
     answered by the same label, any other attack C[-] by one reduction of
@@ -468,25 +500,25 @@ class _SymbolicGame:
             return ("barb", 0, only_p[0])
         return ("barb", 1, sorted(bq - bp)[0])
 
+    def _fresh(self) -> str:
+        """The next counter value, spelt as its digit count followed by
+        its digits, so that it sorts after every earlier one as a
+        string."""
+        self._counter += 1
+        digits = str(self._counter)
+        return f"{len(digits)}{digits}"
+
     def _freshen(self, side: int, tr: ItsTransition) -> _Attack:
         from .syntax import print_label
-        fresh_p = []
-        fresh_n = []
-        seen = set()
-        for kind, name in _vars_in_order(tr.label.body):
-            if name in seen:
-                continue
-            seen.add(name)
-            self._counter += 1
-            if kind == "proc":
-                fresh_p.append((name, f"V{self._counter}"))
-            else:
-                fresh_n.append((name, f"v{self._counter}"))
-        target = canonical_term(
-            Term(tr.target.calculus,
-                 rename_vars(tr.target.node, dict(fresh_p), dict(fresh_n))))
+        label_vars = list(dict.fromkeys(_vars_in_order(tr.label.body)))
+        fresh = {var: self._fresh() for var in sorted(label_vars)}
+        fresh_p = tuple((name, "V" + fresh[kind, name])
+                        for kind, name in label_vars if kind == "proc")
+        fresh_n = tuple((name, "v" + fresh[kind, name])
+                        for kind, name in label_vars if kind == "name")
+        target = _renamed(tr.target, dict(fresh_p), dict(fresh_n))
         return _Attack(side, print_label(tr.label), tr.label, target,
-                       tuple(fresh_p), tuple(fresh_n))
+                       fresh_p, fresh_n)
 
     def attacks(self, p, q):
         return [self._freshen(side, tr)
@@ -496,12 +528,9 @@ class _SymbolicGame:
     def _same_label(self, attack, defender):
         """The defender's moves with the attack's label."""
         pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
-        return [
-            canonical_term(Term(defender.calculus,
-                                rename_vars(tr.target.node, pm, nm)))
-            for tr in its_transitions(defender)
-            if tr.label.body == attack.label.body
-        ]
+        return [_renamed(tr.target, pm, nm)
+                for tr in its_transitions(defender)
+                if tr.label.body == attack.label.body]
 
     def answers(self, attack, defender):
         if self.labels.contains(attack.label):

@@ -1,14 +1,15 @@
 import random
 
-from lbisim.congruence import (ambient_cap_matches, ambient_matches,
+from lbisim.congruence import (_alpha, _canon_node, _normalize,
+                               ambient_cap_matches, ambient_matches,
                                canonical_term, canonicalize, cap_matches,
                                equiv, node_key, particle_matches,
                                summand_matches)
 from lbisim.corpus import (axiom_closure, bounded_closure,
                            check_axiom_soundness, congruent_shuffle,
-                           random_term)
+                           enumerate_terms, random_term)
 from lbisim.syntax import parse_term, print_term
-from lbisim.terms import Calculus, Term
+from lbisim.terms import Calculus, Par, Restrict, Term
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
 
@@ -153,3 +154,45 @@ def test_large_parallel_compositions_stay_tractable():
     shuffled = parse_term(nus + "(" + " | ".join(
         f"x{i}[0]" for i in reversed(range(9))) + ")", MA)
     assert equiv(t, shuffled)
+
+
+def test_canonical_form_keeps_its_node():
+    t = parse_term("(nu n)(n[0] | open n.0) | m[0]", MA)
+    cf = canonicalize(t)
+    assert cf.node is canonical_term(t).node
+    assert cf.term == canonical_term(t)
+    assert cf.binders == ("f0",) and len(cf.parts) == 3
+
+
+# Children whose canonical form starts with a binder: a restriction, and
+# in MA binders that hoist out of an ambient or a capability prefix.
+_BINDER_CHILDREN = {
+    CCS: ("(nu c) c.0", "(nu c)(c.0 | 'c.a.0)"),
+    ACCS: ("(nu c) 'c", "(nu c)(c.0 | 'c)"),
+    MA: ("(nu k) k[0]", "n[(nu k) k[open k.0]]", "open n.(nu k) k[0]"),
+}
+
+
+def test_parallel_composition_matches_the_full_canonicaliser():
+    """Composing the children's canonical forms gives the node the full
+    normalise-and-rename pass gives, and a child with binders makes the
+    composition take that pass."""
+    rng = random.Random(11)
+    for calc in (CCS, ACCS, MA):
+        binder = [parse_term(s, calc).node for s in _BINDER_CHILDREN[calc]]
+        corpus = [t.node for t in
+                  enumerate_terms(calc, ("a", "b"), count=320, max_depth=3)]
+        corpus += binder
+        groups = [tuple(rng.choice(corpus) for _ in range(k))
+                  for k in (2, 3) for _ in range(300)]
+        groups += [(c, rng.choice(corpus)) for c in binder]
+        with_binders = 0
+        for children in groups:
+            node = Par(children)
+            if any(isinstance(_canon_node(calc, c), Restrict)
+                   for c in children):
+                with_binders += 1
+            assert _canon_node(calc, node) \
+                is _alpha(_normalize(node, calc), {}), \
+                print_term(Term(calc, node))
+        assert with_binders >= 3, calc

@@ -42,6 +42,9 @@ from lbisim import (
     term_pairs,
     verify_witness,
 )
+from lbisim.equivalence import _keeps_order, _SymbolicGame
+from lbisim.lts import its_transitions
+from lbisim.terms import rename_vars
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -244,6 +247,46 @@ def test_witness_replay_across_relations():
             assert verify_witness(q, p, r, rel, labels=labels) is False
 
 
+_CCS_DIFF = ("c.0 | 'd.0 | a.0", "c.0 | 'd.0 | b.0")
+_FLAGSHIP = ("a.'a + tau.0 | 'b", "tau.0 | 'b")
+_MA_DIFFS = {
+    "barb": ("j[0] | n[k[0]]", "j[0] | m[k[0]]"),
+    "cap": ("n[in m.0] | j[0]", "n[out m.0] | j[0]"),
+    "open": ("open a.open m.0", "open a.open p.0"),
+}
+_CCS_RELS = [("strong", None), ("ipo", None), ("semi-sat", None),
+             ("barbed-semi-sat", None), ("l-bisim", LCCS),
+             ("l-bisim", ALL), ("l-bisim", EMPTY)]
+_MA_RELS = [("ipo", None), ("semi-sat", None), ("barbed-semi-sat", None),
+            ("l-bisim", LM), ("l-bisim", ALL), ("l-bisim", EMPTY)]
+_REPLAYED = (
+    [(CCS, rel, labels, *_CCS_DIFF) for rel, labels in _CCS_RELS]
+    + [(ACCS, rel, labels, *_FLAGSHIP)
+       for rel, labels in (("strong", None), ("ipo", None), ("l-bisim", ALL))]
+    + [(MA, rel, labels, *pair)
+       for pair in _MA_DIFFS.values() for rel, labels in _MA_RELS])
+
+
+def _play(rel, labels, p, q):
+    solvers = {"strong": strong_bisim, "ipo": ipo_bisim,
+               "semi-sat": semi_saturated_bisim,
+               "barbed-semi-sat": barbed_semi_saturated_bisim}
+    if rel == "l-bisim":
+        return l_bisim(p, q, labels)
+    return solvers[rel](p, q)
+
+
+@pytest.mark.parametrize(
+    "calc,rel,labels,s1,s2", _REPLAYED,
+    ids=[f"{c.value}-{r}{'-' + ls.name if ls else ''}-{s1}"
+         for c, r, ls, s1, _ in _REPLAYED])
+def test_inequivalence_witnesses_replay(calc, rel, labels, s1, s2):
+    p, q = parse_term(s1, calc), parse_term(s2, calc)
+    r = _play(rel, labels, p, q)
+    assert r.verdict is False and r.witness
+    assert verify_witness(p, q, r, rel, labels=labels) is True
+
+
 def test_barbed_witness_replay():
     p, q = parse_term("n[0]", MA), parse_term("0", MA)
     r = barbed_semi_saturated_bisim(p, q)
@@ -259,6 +302,63 @@ def test_witness_only_on_inequivalence():
     assert r.verdict is True and r.witness is None
     with pytest.raises(LbisimError):
         verify_witness(p, q, r, "strong")
+
+
+# --- fresh constants and renamed game states --------------------------------
+
+def test_fresh_names_sort_in_allocation_order():
+    game = _SymbolicGame(CCS, ALL, False)
+    names = ["V" + game._fresh() for _ in range(1001)]
+    assert names[8:10] == ["V19", "V210"]
+    assert names[98:100] == ["V299", "V3100"]
+    assert names[998:1000] == ["V3999", "V41000"]
+    assert names == sorted(names) and len(set(names)) == len(names)
+
+
+def _renamings(game, states):
+    """(attack, its target renamed without re-canonicalising) for every
+    ITS move of every state."""
+    for state in states:
+        for tr in its_transitions(state):
+            attack = game._freshen(0, tr)
+            yield attack, Term(state.calculus,
+                               rename_vars(tr.target.node,
+                                           dict(attack.fresh_procs),
+                                           dict(attack.fresh_names)))
+
+
+def test_freshened_states_are_canonical():
+    for calc in (CCS, ACCS, MA):
+        game = _SymbolicGame(calc, ALL, False)
+        corpus = enumerate_terms(calc, ("a", "b"), count=320, max_depth=3)
+        firsts = []
+        for attack, plain in _renamings(game, corpus):
+            # fresh names keep the order of the label variables, so the
+            # renamed target is canonical as it stands
+            assert plain == canonical_term(plain)
+            assert attack.target == plain
+            firsts.append(attack.target)
+        # second moves rename targets that already hold game constants
+        for attack, plain in _renamings(game, firsts[:150]):
+            assert attack.target == canonical_term(plain)
+            for defender in firsts[:20]:
+                for ans in game.answers(attack, defender):
+                    assert ans == canonical_term(ans)
+        assert game._counter > 10, calc
+
+
+def test_order_breaking_renaming_is_recanonicalised():
+    # a firewall-law state: the CoIn move on ?v12 renames the state's own
+    # name variable to a fresh name that sorts after ?v15
+    state = canonical_term(parse_term("?v12[0] | ?v15[a[0]] | @V13", MA))
+    assert _keeps_order({"v12", "v15"}, {"v12": "v3100"}) is False
+    game = _SymbolicGame(MA, EMPTY, False)
+    game._counter = 20
+    recanonicalised = 0
+    for attack, plain in _renamings(game, [state]):
+        assert attack.target == canonical_term(plain)
+        recanonicalised += plain != canonical_term(plain)
+    assert recanonicalised == 1
 
 
 # --- pools, budgets, guards ------------------------------------------------
