@@ -103,7 +103,7 @@ def _cmd_check(args) -> int:
     p = parse_term(_read_arg(args.p), calc)
     q = parse_term(_read_arg(args.q), calc)
     pool = _pool(args.mode, calc)
-    kw = {"max_pairs": args.max_pairs}
+    kw = {"max_pairs": args.max_pairs or _default_max_pairs()}
     rel = args.rel
     if rel == "strong":
         if pool is not None:
@@ -212,7 +212,7 @@ def _cmd_corpus(args) -> int:
     spec = json.loads(_read_arg(args.spec))
     if args.seed is not None:
         spec["seed"] = args.seed
-    if args.max_pairs != _default_max_pairs():
+    if args.max_pairs is not None:
         spec["max_pairs"] = args.max_pairs
     outcomes = run_suite(spec)
     payload = {"checks": [o.to_dict() for o in outcomes],
@@ -230,22 +230,36 @@ def _cmd_corpus(args) -> int:
     return EXIT_HOLDS if payload["ok"] else EXIT_FAILS
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_max_pairs() -> int:
+    """The game budget when `--max-pairs` is not given: LBISIM_MAX_PAIRS,
+    else DEFAULT_MAX_PAIRS."""
     raw = os.environ.get("LBISIM_MAX_PAIRS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_PAIRS
+    if not raw:
+        return DEFAULT_MAX_PAIRS
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise LbisimError(f"LBISIM_MAX_PAIRS: {exc}") from None
 
 
 def _add_common(sp, *, fmt=("text", "json")) -> None:
     sp.add_argument("--calculus", required=True,
                     choices=[c.value for c in Calculus])
     sp.add_argument("--format", choices=fmt, default="text")
-    sp.add_argument("--max-pairs", type=int, default=_default_max_pairs(),
-                    help="symbolic game budget (state pairs)")
+    sp.add_argument("--max-pairs", type=_positive_int,
+                    help="game budget in state pairs (default: "
+                         f"LBISIM_MAX_PAIRS, else {DEFAULT_MAX_PAIRS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     corp = sub.add_parser("corpus", help="run a corpus cross-check suite")
     corp.add_argument("--format", choices=("text", "json"), default="text")
     corp.add_argument("--seed", type=int)
-    corp.add_argument("--max-pairs", type=int, default=_default_max_pairs())
+    corp.add_argument("--max-pairs", type=_positive_int,
+                      help="game budget in state pairs (default: the "
+                           "spec's max_pairs)")
     corp.add_argument("spec", metavar="SPECFILE",
                       help="JSON spec, literal or @file")
     corp.set_defaults(run=_cmd_corpus)

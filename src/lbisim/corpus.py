@@ -826,7 +826,10 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
     names = tuple(spec.get("names") or _DEFAULT_NAMES[calc])
     count = int(spec.get("count", 300))
     seed = int(spec.get("seed", 0))
-    max_pairs = int(spec.get("max_pairs", 4000))
+    max_pairs = spec.get("max_pairs", 4000)
+    if type(max_pairs) is not int or max_pairs < 1:
+        raise LbisimError(f"corpus spec max_pairs must be a positive "
+                          f"integer, got {max_pairs!r}")
     random_n = int(spec.get("random", 150))
     pair_n = int(spec.get("pairs", 200))
     triples = int(spec.get("triples", 60))

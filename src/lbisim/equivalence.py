@@ -41,6 +41,20 @@ variables (when a label names one of the state's own name variables).
 Witnesses re-number those constants W1, W2, ...
 (w1 ... for name variables) step by step, and `verify_witness` replays a
 witness through the attacks and answers of the game that produced it.
+
+Since label variables are fresh constants, renaming a pair's variables
+injectively renames its moves and changes nothing else.  Each symbolic
+game therefore keeps a memo, created and dropped with the game, from a
+pair with its variables renamed in order to class names to the moves
+recorded when the first pair of that class was expanded.  Every later
+pair of the class allocates new constants in the recorded order, so the
+counter runs as if it had been expanded, and takes the recorded moves
+renamed: recorded state variables to its own, recorded constants to the
+new ones.  That renaming keeps the order of the variables, so the
+replayed states are canonical as they stand.  The solver reads each
+attack with its answers from `moves`, and answers are computed (or
+renamed) only for the attacks it reaches: a pair that dies on its first
+attack computes none for the rest.
 """
 from __future__ import annotations
 
@@ -218,11 +232,19 @@ def pattern_label_set(name: str, patterns) -> LabelSet:
 @dataclass(frozen=True)
 class _Attack:
     side: int                      # 0: left state attacks, 1: right
-    text: str                      # label text (canonical) or action
-    label: "Label | None"          # None for ordinary games
+    action: "str | None"           # ordinary games: the action
+    label: "Label | None"          # ITS games: the label
     target: Term                   # internal variable naming
     fresh_procs: tuple = ()        # (canonical, internal) pairs
     fresh_names: tuple = ()
+
+    @property
+    def text(self) -> str:
+        """The move as a witness prints it: the action or the label."""
+        if self.label is None:
+            return self.action
+        from .syntax import print_label
+        return print_label(self.label)
 
 
 class _PairNode:
@@ -270,13 +292,16 @@ class GameResult:
     witness: "list[WitnessMove] | None"
     pairs_explored: int
     rounds: int
+    expanded: int                  # pairs whose moves were played
+    reused: int                    # of those, replayed by renaming
 
     def to_dict(self) -> dict:
         return {
             "verdict": "equivalent" if self.verdict else "inequivalent",
             "witness": None if self.witness is None
             else [m.to_dict() for m in self.witness],
-            "stats": {"pairs": self.pairs_explored, "rounds": self.rounds},
+            "stats": {"pairs": self.pairs_explored, "rounds": self.rounds,
+                      "expanded": self.expanded, "reused": self.reused},
         }
 
 
@@ -300,6 +325,7 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
     root = intern(canonical_term(p0), canonical_term(q0))
     pending = [root] if pairs[root].status == "open" else []
     rounds = 0
+    expanded = 0
     while True:
         discovered: list = []
         for key in pending:
@@ -307,16 +333,16 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             if node.status != "open" or node.expanded:
                 continue
             node.expanded = True
+            expanded += 1
             bad = game.pair_barb_fail(node.p, node.q)
             if bad is not None:
                 node.status = "dead"
                 node.rank = 0
                 node.fail = bad
                 continue
-            for attack in game.attacks(node.p, node.q):
-                defender = node.q if attack.side == 0 else node.p
+            for attack, found in game.moves(node.p, node.q):
                 answers = []
-                for ans in game.answers(attack, defender):
+                for ans in found:
                     if attack.side == 0:
                         k = intern(attack.target, ans)
                     else:
@@ -349,11 +375,13 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
                         break
         if pairs[root].status == "dead":
             witness = _build_witness(pairs, root)
-            return GameResult(False, witness, len(pairs), rounds)
+            return GameResult(False, witness, len(pairs), rounds, expanded,
+                              game.reused)
         pending = [k for k in discovered
                    if pairs[k].status == "open" and not pairs[k].expanded]
         if not pending:
-            return GameResult(True, None, len(pairs), rounds)
+            return GameResult(True, None, len(pairs), rounds, expanded,
+                              game.reused)
 
 
 def _show(term: Term, procs: dict, names: dict) -> str:
@@ -417,8 +445,18 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
 
 # --- concrete games --------------------------------------------------------
 
+def _direct_moves(game, p, q):
+    """Each attack of the pair with its answers, the answers computed
+    only when the caller asks for them."""
+    for attack in game.attacks(p, q):
+        yield attack, game.answers(attack, q if attack.side == 0 else p)
+
+
 class _OrdinaryGame:
     """Strong bisimulation on the ordinary labelled semantics."""
+
+    moves = _direct_moves
+    reused = 0
 
     def __init__(self, calculus: Calculus):
         self.calculus = calculus
@@ -435,7 +473,7 @@ class _OrdinaryGame:
 
     def answers(self, attack, defender):
         return [tr.target for tr in ordinary_transitions(defender)
-                if tr.action == attack.text]
+                if tr.action == attack.action]
 
 
 class _AsyncGame(_OrdinaryGame):
@@ -444,7 +482,7 @@ class _AsyncGame(_OrdinaryGame):
 
     def answers(self, attack, defender):
         exact = super().answers(attack, defender)
-        action = attack.text
+        action = attack.action
         if action == "tau" or action.startswith("'"):
             return exact
         extra = [
@@ -453,6 +491,22 @@ class _AsyncGame(_OrdinaryGame):
             for tr in ordinary_transitions(defender) if tr.action == "tau"
         ]
         return exact + extra
+
+
+def _spell(n: int) -> str:
+    """n as its digit count followed by its digits: spelt numbers sort
+    as strings in numeric order."""
+    digits = str(n)
+    return f"{len(digits)}{digits}"
+
+
+def _variables(*nodes) -> tuple[set, set]:
+    """The process and the name variables of some game states."""
+    pvars, nvars = set(), set()
+    for node in nodes:
+        for kind, name in _vars_in_order(node):
+            (pvars if kind == "proc" else nvars).add(name)
+    return pvars, nvars
 
 
 def _keeps_order(names, ren: dict) -> bool:
@@ -468,26 +522,49 @@ def _renamed(term: Term, procs: dict, names: dict) -> Term:
     variables; otherwise it is canonicalised again."""
     if not procs and not names:
         return term
-    pvars, nvars = set(), set()
-    for kind, name in _vars_in_order(term.node):
-        (pvars if kind == "proc" else nvars).add(name)
+    pvars, nvars = _variables(term.node)
     renamed = Term(term.calculus, rename_vars(term.node, procs, names))
     if _keeps_order(pvars, procs) and _keeps_order(nvars, names):
         return renamed
     return canonical_term(renamed)
 
 
+def _replayed(attack: _Attack, procs: dict, names: dict) -> _Attack:
+    """A recorded attack with its variables renamed by an order-keeping
+    map, so its target stays canonical."""
+    label = attack.label
+    if any(c in procs for c, _ in attack.fresh_procs) \
+            or any(c in names for c, _ in attack.fresh_names):
+        # the label names a variable of the state
+        label = Label(label.calculus,
+                      rename_vars(label.body, procs, names))
+    target = attack.target
+    return _Attack(attack.side, None, label,
+                   Term(target.calculus,
+                        rename_vars(target.node, procs, names)),
+                   tuple((procs.get(c, c), procs[i])
+                         for c, i in attack.fresh_procs),
+                   tuple((names.get(c, c), names[i])
+                         for c, i in attack.fresh_names))
+
+
 class _SymbolicGame:
     """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
     answered by the same label, any other attack C[-] by one reduction of
     C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
-    semi-saturated bisimilarity."""
+    semi-saturated bisimilarity.
+
+    The game's memo maps a pair with its variables renamed to class
+    names to the moves recorded when the first pair of that class was
+    expanded; `moves` replays them for every later pair of the class."""
 
     def __init__(self, calculus: Calculus, labels: LabelSet, barbed: bool):
         self.calculus = calculus
         self.labels = labels
         self.barbed = barbed
         self._counter = 0
+        self._memo: dict = {}
+        self.reused = 0
 
     def pair_barb_fail(self, p, q):
         if not self.barbed:
@@ -501,15 +578,12 @@ class _SymbolicGame:
         return ("barb", 1, sorted(bq - bp)[0])
 
     def _fresh(self) -> str:
-        """The next counter value, spelt as its digit count followed by
-        its digits, so that it sorts after every earlier one as a
-        string."""
+        """The next counter value, spelt so that it sorts after every
+        earlier one as a string."""
         self._counter += 1
-        digits = str(self._counter)
-        return f"{len(digits)}{digits}"
+        return _spell(self._counter)
 
     def _freshen(self, side: int, tr: ItsTransition) -> _Attack:
-        from .syntax import print_label
         label_vars = list(dict.fromkeys(_vars_in_order(tr.label.body)))
         fresh = {var: self._fresh() for var in sorted(label_vars)}
         fresh_p = tuple((name, "V" + fresh[kind, name])
@@ -517,13 +591,60 @@ class _SymbolicGame:
         fresh_n = tuple((name, "v" + fresh[kind, name])
                         for kind, name in label_vars if kind == "name")
         target = _renamed(tr.target, dict(fresh_p), dict(fresh_n))
-        return _Attack(side, print_label(tr.label), tr.label, target,
-                       fresh_p, fresh_n)
+        return _Attack(side, None, tr.label, target, fresh_p, fresh_n)
 
     def attacks(self, p, q):
         return [self._freshen(side, tr)
                 for side, state in ((0, p), (1, q))
                 for tr in its_transitions(state)]
+
+    def moves(self, p, q):
+        """Each attack of the pair with its answers, the answers computed
+        only when the caller asks for them; see the module docstring.
+
+        The memo key renames the pair's variables of each kind, in
+        sorted order, to class names that sort below every game
+        constant and label variable, so the key is canonical too.
+        Pairs without variables are each expanded at most once per game
+        and skip the memo."""
+        pvars, nvars = _variables(p.node, q.node)
+        if not pvars and not nvars:
+            yield from _direct_moves(self, p, q)
+            return
+        pvars, nvars = sorted(pvars), sorted(nvars)
+        cls_p = {v: "P" + _spell(i) for i, v in enumerate(pvars)}
+        cls_n = {v: "p" + _spell(i) for i, v in enumerate(nvars)}
+        key = (rename_vars(p.node, cls_p, cls_n),
+               rename_vars(q.node, cls_p, cls_n))
+        recorded = self._memo.get(key)
+        if recorded is None:
+            attacks = self.attacks(p, q)
+            consts = sorted((i for a in attacks
+                             for _, i in a.fresh_procs + a.fresh_names),
+                            key=lambda name: name[1:])  # allocation order
+            answers: list = []
+            self._memo[key] = (pvars, nvars, consts, attacks, answers)
+            for attack in attacks:
+                answers.append(
+                    self.answers(attack, q if attack.side == 0 else p))
+                yield attack, answers[-1]
+            return
+        self.reused += 1
+        old_p, old_n, consts, attacks, answers = recorded
+        procs, names = dict(zip(old_p, pvars)), dict(zip(old_n, nvars))
+        for const in consts:
+            (procs if const[0] == "V" else names)[const] = \
+                const[0] + self._fresh()
+        for i, old in enumerate(attacks):
+            attack = _replayed(old, procs, names)
+            if i < len(answers):
+                yield attack, [Term(a.calculus,
+                                    rename_vars(a.node, procs, names))
+                               for a in answers[i]]
+            else:
+                # the recording pair's caller stopped before this attack
+                yield attack, self.answers(attack,
+                                           q if attack.side == 0 else p)
 
     def _same_label(self, attack, defender):
         """The defender's moves with the attack's label."""
@@ -543,7 +664,9 @@ class _SymbolicGame:
 
 class _InstantiatedGame(_SymbolicGame):
     """l_bisim(L) with label variables closed over a finite pool, so
-    every move carries a closed label."""
+    every move carries a closed label and no state has variables."""
+
+    moves = _direct_moves
 
     def __init__(self, calculus, labels: LabelSet, barbed: bool,
                  pool: tuple[Term, ...], names: tuple[str, ...]):
@@ -572,7 +695,6 @@ class _InstantiatedGame(_SymbolicGame):
                 yield instantiate(tr, subst)
 
     def attacks(self, p, q):
-        from .syntax import print_label
         out = []
         for side, state in ((0, p), (1, q)):
             seen = set()
@@ -582,8 +704,7 @@ class _InstantiatedGame(_SymbolicGame):
                     if key in seen:
                         continue
                     seen.add(key)
-                    out.append(_Attack(side, print_label(inst.label),
-                                       inst.label, inst.target))
+                    out.append(_Attack(side, None, inst.label, inst.target))
         return out
 
     def _same_label(self, attack, defender):

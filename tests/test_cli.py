@@ -97,6 +97,41 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 3
 
 
+def test_budget_flag_must_be_positive(capsys):
+    for budget in ("0", "-1", "abc", "1.5"):
+        code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                             "strong", "--max-pairs", budget, "a.0", "a.0")
+        assert code == 2, budget
+        assert "positive integer" in err and "budget" not in err
+        assert "equivalent" not in out
+        code, _, err = run(capsys, "corpus", "--max-pairs", budget,
+                           '{"calculus": "ccs", "checks": ["lts"]}')
+        assert code == 2 and "positive integer" in err, budget
+
+
+def test_budget_env_var_must_be_positive(capsys, monkeypatch):
+    for budget in ("abc", "0", "-3"):
+        monkeypatch.setenv("LBISIM_MAX_PAIRS", budget)
+        code, out, err = run(capsys, "check", "--format", "json",
+                             "--calculus", "ccs", "--rel", "strong",
+                             "a.0", "a.0")
+        assert code == 2, budget
+        assert "LBISIM_MAX_PAIRS" in json.loads(out)["error"]
+        # an explicit flag does not read the variable
+        code, _, _ = run(capsys, "check", "--calculus", "ccs", "--rel",
+                         "strong", "--max-pairs", "5", "a.0", "a.0")
+        assert code == 0
+
+
+def test_corpus_spec_budget_must_be_positive(capsys):
+    for budget in (0, -1, "4000", 2.5, True, None):
+        spec = json.dumps({"calculus": "ccs", "count": 10,
+                           "checks": ["endpoints"], "max_pairs": budget})
+        code, _, err = run(capsys, "corpus", spec)
+        assert code == 2, budget
+        assert "max_pairs must be a positive integer" in err
+
+
 def test_internal_error_exits_four_without_verdict(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -42,7 +42,9 @@ from lbisim import (
     term_pairs,
     verify_witness,
 )
-from lbisim.equivalence import _keeps_order, _SymbolicGame
+from lbisim.equivalence import (
+    _direct_moves, _keeps_order, _solve, _SymbolicGame, _variables,
+)
 from lbisim.lts import its_transitions
 from lbisim.terms import rename_vars
 
@@ -287,6 +289,120 @@ def test_inequivalence_witnesses_replay(calc, rel, labels, s1, s2):
     assert verify_witness(p, q, r, rel, labels=labels) is True
 
 
+# --- the game memo against a game that expands every pair ------------------
+
+class _Unmemoised(_SymbolicGame):
+    """The same game with every pair expanded from scratch."""
+    moves = _direct_moves
+
+
+_ITS_RELS = {CCS: _CCS_RELS[1:],
+             ACCS: [("ipo", None), ("semi-sat", None),
+                    ("barbed-semi-sat", None), ("l-bisim", LA),
+                    ("l-bisim", ALL), ("l-bisim", EMPTY)],
+             MA: _MA_RELS}
+_GAME_LABELS = {"ipo": (ALL, False), "semi-sat": (EMPTY, False),
+                "barbed-semi-sat": (EMPTY, True)}
+# MA firewall-law pairs: IPO exhausts any budget, and the relations that
+# answer outside L give wrong "inequivalent" verdicts (the freshening
+# defect on the ROADMAP).
+_FIREWALL = (("m[(nu k) k[0]]", "m[0]"), ("in n.0", "in n.(nu k) k[0]"),
+             ("m[in n.0]", "m[in n.0] | (nu k) k[0]"))
+_MEMO_PAIRS = {
+    CCS: (_CCS_DIFF, ("b.0 | 'c.0 | a.0 + a.0", "b.0 | 'c.0 | a.0"),
+          ("a.b.0 | 'a.0 | c.0", "'a.0 | a.b.0 | c.0 + c.0")),
+    ACCS: (_FLAGSHIP, ("'a | 'b", "'a"), ("'a | b.0", "'a | b.0 + b.0")),
+    MA: (*_MA_DIFFS.values(), *_FIREWALL),
+}
+_MEMO_QUERIES = [(calc, rel, labels, s1, s2)
+                 for calc, pairs in _MEMO_PAIRS.items()
+                 for s1, s2 in pairs for rel, labels in _ITS_RELS[calc]]
+_MEMO_BUDGET = 500  # bounds the firewall IPO games
+
+
+def _query_id(calc, rel, labels, s1, s2):
+    return f"{calc.value}-{rel}{'-' + labels.name if labels else ''}-{s1}"
+
+
+def _play_game(cls, calc, rel, labels, p, q):
+    """The result dict of one game, or the budget it exhausted."""
+    ls, barbed = _GAME_LABELS.get(rel, (labels, False))
+    try:
+        return _solve(cls(calc, ls, barbed), p, q, _MEMO_BUDGET)
+    except DivergenceBudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("calc,rel,labels,s1,s2", _MEMO_QUERIES,
+                         ids=[_query_id(*q) for q in _MEMO_QUERIES])
+def test_memo_agrees_with_unmemoised_game(calc, rel, labels, s1, s2):
+    p, q = parse_term(s1, calc), parse_term(s2, calc)
+    memo = _play_game(_SymbolicGame, calc, rel, labels, p, q)
+    plain = _play_game(_Unmemoised, calc, rel, labels, p, q)
+    if isinstance(plain, str):
+        assert memo == plain and "budget of 500" in plain
+        return
+    got, want = memo.to_dict(), plain.to_dict()
+    assert want["stats"].pop("reused") == 0
+    assert 0 <= got["stats"].pop("reused") < got["stats"]["expanded"]
+    assert got == want
+    if memo.verdict is False and (s1, s2) not in _FIREWALL:
+        assert verify_witness(p, q, memo, rel, labels=labels) is True
+
+
+def test_memo_replays_repeated_classes():
+    p = parse_term("a.b.0 | 'a.0 | c.0", CCS)
+    q = parse_term("'a.0 | a.b.0 | c.0 + c.0", CCS)
+    stats = semi_saturated_bisim(p, q).to_dict()["stats"]
+    assert stats["pairs"] == 381 and stats["expanded"] == 134
+    assert stats["reused"] == 89
+
+
+_FIREWALL_REPLAYS = [(rel, labels, s1, s2) for s1, s2 in _FIREWALL
+                     for rel, labels in _MA_RELS
+                     if (labels or EMPTY) is not ALL and rel != "ipo"]
+
+
+@pytest.mark.xfail(strict=True, reason="freshening defect (ROADMAP): "
+                   "_freshen renames a state's own name variables, so "
+                   "these witnesses do not replay")
+@pytest.mark.parametrize(
+    "rel,labels,s1,s2", _FIREWALL_REPLAYS,
+    ids=[_query_id(MA, *q) for q in _FIREWALL_REPLAYS])
+def test_firewall_witnesses_replay(rel, labels, s1, s2):
+    p, q = parse_term(s1, MA), parse_term(s2, MA)
+    r = _play_game(_SymbolicGame, MA, rel, labels, p, q)
+    if isinstance(r, str) or r.verdict:
+        return  # no witness to replay
+    assert verify_witness(p, q, r, rel, labels=labels) is True
+
+
+class _CountingAnswers(_SymbolicGame):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = 0
+
+    def answers(self, attack, defender):
+        self.asked += 1
+        return super().answers(attack, defender)
+
+
+def test_dead_first_attack_computes_no_later_answers():
+    # the left side has three attacks; the first has no answer
+    for s1, s2 in (("a.0 | b.0 | c.0", "0"),
+                   ("a.0 | b.0 | c.0 | @V13", "@V13")):
+        p, q = parse_term(s1, CCS), parse_term(s2, CCS)
+        for labels in (ALL, EMPTY):
+            game = _CountingAnswers(CCS, labels, False)
+            assert len(game.attacks(canonical_term(p),
+                                    canonical_term(q))) == 3
+            game._counter = 0
+            r = _solve(game, p, q, 100)
+            assert r.verdict is False and r.expanded == 1
+            assert game.asked == 1, (s1, labels.name)
+            assert game._counter == 3
+
+
 def test_barbed_witness_replay():
     p, q = parse_term("n[0]", MA), parse_term("0", MA)
     r = barbed_semi_saturated_bisim(p, q)
@@ -345,6 +461,42 @@ def test_freshened_states_are_canonical():
                 for ans in game.answers(attack, defender):
                     assert ans == canonical_term(ans)
         assert game._counter > 10, calc
+        for labels in (ALL, EMPTY):
+            _check_memo_hits(calc, labels, game._counter, firsts)
+
+
+def _check_memo_hits(calc, labels, counter, states):
+    """A pair whose variables are renamed in order is a memo hit; its
+    replayed moves are canonical and equal a direct expansion, also
+    where the recorded pair's caller stopped after its first move."""
+    game = _SymbolicGame(calc, labels, False)
+    game._counter = counter        # the states' constants are older
+    hits = 0
+    for i, (a, b) in enumerate(zip(states[:80], states[1:81])):
+        recording = game.moves(a, b)
+        if i % 2:
+            next(recording, None)
+            recording.close()
+        else:
+            list(recording)
+        pvars, nvars = _variables(a.node, b.node)
+        ren_p = {v: "V" + game._fresh() for v in sorted(pvars)}
+        ren_n = {v: "v" + game._fresh() for v in sorted(nvars)}
+        a2, b2 = (Term(a.calculus, rename_vars(t.node, ren_p, ren_n))
+                  for t in (a, b))
+        direct = _Unmemoised(game.calculus, game.labels, False)
+        direct._counter = game._counter
+        want = list(direct.moves(a2, b2))
+        reused = game.reused
+        got = list(game.moves(a2, b2))
+        assert got == want
+        for attack, answers in got:
+            assert attack.target == canonical_term(attack.target)
+            assert all(ans == canonical_term(ans) for ans in answers)
+        if pvars or nvars:
+            assert game.reused == reused + 1
+            hits += bool(got)
+    assert hits > 0, (calc, labels.name)
 
 
 def test_order_breaking_renaming_is_recanonicalised():
