@@ -1,0 +1,7 @@
+"""`python -m lbisim`: the command line, as the installed `lbisim` script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

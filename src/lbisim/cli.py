@@ -257,9 +257,6 @@ def _add_common(sp, *, fmt=("text", "json")) -> None:
     sp.add_argument("--calculus", required=True,
                     choices=[c.value for c in Calculus])
     sp.add_argument("--format", choices=fmt, default="text")
-    sp.add_argument("--max-pairs", type=_positive_int,
-                    help="game budget in state pairs (default: "
-                         f"LBISIM_MAX_PAIRS, else {DEFAULT_MAX_PAIRS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="decide an equivalence query")
     _add_common(check)
+    check.add_argument("--max-pairs", type=_positive_int,
+                       help="game budget in state pairs (default: "
+                            f"LBISIM_MAX_PAIRS, else {DEFAULT_MAX_PAIRS})")
     check.add_argument("--rel", required=True, choices=list(RELATIONS))
     check.add_argument("--labels",
                        help="LM, LA, LCCS, ALL, EMPTY or @patternfile")

@@ -26,21 +26,25 @@ The relations:
     refused).  With a pool, the same game closes label variables over
     the pool instead of playing them symbolically.
 
-Symbolic moves carry the canonical variables X1, X2, x; the engine
+Symbolic moves carry the canonical label variables X1, X2, x; the engine
 freshens them to per-pair constants so that the attacker's and defender's
-residuals share them.  A constant is `V` (process) or `v` (name) followed
-by a game-wide counter spelt as its digit count and then its digits
-(V19, V210, ...), so it sorts as a string after every earlier constant,
-and a move's label variables get their constants in sorted order.
-Canonical forms compare a variable only with variables of its own kind,
-by name, and normalisation never looks at variables; so a renaming that
-keeps the order of a canonical state's process variables and of its name
-variables leaves it canonical.  A freshened target is therefore used as
-it stands, and canonicalised again only when the renaming reorders its
-variables (when a label names one of the state's own name variables).
-Witnesses re-number those constants W1, W2, ...
-(w1 ... for name variables) step by step, and `verify_witness` replays a
-witness through the attacks and answers of the game that produced it.
+residuals share them.  A label may also name a variable of the state it
+leaves (the ambient ?v12 of `- | open ?v12.@X1`): that variable keeps
+its name, so the defender is plugged into the same context.  A constant
+is `V` (process) or `v` (name) followed by a game-wide counter spelt as
+its digit count and then its digits (V19, V210, ...), so it sorts as a
+string after every earlier constant, and a move's label variables get
+their constants in sorted order.  Canonical forms compare a variable
+only with variables of its own kind, by name, and normalisation never
+looks at variables; so a renaming that keeps the order of a canonical
+state's process variables and of its name variables leaves it
+canonical.  A freshened target is therefore used as it stands (X1 and
+X2 sort after every V constant, x after every v constant, and so do
+their fresh names); `_renamed` canonicalises again only a state whose
+renaming reorders its variables.  Witnesses re-number those constants
+W1, W2, ... (w1 ... for name variables) step by step, in states and in
+labels alike, and `verify_witness` replays a witness through the
+attacks and answers of the game that produced it.
 
 Since label variables are fresh constants, renaming a pair's variables
 injectively renames its moves and changes nothing else.  Each symbolic
@@ -55,13 +59,83 @@ replayed states are canonical as they stand.  The solver reads each
 attack with its answers from `moves`, and answers are computed (or
 renamed) only for the attacks it reaches: a pair that dies on its first
 attack computes none for the rest.
+
+Pairs up to context.  A game's `residual` strips the largest common
+evaluation context of a pair's two canonical states: repeatedly, the
+parallel components both share that mention no bound name, then a top
+ambient n[-] (or ?v[-]) that each side is, n free, the binders moving
+inside it; nothing under a prefix or a binder.  So p = C[p'] and
+q = C[q'] for C built from `- | R` and `n[-]`, and (p', q') is the
+residual, itself its own residual.  A pair that shares nothing but
+process variables is its own residual: it would play the residual's
+moves with those inert components alongside, which the memo shares.
+A residual whose two sides are inert (process variables and ambients of
+restricted names holding no capability: no move, no reduction, no barb)
+is alive as it stands, so `_solve` settles its pair at once, without
+playing a move; the MA firewall law (nu k) k[0] = 0 ends there in every
+context.  Any other pair is played as before: barbs, then its attacks
+and answers, and an attack without answer kills it at once.  Then, when
+its residual differs and is not dead (it is played at once if new), the
+pair holds its successors back and depends on the residual alone; it
+interns and plays them only when the residual dies.  A pair dies only
+through its own attacks, so witnesses and `verify_witness` stay in the
+plain game, and cancelling a context is never taken as a refutation.
+When no pair the root depends on is left to expand, the verdict is
+`True`: a pair still holding back is alive because its residual is.  A
+dead residual still guides the search for the pair's own refutation:
+the new successors of the pair's attacks that repeat the residual's
+failing attack (or, if none does, of those that open an ambient,
+peeling a context off) are expanded first, the others a round later.
+That changes the order of expansion only.
+
+Why that is sound.  Let S hold the live pairs that play their own
+successors, the pairs of equal states and the inert residuals (which
+have no attack and no barb to answer).  Every live pair is in S or is
+C[r] for its residual r in S, so each attack of a pair in S is
+answered into the context closure C(S): S is a bisimulation up to
+context (Sangiorgi, MSCS 1998; Pous & Sangiorgi 2011), and it lies in
+the relation as soon as the closure under `- | R` and `n[-]` is
+compatible with the game's bisimulation functional: from S progressing
+to C(S) it follows that C(S) progresses to C(S).  The congruence proofs
+give exactly that step.  A move of C[p] is a move of the context alone,
+answered by the same move of C[q]; a move of p inside C, answered by
+q's answer inside C; or an interaction of p with C, which decomposes
+into a move of p under a larger label, answered by q and recomposed
+(Leifer & Milner, CONCUR 2000, for labels that are minimal contexts).
+Each answer leaves a pair C'[p''], C'[q''] with (p'', q'') related.
+R never names a binder of either side, so (nu A)(R | P) = R | (nu A)P,
+and n[(nu A)P] = (nu A)n[P] for n not in A.  Game variables are inert
+constants (a process @V has no move, a name ?v is never restricted), so
+the argument holds for states that contain them.  Per relation:
+
+  * strong (CCS, ACCS) and async (ACCS): the decomposition is the rule
+    for parallel composition; in the async game, an input of p answered
+    by a tau of q that leaves 'a answers C[p] by C[q] the same way, to
+    C[p''] against C[q'' | 'a].
+  * l_bisim(ALL) and l_bisim(EMPTY), barbed or not, in all three
+    calculi: IPO bisimilarity and (barbed) semi-saturated bisimilarity
+    are congruences of the reactive system, by the decomposition above;
+    the barbs of R | p are those of R and of p, and those of n[p] are n.
+  * l_bisim(LCCS) on CCS, l_bisim(LA) on ACCS and l_bisim(LM) on MA: the
+    paper's instances, whose L meets its conditions for L-bisimilarity
+    to be a congruence.
+
+For every other label set (pattern files, or a built-in set on another
+calculus) and for pool games, which decide an approximation closed over
+the pool, no argument is stated here: their residual is the pair
+itself.  The tests play the full game, whose residual is the pair
+itself, as the oracle of the game up to context.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from .congruence import canonical_label, canonical_node, canonical_term, node_key
+from .congruence import (
+    canonical_label, canonical_node, canonical_term, components, node_key,
+    strip_restricts,
+)
 from .errors import (
     DivergenceBudgetExceededError, LbisimError, MalformedTermError,
     MAUnsupportedError, UnsupportedQuantificationError,
@@ -72,7 +146,7 @@ from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Send, Substitution, Sum, Term,
     _vars_in_order, free_names, fresh_name, is_pure, par, plug, rename_vars,
-    same_calculus,
+    restricts, same_calculus,
 )
 
 DEFAULT_MAX_PAIRS = 50_000
@@ -238,28 +312,37 @@ class _Attack:
     fresh_procs: tuple = ()        # (canonical, internal) pairs
     fresh_names: tuple = ()
 
-    @property
-    def text(self) -> str:
-        """The move as a witness prints it: the action or the label."""
+    def text(self, procs: dict, names: dict) -> str:
+        """The move as a witness prints it: the action, or the label with
+        the state's variables renamed."""
         if self.label is None:
             return self.action
         from .syntax import print_label
-        return print_label(self.label)
+        label = self.label
+        body = rename_vars(label.body, procs, names)
+        if body is not label.body:
+            label = canonical_label(Label(label.calculus, body))
+        return print_label(label)
 
 
 class _PairNode:
     __slots__ = ("p", "q", "status", "rank", "expanded", "attacks", "fail",
-                 "index")
+                 "index", "residual", "held", "slow")
 
     def __init__(self, p, q, index):
         self.p = p
         self.q = q
-        self.status = "open"       # open | true | dead
+        self.status = "open"       # open | true (equal states, or an
+                                   # inert residual) | dead
         self.rank = None
         self.expanded = False
         self.attacks = []          # [(attack, [(answer_term, pair_key)])]
         self.fail = None           # ("barb", side, name) | ("attack", i)
         self.index = index
+        self.residual = None       # key of the residual pair, if any
+        self.held = None           # [(attack, [answer_term])] held back
+                                   # while the residual lives
+        self.slow = False          # waits a round before its expansion
 
 
 @dataclass
@@ -294,6 +377,7 @@ class GameResult:
     rounds: int
     expanded: int                  # pairs whose moves were played
     reused: int                    # of those, replayed by renaming
+    residuals: int                 # pairs left alive through their residual
 
     def to_dict(self) -> dict:
         return {
@@ -301,13 +385,16 @@ class GameResult:
             "witness": None if self.witness is None
             else [m.to_dict() for m in self.witness],
             "stats": {"pairs": self.pairs_explored, "rounds": self.rounds,
-                      "expanded": self.expanded, "reused": self.reused},
+                      "expanded": self.expanded, "reused": self.reused,
+                      "residuals": self.residuals},
         }
 
 
 def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
     pairs: dict = {}
     order: list = []
+    waiting: dict = {}             # residual key -> keys of the pairs
+                                   # holding their successors back on it
 
     def intern(p: Term, q: Term):
         key = (p.node, q.node)
@@ -322,66 +409,175 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             order.append(key)
         return key
 
-    root = intern(canonical_term(p0), canonical_term(q0))
-    pending = [root] if pairs[root].status == "open" else []
-    rounds = 0
-    expanded = 0
-    while True:
-        discovered: list = []
-        for key in pending:
+    def link(node, moves, dead_residual=None):
+        """Intern the answers of an expanded pair as its successors.  New
+        successors of the moves that do not follow the pair's dead
+        residual wait a round before they are expanded."""
+        follow = _following(moves, dead_residual)
+        for i, (attack, found) in enumerate(moves):
+            answers = []
+            for ans in found:
+                known = len(order)
+                if attack.side == 0:
+                    k = intern(attack.target, ans)
+                else:
+                    k = intern(ans, attack.target)
+                answers.append((ans, k))
+                if i in follow:
+                    pairs[k].slow = False
+                elif len(order) > known:
+                    pairs[k].slow = True
+            node.attacks.append((attack, answers))
+
+    def frontier():
+        """The unexpanded open pairs the root's verdict still depends on,
+        breadth-first: a held pair depends on its residual only, a dead
+        pair on nothing."""
+        seen = {root}
+        todo = [root]
+        out = []
+        for key in todo:
             node = pairs[key]
-            if node.status != "open" or node.expanded:
+            if node.status != "open":
                 continue
-            node.expanded = True
-            expanded += 1
-            bad = game.pair_barb_fail(node.p, node.q)
-            if bad is not None:
+            if not node.expanded:
+                out.append(key)
+                continue
+            if node.held is not None:
+                succ = (node.residual,)
+            else:
+                succ = [k for _, answers in node.attacks for _, k in answers]
+            for k in succ:
+                if k not in seen:
+                    seen.add(k)
+                    todo.append(k)
+        return out
+
+    def play(node):
+        """A pair's own attacks with their answers, or None when it dies
+        at once: on its barbs or on an attack without answer."""
+        nonlocal expanded
+        node.expanded = True
+        expanded += 1
+        bad = game.pair_barb_fail(node.p, node.q)
+        if bad is not None:
+            node.status = "dead"
+            node.rank = 0
+            node.fail = bad
+            return None
+        moves = []
+        for attack, found in game.moves(node.p, node.q):
+            if not found:
+                node.attacks = [(attack, [])]
                 node.status = "dead"
                 node.rank = 0
-                node.fail = bad
-                continue
-            for attack, found in game.moves(node.p, node.q):
-                answers = []
-                for ans in found:
-                    if attack.side == 0:
-                        k = intern(attack.target, ans)
-                    else:
-                        k = intern(ans, attack.target)
-                    answers.append((ans, k))
-                    if pairs[k].status == "open" and not pairs[k].expanded:
-                        discovered.append(k)
-                node.attacks.append((attack, answers))
-                if not answers:
-                    node.status = "dead"
-                    node.rank = 0
-                    node.fail = ("attack", len(node.attacks) - 1)
-                    break
-        # refutation fixpoint
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            for key in order:
-                node = pairs[key]
-                if node.status != "open" or not node.expanded:
-                    continue
-                for i, (attack, answers) in enumerate(node.attacks):
-                    if answers and all(pairs[k].status == "dead"
-                                       for _, k in answers):
-                        node.status = "dead"
-                        node.rank = rounds
-                        node.fail = ("attack", i)
-                        changed = True
-                        break
-        if pairs[root].status == "dead":
-            witness = _build_witness(pairs, root)
-            return GameResult(False, witness, len(pairs), rounds, expanded,
-                              game.reused)
-        pending = [k for k in discovered
-                   if pairs[k].status == "open" and not pairs[k].expanded]
+                node.fail = ("attack", 0)
+                return None
+            moves.append((attack, found))
+        return moves
+
+    def expand(key):
+        """Play a pair's own moves; hold its successors back while its
+        residual, played at once if new, is not dead.  A pair whose
+        residual has no move on either side is alive unplayed."""
+        nonlocal settled
+        node = pairs[key]
+        rp, rq = game.residual(node.p, node.q)
+        if rp is node.p and rq is node.q:
+            moves = play(node)
+            if moves is not None:
+                link(node, moves)
+            return
+        if _inert(rp.node) and _inert(rq.node):
+            node.status = "true"
+            settled += 1
+            return
+        moves = play(node)
+        if moves is None:
+            return
+        rkey = intern(rp, rq)
+        rnode = pairs[rkey]
+        if rnode.status == "open" and not rnode.expanded:
+            # a residual is its own residual
+            rmoves = play(rnode)
+            if rmoves is not None:
+                link(rnode, rmoves)
+        if rnode.status != "dead":
+            node.residual = rkey
+            node.held = moves
+            waiting.setdefault(rkey, []).append(key)
+            return
+        link(node, moves, rnode)
+
+    def result(verdict, witness=None):
+        return GameResult(verdict, witness, len(pairs), rounds, expanded,
+                          game.reused,
+                          settled + sum(map(len, waiting.values())))
+
+    root = intern(canonical_term(p0), canonical_term(q0))
+    rounds = 0
+    expanded = 0
+    settled = 0                    # pairs alive through an inert residual
+    while True:
+        pending = frontier()
         if not pending:
-            return GameResult(True, None, len(pairs), rounds, expanded,
-                              game.reused)
+            return result(True)
+        ready = [k for k in pending if not pairs[k].slow] or pending
+        for key in pending:
+            pairs[key].slow = False
+        for key in ready:
+            if not pairs[key].expanded:
+                expand(key)
+        while True:
+            # refutation fixpoint
+            changed = True
+            while changed:
+                changed = False
+                rounds += 1
+                for key in order:
+                    node = pairs[key]
+                    if node.status != "open" or not node.expanded:
+                        continue
+                    for i, (attack, answers) in enumerate(node.attacks):
+                        if answers and all(pairs[k].status == "dead"
+                                           for _, k in answers):
+                            node.status = "dead"
+                            node.rank = rounds
+                            node.fail = ("attack", i)
+                            changed = True
+                            break
+            # a pair whose residual died plays its own successors
+            dead = [k for k in waiting if pairs[k].status == "dead"]
+            for rkey in dead:
+                for key in waiting.pop(rkey):
+                    node = pairs[key]
+                    link(node, node.held, pairs[rkey])
+                    node.held = None
+            if not dead:
+                break
+        if pairs[root].status == "dead":
+            return result(False, _build_witness(pairs, root))
+
+
+def _following(moves, dead_residual) -> "set | range":
+    """Indices of the moves that follow a dead residual's refutation: the
+    attacks repeating its failing attack (same side, same label), else
+    those that open an ambient, peeling a context off; all moves when
+    there is no residual or nothing matches."""
+    everything = range(len(moves))
+    if dead_residual is None or dead_residual.fail[0] != "attack":
+        return everything
+    failing = _move_key(dead_residual.attacks[dead_residual.fail[1]][0])
+    follow = {i for i, (attack, _) in enumerate(moves)
+              if _move_key(attack) == failing}
+    return follow or {i for i, (attack, _) in enumerate(moves)
+                      if attack.label is not None
+                      and LM.contains(attack.label)} or everything
+
+
+def _move_key(attack: _Attack):
+    return (attack.side, attack.action,
+            attack.label and attack.label.body)
 
 
 def _show(term: Term, procs: dict, names: dict) -> str:
@@ -420,6 +616,7 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
         back_p, back_n = _back(attack)
         show_p, show_n = ren_p | back_p, ren_n | back_n
         att_text = _show(attack.target, show_p, show_n)
+        move = attack.text(ren_p, ren_n)
         intro = {}
         for canonical, internal in attack.fresh_procs:
             counter += 1
@@ -429,7 +626,7 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
             intro[canonical] = ren_n[internal] = f"w{counter}"
         side_text = "left" if attack.side == 0 else "right"
         if not answers:
-            moves.append(WitnessMove(pair_text, side_text, "move", attack.text,
+            moves.append(WitnessMove(pair_text, side_text, "move", move,
                                      att_text, None, intro, "no answer"))
             return moves
         _, best = min(answers,
@@ -437,10 +634,114 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
                                       node_key(ak[0].node)))
         best_node = pairs[best]
         defender = best_node.q if attack.side == 0 else best_node.p
-        moves.append(WitnessMove(pair_text, side_text, "move", attack.text,
+        moves.append(WitnessMove(pair_text, side_text, "move", move,
                                  att_text, _show(defender, show_p, show_n),
                                  intro, None))
         key = best
+
+
+# --- residuals: pairs up to their common context ----------------------------
+
+def _without(parts: tuple, drop: Counter) -> tuple:
+    left = Counter(drop)
+    out = []
+    for c in parts:
+        if left[c]:
+            left[c] -= 1
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _rebuilt(calc: Calculus, binders: tuple, parts: tuple,
+             dropped: set) -> Term:
+    node = restricts(binders, par(*parts))
+    if binders and any(n[:1] == "f" and n[1:].isdigit() for n in dropped):
+        # a binder may now take a smaller fresh name
+        return canonical_term(Term(calc, node))
+    return Term(calc, node)
+
+
+def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
+    """The residual of a pair of canonical states: what is left once
+    their largest common evaluation context is stripped.
+
+    Repeats until nothing changes: drop the parallel components the two
+    sides share that mention no bound name, then, if each side is one
+    ambient of the same free name, strip it (the binders move inward).
+    Nothing under a prefix or a binder is touched, and a pair that shares
+    nothing but process variables is its own residual.  The residual is
+    canonical as built: the binders keep their names and the kept
+    components their order, unless a dropped free name is one the
+    binders may now take, which costs one canonicalisation."""
+    bp, cp = strip_restricts(p.node)
+    bq, cq = strip_restricts(q.node)
+    cp, cq = components(cp), components(cq)
+    if set(cp).isdisjoint(cq) and not (len(cp) == 1 == len(cq)
+                                       and type(cp[0]) is Amb
+                                       and type(cq[0]) is Amb):
+        return p, q                # the common case: nothing shared
+    bound = {*bp, *bq}
+    dropped: set = set()
+    stripped = False
+    while True:
+        if not set(cp).isdisjoint(cq):
+            common = Counter(cp) & Counter(cq)
+            if bound:
+                for c in list(common):
+                    names = free_names(c)
+                    if names.isdisjoint(bound):
+                        dropped |= names
+                    else:
+                        del common[c]
+            if common:
+                cp, cq = _without(cp, common), _without(cq, common)
+                # Shared game variables alone are no context worth
+                # stripping: the pair plays the residual's moves with
+                # them alongside, and the memo shares those already.
+                stripped = stripped or not all(isinstance(c, ProcVar)
+                                               for c in common)
+        if len(cp) == 1 == len(cq) and isinstance(cp[0], Amb) \
+                and isinstance(cq[0], Amb) and cp[0].name == cq[0].name \
+                and cp[0].name not in bound:
+            if isinstance(cp[0].name, str):
+                dropped.add(cp[0].name)
+            cp, cq = components(cp[0].body), components(cq[0].body)
+            stripped = True
+            continue
+        break
+    if not stripped:
+        return p, q
+    return (_rebuilt(p.calculus, tuple(bp), cp, dropped),
+            _rebuilt(q.calculus, tuple(bq), cq, dropped))
+
+
+def _inert(node: Node) -> bool:
+    """Has a canonical state no move, no reduction and no barb?  So it is
+    when its components are process variables (inert game constants) and
+    ambients of restricted names that hold no capability."""
+    binders, core = strip_restricts(node)
+    return all(isinstance(c, ProcVar)
+               or (isinstance(c, Amb) and c.name in binders
+                   and _capless(c.body))
+               for c in components(core))
+
+
+def _capless(node: Node) -> bool:
+    match node:
+        case Nil() | ProcVar():
+            return True
+        case Amb(body=b):
+            return _capless(b)
+        case Par(children=cs):
+            return all(_capless(c) for c in cs)
+    return False
+
+
+def _no_residual(self, p, q):
+    """The residual of games for which no soundness argument is stated:
+    the pair itself."""
+    return p, q
 
 
 # --- concrete games --------------------------------------------------------
@@ -457,6 +758,10 @@ class _OrdinaryGame:
 
     moves = _direct_moves
     reused = 0
+
+    def residual(self, p, q):
+        """The pair up to its common context; see the module docstring."""
+        return _strip_context(p, q)
 
     def __init__(self, calculus: Calculus):
         self.calculus = calculus
@@ -491,6 +796,17 @@ class _AsyncGame(_OrdinaryGame):
             for tr in ordinary_transitions(defender) if tr.action == "tau"
         ]
         return exact + extra
+
+
+# The canonical label variables of the ITS; every other variable of a
+# label is a variable of the state it leaves.
+_LABEL_VARS = frozenset({("proc", "X1"), ("proc", "X2"), ("name", "x")})
+
+# (label-set kind, calculi) for which the module docstring states why a
+# pair is alive when its residual is.
+_UP_TO_CONTEXT = {"all": tuple(Calculus), "empty": tuple(Calculus),
+                  "lccs": (Calculus.CCS,), "la": (Calculus.ACCS,),
+                  "lm": (Calculus.MA,)}
 
 
 def _spell(n: int) -> str:
@@ -533,8 +849,8 @@ def _replayed(attack: _Attack, procs: dict, names: dict) -> _Attack:
     """A recorded attack with its variables renamed by an order-keeping
     map, so its target stays canonical."""
     label = attack.label
-    if any(c in procs for c, _ in attack.fresh_procs) \
-            or any(c in names for c, _ in attack.fresh_names):
+    if any(name in (procs if kind == "proc" else names)
+           for kind, name in _vars_in_order(label.body)):
         # the label names a variable of the state
         label = Label(label.calculus,
                       rename_vars(label.body, procs, names))
@@ -577,6 +893,13 @@ class _SymbolicGame:
             return ("barb", 0, only_p[0])
         return ("barb", 1, sorted(bq - bp)[0])
 
+    def residual(self, p, q):
+        """The pair up to its common context where the module docstring
+        states why that is sound, else the pair itself."""
+        if self.calculus in _UP_TO_CONTEXT.get(self.labels.kind, ()):
+            return _strip_context(p, q)
+        return p, q
+
     def _fresh(self) -> str:
         """The next counter value, spelt so that it sorts after every
         earlier one as a string."""
@@ -584,7 +907,8 @@ class _SymbolicGame:
         return _spell(self._counter)
 
     def _freshen(self, side: int, tr: ItsTransition) -> _Attack:
-        label_vars = list(dict.fromkeys(_vars_in_order(tr.label.body)))
+        label_vars = [v for v in dict.fromkeys(_vars_in_order(tr.label.body))
+                      if v in _LABEL_VARS]
         fresh = {var: self._fresh() for var in sorted(label_vars)}
         fresh_p = tuple((name, "V" + fresh[kind, name])
                         for kind, name in label_vars if kind == "proc")
@@ -667,6 +991,7 @@ class _InstantiatedGame(_SymbolicGame):
     every move carries a closed label and no state has variables."""
 
     moves = _direct_moves
+    residual = _no_residual
 
     def __init__(self, calculus, labels: LabelSet, barbed: bool,
                  pool: tuple[Term, ...], names: tuple[str, ...]):
@@ -979,7 +1304,7 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
                                                          step.move)
         for attack in game.attacks(cur_p, cur_q):
             back_p, back_n = _back(attack)
-            if attack.side == side and attack.text == step.move \
+            if attack.side == side and attack.text({}, {}) == step.move \
                     and _show(attack.target, back_p, back_n) \
                     == step.attacker_target:
                 break

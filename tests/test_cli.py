@@ -90,6 +90,43 @@ def test_budget_flag_exits_three(capsys):
     assert "budget" in err
 
 
+def test_budget_flag_only_for_check(capsys):
+    """Only `check` plays a game; the other verbs take no budget."""
+    for argv in (["reduce", "--calculus", "ccs", "a.0 | 'a.0"],
+                 ["barbs", "--calculus", "ccs", "a.0"],
+                 ["lts", "--calculus", "ccs", "a.0"],
+                 ["pred", "--calculus", "ccs", "--kind", "tau", "tau.0",
+                  "0"]):
+        assert run(capsys, *argv)[0] == 0, argv
+        code, out, _ = run(capsys, *argv[:1], "--max-pairs", "1", *argv[1:])
+        assert code == 2 and not out, argv
+
+
+def test_check_json_reports_residuals(capsys):
+    code, out, _ = run(capsys, "check", "--format", "json", "--calculus",
+                       "ma", "--rel", "ipo", "--max-pairs", "100",
+                       "m[(nu k) k[0]]", "m[0]")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["residuals"] == 1 and stats["pairs"] == 1
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(lbisim.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbisim", "reduce", "--calculus", "ccs",
+         "a.0 | 'a.0"], env=env, capture_output=True, text=True,
+        check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1 reduction(s) from a.0 | 'a.0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbisim", "reduce", "--calculus", "ccs",
+         "--max-pairs", "1", "a.0 | 'a.0"], env=env, capture_output=True,
+        text=True, check=False)
+    assert proc.returncode == 2
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LBISIM_MAX_PAIRS", "1")
     code, _, _ = run(capsys, "check", "--calculus", "ccs", "--rel",
