@@ -105,6 +105,8 @@ def _cmd_check(args) -> int:
     pool = _pool(args.mode, calc)
     kw = {"max_pairs": args.max_pairs or _default_max_pairs()}
     rel = args.rel
+    if args.labels is not None and rel != "l-bisim":
+        raise LbisimError("--labels applies to --rel l-bisim only")
     if rel == "strong":
         if pool is not None:
             raise LbisimError("--mode applies to contextual relations only")
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="contextual transition system (default)")
     style.add_argument("--ordinary", action="store_true",
                        help="ordinary CCS/ACCS transition system")
-    lts.add_argument("--max-states", type=int, default=2000)
+    lts.add_argument("--max-states", type=_positive_int, default=2000)
     lts.add_argument("term", metavar="TERM")
     lts.set_defaults(run=_cmd_lts)
 

@@ -29,7 +29,7 @@ The relations:
 Symbolic moves carry the canonical label variables X1, X2, x; the engine
 freshens them to per-pair constants so that the attacker's and defender's
 residuals share them.  A label may also name a variable of the state it
-leaves (the ambient ?v12 of `- | open ?v12.@X1`): that variable keeps
+leaves (the ambient ?p10 of `- | open ?p10.@X1`): that variable keeps
 its name, so the defender is plugged into the same context.  A constant
 is `V` (process) or `v` (name) followed by a game-wide counter spelt as
 its digit count and then its digits (V19, V210, ...), so it sorts as a
@@ -41,24 +41,26 @@ state's process variables and of its name variables leaves it
 canonical.  A freshened target is therefore used as it stands (X1 and
 X2 sort after every V constant, x after every v constant, and so do
 their fresh names); `_renamed` canonicalises again only a state whose
-renaming reorders its variables.  Witnesses re-number those constants
-W1, W2, ... (w1 ... for name variables) step by step, in states and in
-labels alike, and `verify_witness` replays a witness through the
-attacks and answers of the game that produced it.
+renaming reorders its variables.
 
-Since label variables are fresh constants, renaming a pair's variables
-injectively renames its moves and changes nothing else.  Each symbolic
-game therefore keeps a memo, created and dropped with the game, from a
-pair with its variables renamed in order to class names to the moves
-recorded when the first pair of that class was expanded.  Every later
-pair of the class allocates new constants in the recorded order, so the
-counter runs as if it had been expanded, and takes the recorded moves
-renamed: recorded state variables to its own, recorded constants to the
-new ones.  That renaming keeps the order of the variables, so the
-replayed states are canonical as they stand.  The solver reads each
-attack with its answers from `moves`, and answers are computed (or
-renamed) only for the attacks it reaches: a pair that dies on its first
-attack computes none for the rest.
+Pairs up to renaming.  Since label variables are fresh, inert
+constants, renaming a pair's variables injectively renames its moves
+and changes nothing else.  So the game keeps one pair per renaming
+class: `_solve` renames a pair's process variables jointly, in sorted
+order, to P10, P11, ... and its name variables to p10, p11, ... (the
+class names, spelt as the constants are), and stores the pair under
+them.  Class names sort below every constant and label variable, and
+the renaming keeps the order of each kind, so the stored states are
+canonical as they stand.  Each answer links its successor's key with
+the inverse renaming, from the successor's class names back to the
+names of the pair that played it.  Witnesses follow those links: they
+re-number the constants W1, W2, ... (w1 ... for name variables) step by
+step, in states and in labels alike, carry that numbering to the next
+pair through the inverse renaming and print each answer as it was
+played; `verify_witness` replays a witness through the attacks and
+answers of the game that produced it.  The solver computes answers only
+for the attacks it reaches: a pair that dies on its first attack
+computes none for the rest.
 
 Pairs up to context.  A game's `residual` strips the largest common
 evaluation context of a pair's two canonical states: repeatedly, the
@@ -67,14 +69,15 @@ ambient n[-] (or ?v[-]) that each side is, n free, the binders moving
 inside it; nothing under a prefix or a binder.  So p = C[p'] and
 q = C[q'] for C built from `- | R` and `n[-]`, and (p', q') is the
 residual, itself its own residual.  A pair that shares nothing but
-process variables is its own residual: it would play the residual's
-moves with those inert components alongside, which the memo shares.
-A residual whose two sides are inert (process variables and ambients of
-restricted names holding no capability: no move, no reduction, no barb)
-is alive as it stands, so `_solve` settles its pair at once, without
-playing a move; the MA firewall law (nu k) k[0] = 0 ends there in every
-context.  Any other pair is played as before: barbs, then its attacks
-and answers, and an attack without answer kills it at once.  Then, when
+process variables is its own residual: it plays the residual's moves
+with those inert components alongside, and its copies that differ only
+in the names of those variables are one pair already.  A residual
+whose two sides are inert (process variables and ambients of restricted
+names holding no capability: no move, no reduction, no barb) is alive
+as it stands, so `_solve` settles its pair at once, without playing a
+move; the MA firewall law (nu k) k[0] = 0 ends there in every context.
+Any other pair is played as before: barbs, then its attacks and
+answers, and an attack without answer kills it at once.  Then, when
 its residual differs and is not dead (it is played at once if new), the
 pair holds its successors back and depends on the residual alone; it
 interns and plays them only when the residual dies.  A pair dies only
@@ -336,9 +339,11 @@ class _PairNode:
                                    # inert residual) | dead
         self.rank = None
         self.expanded = False
-        self.attacks = []          # [(attack, [(answer_term, pair_key)])]
+        self.attacks = []          # [(attack, [(answer_term, pair_key,
+                                   #             inverse renaming)])]
         self.fail = None           # ("barb", side, name) | ("attack", i)
-        self.index = index
+        self.index = index         # creation order (perfbench's tracer
+                                   # subclasses this signature)
         self.residual = None       # key of the residual pair, if any
         self.held = None           # [(attack, [answer_term])] held back
                                    # while the residual lives
@@ -376,7 +381,6 @@ class GameResult:
     pairs_explored: int
     rounds: int
     expanded: int                  # pairs whose moves were played
-    reused: int                    # of those, replayed by renaming
     residuals: int                 # pairs left alive through their residual
 
     def to_dict(self) -> dict:
@@ -385,47 +389,50 @@ class GameResult:
             "witness": None if self.witness is None
             else [m.to_dict() for m in self.witness],
             "stats": {"pairs": self.pairs_explored, "rounds": self.rounds,
-                      "expanded": self.expanded, "reused": self.reused,
+                      "expanded": self.expanded,
                       "residuals": self.residuals},
         }
 
 
+_NO_VARS = ({}, {})                # the renaming of a pair without variables
+
+
 def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
-    pairs: dict = {}
-    order: list = []
-    waiting: dict = {}             # residual key -> keys of the pairs
-                                   # holding their successors back on it
+    pairs: dict = {}               # in creation order
+    waiting: dict = {}             # residual key -> [(key, inverse renaming)]
+                                   # of the pairs holding their successors
+                                   # back on it
 
     def intern(p: Term, q: Term):
+        """The key of the pair's renaming class, interned if new, and the
+        renaming from its class names back to the pair's variables."""
+        p, q, back = _class_named(p, q)
         key = (p.node, q.node)
-        node = pairs.get(key)
-        if node is None:
+        if key not in pairs:
             if len(pairs) >= max_pairs:
                 raise DivergenceBudgetExceededError(max_pairs, len(pairs) + 1)
-            node = _PairNode(p, q, len(order))
+            node = pairs[key] = _PairNode(p, q, len(pairs))
             if p.node == q.node:
                 node.status = "true"
-            pairs[key] = node
-            order.append(key)
-        return key
+        return key, back
 
-    def link(node, moves, dead_residual=None):
+    def link(node, moves, dead_residual=None, residual_back=_NO_VARS):
         """Intern the answers of an expanded pair as its successors.  New
         successors of the moves that do not follow the pair's dead
         residual wait a round before they are expanded."""
-        follow = _following(moves, dead_residual)
+        follow = _following(moves, dead_residual, residual_back)
         for i, (attack, found) in enumerate(moves):
             answers = []
             for ans in found:
-                known = len(order)
+                known = len(pairs)
                 if attack.side == 0:
-                    k = intern(attack.target, ans)
+                    k, back = intern(attack.target, ans)
                 else:
-                    k = intern(ans, attack.target)
-                answers.append((ans, k))
+                    k, back = intern(ans, attack.target)
+                answers.append((ans, k, back))
                 if i in follow:
                     pairs[k].slow = False
-                elif len(order) > known:
+                elif len(pairs) > known:
                     pairs[k].slow = True
             node.attacks.append((attack, answers))
 
@@ -446,7 +453,8 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             if node.held is not None:
                 succ = (node.residual,)
             else:
-                succ = [k for _, answers in node.attacks for _, k in answers]
+                succ = [k for _, answers in node.attacks
+                        for _, k, _ in answers]
             for k in succ:
                 if k not in seen:
                     seen.add(k)
@@ -466,7 +474,9 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             node.fail = bad
             return None
         moves = []
-        for attack, found in game.moves(node.p, node.q):
+        for attack in game.attacks(node.p, node.q):
+            found = game.answers(attack, node.q if attack.side == 0
+                                 else node.p)
             if not found:
                 node.attacks = [(attack, [])]
                 node.status = "dead"
@@ -495,7 +505,7 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
         moves = play(node)
         if moves is None:
             return
-        rkey = intern(rp, rq)
+        rkey, rback = intern(rp, rq)
         rnode = pairs[rkey]
         if rnode.status == "open" and not rnode.expanded:
             # a residual is its own residual
@@ -505,16 +515,15 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
         if rnode.status != "dead":
             node.residual = rkey
             node.held = moves
-            waiting.setdefault(rkey, []).append(key)
+            waiting.setdefault(rkey, []).append((key, rback))
             return
-        link(node, moves, rnode)
+        link(node, moves, rnode, rback)
 
     def result(verdict, witness=None):
         return GameResult(verdict, witness, len(pairs), rounds, expanded,
-                          game.reused,
                           settled + sum(map(len, waiting.values())))
 
-    root = intern(canonical_term(p0), canonical_term(q0))
+    root, root_back = intern(canonical_term(p0), canonical_term(q0))
     rounds = 0
     expanded = 0
     settled = 0                    # pairs alive through an inert residual
@@ -534,13 +543,12 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             while changed:
                 changed = False
                 rounds += 1
-                for key in order:
-                    node = pairs[key]
+                for node in pairs.values():
                     if node.status != "open" or not node.expanded:
                         continue
                     for i, (attack, answers) in enumerate(node.attacks):
                         if answers and all(pairs[k].status == "dead"
-                                           for _, k in answers):
+                                           for _, k, _ in answers):
                             node.status = "dead"
                             node.rank = rounds
                             node.fail = ("attack", i)
@@ -549,25 +557,42 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             # a pair whose residual died plays its own successors
             dead = [k for k in waiting if pairs[k].status == "dead"]
             for rkey in dead:
-                for key in waiting.pop(rkey):
+                for key, rback in waiting.pop(rkey):
                     node = pairs[key]
-                    link(node, node.held, pairs[rkey])
+                    link(node, node.held, pairs[rkey], rback)
                     node.held = None
             if not dead:
                 break
         if pairs[root].status == "dead":
-            return result(False, _build_witness(pairs, root))
+            return result(False, _build_witness(pairs, root, root_back))
 
 
-def _following(moves, dead_residual) -> "set | range":
+def _class_named(p: Term, q: Term):
+    """A pair of canonical states with its process variables renamed
+    jointly, in sorted order, to P10, P11, ... and its name variables to
+    p10, p11, ..., and the renaming back; see the module docstring."""
+    pvars, nvars = _variables(p.node, q.node)
+    if not pvars and not nvars:
+        return p, q, _NO_VARS
+    procs = {v: "P" + _spell(i) for i, v in enumerate(sorted(pvars))}
+    names = {v: "p" + _spell(i) for i, v in enumerate(sorted(nvars))}
+    return (Term(p.calculus, rename_vars(p.node, procs, names)),
+            Term(q.calculus, rename_vars(q.node, procs, names)),
+            ({c: v for v, c in procs.items()},
+             {c: v for v, c in names.items()}))
+
+
+def _following(moves, dead_residual, back) -> "set | range":
     """Indices of the moves that follow a dead residual's refutation: the
-    attacks repeating its failing attack (same side, same label), else
-    those that open an ambient, peeling a context off; all moves when
-    there is no residual or nothing matches."""
+    attacks repeating its failing attack (same side, same label, with the
+    residual's class names renamed back by `back`), else those that open
+    an ambient, peeling a context off; all moves when there is no
+    residual or nothing matches."""
     everything = range(len(moves))
     if dead_residual is None or dead_residual.fail[0] != "attack":
         return everything
-    failing = _move_key(dead_residual.attacks[dead_residual.fail[1]][0])
+    failing = _move_key(dead_residual.attacks[dead_residual.fail[1]][0],
+                        back)
     follow = {i for i, (attack, _) in enumerate(moves)
               if _move_key(attack) == failing}
     return follow or {i for i, (attack, _) in enumerate(moves)
@@ -575,9 +600,11 @@ def _following(moves, dead_residual) -> "set | range":
                       and LM.contains(attack.label)} or everything
 
 
-def _move_key(attack: _Attack):
+def _move_key(attack: _Attack, back=_NO_VARS):
+    """The attack's side and action or label, the label's variables
+    renamed by `back`."""
     return (attack.side, attack.action,
-            attack.label and attack.label.body)
+            attack.label and rename_vars(attack.label.body, *back))
 
 
 def _show(term: Term, procs: dict, names: dict) -> str:
@@ -596,10 +623,12 @@ def _back(attack: _Attack) -> tuple[dict, dict]:
              in attack.fresh_names})
 
 
-def _build_witness(pairs, root) -> list[WitnessMove]:
+def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
+    """The refutation of the root, whose variables the witness calls by
+    the names `root_back` gives its class names."""
     moves: list[WitnessMove] = []
-    ren_p: dict = {}               # internal proc var -> Wk
-    ren_n: dict = {}               # internal name var -> wk
+    ren_p = dict(root_back[0])     # the pair's proc var -> witness name
+    ren_n = dict(root_back[1])     # the pair's name var -> witness name
     counter = 0
     key = root
     while True:
@@ -629,15 +658,13 @@ def _build_witness(pairs, root) -> list[WitnessMove]:
             moves.append(WitnessMove(pair_text, side_text, "move", move,
                                      att_text, None, intro, "no answer"))
             return moves
-        _, best = min(answers,
-                      key=lambda ak: (pairs[ak[1]].rank,
-                                      node_key(ak[0].node)))
-        best_node = pairs[best]
-        defender = best_node.q if attack.side == 0 else best_node.p
+        answer, key, (inv_p, inv_n) = min(
+            answers, key=lambda a: (pairs[a[1]].rank, node_key(a[0].node)))
         moves.append(WitnessMove(pair_text, side_text, "move", move,
-                                 att_text, _show(defender, show_p, show_n),
+                                 att_text, _show(answer, show_p, show_n),
                                  intro, None))
-        key = best
+        ren_p = {c: ren_p[v] for c, v in inv_p.items()}
+        ren_n = {c: ren_n[v] for c, v in inv_n.items()}
 
 
 # --- residuals: pairs up to their common context ----------------------------
@@ -698,7 +725,7 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
                 cp, cq = _without(cp, common), _without(cq, common)
                 # Shared game variables alone are no context worth
                 # stripping: the pair plays the residual's moves with
-                # them alongside, and the memo shares those already.
+                # them alongside, as one pair for all their names.
                 stripped = stripped or not all(isinstance(c, ProcVar)
                                                for c in common)
         if len(cp) == 1 == len(cq) and isinstance(cp[0], Amb) \
@@ -746,18 +773,8 @@ def _no_residual(self, p, q):
 
 # --- concrete games --------------------------------------------------------
 
-def _direct_moves(game, p, q):
-    """Each attack of the pair with its answers, the answers computed
-    only when the caller asks for them."""
-    for attack in game.attacks(p, q):
-        yield attack, game.answers(attack, q if attack.side == 0 else p)
-
-
 class _OrdinaryGame:
     """Strong bisimulation on the ordinary labelled semantics."""
-
-    moves = _direct_moves
-    reused = 0
 
     def residual(self, p, q):
         """The pair up to its common context; see the module docstring."""
@@ -845,42 +862,20 @@ def _renamed(term: Term, procs: dict, names: dict) -> Term:
     return canonical_term(renamed)
 
 
-def _replayed(attack: _Attack, procs: dict, names: dict) -> _Attack:
-    """A recorded attack with its variables renamed by an order-keeping
-    map, so its target stays canonical."""
-    label = attack.label
-    if any(name in (procs if kind == "proc" else names)
-           for kind, name in _vars_in_order(label.body)):
-        # the label names a variable of the state
-        label = Label(label.calculus,
-                      rename_vars(label.body, procs, names))
-    target = attack.target
-    return _Attack(attack.side, None, label,
-                   Term(target.calculus,
-                        rename_vars(target.node, procs, names)),
-                   tuple((procs.get(c, c), procs[i])
-                         for c, i in attack.fresh_procs),
-                   tuple((names.get(c, c), names[i])
-                         for c, i in attack.fresh_names))
-
-
 class _SymbolicGame:
     """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
     answered by the same label, any other attack C[-] by one reduction of
     C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
     semi-saturated bisimilarity.
 
-    The game's memo maps a pair with its variables renamed to class
-    names to the moves recorded when the first pair of that class was
-    expanded; `moves` replays them for every later pair of the class."""
+    Its counter numbers the constants of label variables across the
+    whole game, so they never clash with a state's own constants."""
 
     def __init__(self, calculus: Calculus, labels: LabelSet, barbed: bool):
         self.calculus = calculus
         self.labels = labels
         self.barbed = barbed
         self._counter = 0
-        self._memo: dict = {}
-        self.reused = 0
 
     def pair_barb_fail(self, p, q):
         if not self.barbed:
@@ -922,54 +917,6 @@ class _SymbolicGame:
                 for side, state in ((0, p), (1, q))
                 for tr in its_transitions(state)]
 
-    def moves(self, p, q):
-        """Each attack of the pair with its answers, the answers computed
-        only when the caller asks for them; see the module docstring.
-
-        The memo key renames the pair's variables of each kind, in
-        sorted order, to class names that sort below every game
-        constant and label variable, so the key is canonical too.
-        Pairs without variables are each expanded at most once per game
-        and skip the memo."""
-        pvars, nvars = _variables(p.node, q.node)
-        if not pvars and not nvars:
-            yield from _direct_moves(self, p, q)
-            return
-        pvars, nvars = sorted(pvars), sorted(nvars)
-        cls_p = {v: "P" + _spell(i) for i, v in enumerate(pvars)}
-        cls_n = {v: "p" + _spell(i) for i, v in enumerate(nvars)}
-        key = (rename_vars(p.node, cls_p, cls_n),
-               rename_vars(q.node, cls_p, cls_n))
-        recorded = self._memo.get(key)
-        if recorded is None:
-            attacks = self.attacks(p, q)
-            consts = sorted((i for a in attacks
-                             for _, i in a.fresh_procs + a.fresh_names),
-                            key=lambda name: name[1:])  # allocation order
-            answers: list = []
-            self._memo[key] = (pvars, nvars, consts, attacks, answers)
-            for attack in attacks:
-                answers.append(
-                    self.answers(attack, q if attack.side == 0 else p))
-                yield attack, answers[-1]
-            return
-        self.reused += 1
-        old_p, old_n, consts, attacks, answers = recorded
-        procs, names = dict(zip(old_p, pvars)), dict(zip(old_n, nvars))
-        for const in consts:
-            (procs if const[0] == "V" else names)[const] = \
-                const[0] + self._fresh()
-        for i, old in enumerate(attacks):
-            attack = _replayed(old, procs, names)
-            if i < len(answers):
-                yield attack, [Term(a.calculus,
-                                    rename_vars(a.node, procs, names))
-                               for a in answers[i]]
-            else:
-                # the recording pair's caller stopped before this attack
-                yield attack, self.answers(attack,
-                                           q if attack.side == 0 else p)
-
     def _same_label(self, attack, defender):
         """The defender's moves with the attack's label."""
         pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
@@ -990,7 +937,6 @@ class _InstantiatedGame(_SymbolicGame):
     """l_bisim(L) with label variables closed over a finite pool, so
     every move carries a closed label and no state has variables."""
 
-    moves = _direct_moves
     residual = _no_residual
 
     def __init__(self, calculus, labels: LabelSet, barbed: bool,

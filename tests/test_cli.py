@@ -83,6 +83,14 @@ def test_mode_rejected_for_ordinary_relations(capsys):
     assert code == 2
 
 
+def test_labels_rejected_for_other_relations(capsys):
+    for rel in ("ipo", "semi-sat", "barbed-semi-sat", "strong"):
+        code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                             rel, "--labels", "LCCS", "a.0", "a.0")
+        assert code == 2, rel
+        assert "--labels" in err and not out, rel
+
+
 def test_budget_flag_exits_three(capsys):
     code, _, err = run(capsys, "check", "--calculus", "ccs", "--rel",
                        "strong", "--max-pairs", "1", "a.0 + a.0", "a.0")
@@ -144,6 +152,10 @@ def test_budget_flag_must_be_positive(capsys):
         code, _, err = run(capsys, "corpus", "--max-pairs", budget,
                            '{"calculus": "ccs", "checks": ["lts"]}')
         assert code == 2 and "positive integer" in err, budget
+        code, out, err = run(capsys, "lts", "--calculus", "ccs",
+                             "--max-states", budget, "a.0")
+        assert code == 2 and "positive integer" in err, budget
+        assert "budget" not in err and not out, budget
 
 
 def test_budget_env_var_must_be_positive(capsys, monkeypatch):

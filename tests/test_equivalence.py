@@ -5,6 +5,9 @@ over the reachable ordinary LTS, the flagship asynchronous pair is pinned
 as a golden, and inequivalence witnesses are replayed move by move.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from lbisim import (
@@ -43,7 +46,7 @@ from lbisim import (
     verify_witness,
 )
 from lbisim.equivalence import (
-    _direct_moves, _keeps_order, _no_residual, _renamed, _solve,
+    _keeps_order, _no_residual, _renamed, _solve,
     _SymbolicGame, _variables,
 )
 from lbisim.lts import its_transitions
@@ -317,12 +320,7 @@ def test_witness_labels_name_witness_variables():
     assert "- | open ?w3.@X1" in moves, moves
 
 
-# --- the game memo against a game that expands every pair ------------------
-
-class _Unmemoised(_SymbolicGame):
-    """The same game with every pair expanded from scratch."""
-    moves = _direct_moves
-
+# --- pairs merged up to renaming ---------------------------------------------
 
 class _Plain(_SymbolicGame):
     """The same game with every pair played in full: its residual is the
@@ -366,40 +364,132 @@ def _play_game(cls, calc, rel, labels, p, q):
         return str(exc)
 
 
+# The game of each query as played before pairs were merged up to
+# renaming, when a memo replayed the moves of pairs that differ only in
+# the names of their variables: (verdict, rounds, expansions not
+# replayed, pairs, sha256 of the witness JSON, first 12 digits).
+_UNMERGED = {
+    "ccs-ipo-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-barbed-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "6976d3a3569c"),
+    "ccs-l-bisim-LCCS-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-l-bisim-ALL-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-l-bisim-EMPTY-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-ipo-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-semi-sat-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-barbed-semi-sat-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-LCCS-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-ALL-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-EMPTY-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
+    "ccs-ipo-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "ccs-semi-sat-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "ccs-barbed-semi-sat-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-LCCS-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-ALL-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "ccs-l-bisim-EMPTY-a.b.0 | 'a.0 | c.0": (True, 1, 2, 4, None),
+    "accs-ipo-a.'a + tau.0 | 'b": (False, 1, 1, 1, "c9930e9382da"),
+    "accs-semi-sat-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
+    "accs-barbed-semi-sat-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
+    "accs-l-bisim-LA-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
+    "accs-l-bisim-ALL-a.'a + tau.0 | 'b": (False, 1, 1, 1, "c9930e9382da"),
+    "accs-l-bisim-EMPTY-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
+    "accs-ipo-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-semi-sat-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-barbed-semi-sat-'a | 'b": (False, 1, 1, 1, "6968ecbc80e6"),
+    "accs-l-bisim-LA-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-l-bisim-ALL-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-l-bisim-EMPTY-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-ipo-'a | b.0": (True, 1, 2, 3, None),
+    "accs-semi-sat-'a | b.0": (True, 1, 2, 3, None),
+    "accs-barbed-semi-sat-'a | b.0": (True, 1, 2, 3, None),
+    "accs-l-bisim-LA-'a | b.0": (True, 1, 2, 3, None),
+    "accs-l-bisim-ALL-'a | b.0": (True, 1, 2, 3, None),
+    "accs-l-bisim-EMPTY-'a | b.0": (True, 1, 2, 3, None),
+    "ma-ipo-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-semi-sat-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-barbed-semi-sat-j[0] | n[k[0]]": (False, 1, 1, 1, "cd52f9179781"),
+    "ma-l-bisim-LM-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-l-bisim-ALL-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-l-bisim-EMPTY-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-ipo-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-barbed-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-l-bisim-LM-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-l-bisim-ALL-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-l-bisim-EMPTY-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
+    "ma-ipo-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-semi-sat-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-barbed-semi-sat-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-l-bisim-LM-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-l-bisim-ALL-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-l-bisim-EMPTY-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
+    "ma-ipo-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-semi-sat-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-barbed-semi-sat-out m.a[0]": (False, 5, 10, 100, "f94caf19975b"),
+    "ma-l-bisim-LM-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-l-bisim-ALL-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-l-bisim-EMPTY-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-ipo-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-barbed-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-l-bisim-LM-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-l-bisim-ALL-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-l-bisim-EMPTY-m[(nu k) k[0]]": (True, 1, 0, 1, None),
+    "ma-ipo-in n.0": (True, 2, 1, 3, None),
+    "ma-semi-sat-in n.0": (True, 2, 1, 3, None),
+    "ma-barbed-semi-sat-in n.0": (True, 2, 1, 3, None),
+    "ma-l-bisim-LM-in n.0": (True, 2, 1, 3, None),
+    "ma-l-bisim-ALL-in n.0": (True, 2, 1, 3, None),
+    "ma-l-bisim-EMPTY-in n.0": (True, 2, 1, 3, None),
+    "ma-ipo-m[in n.0]": (True, 1, 0, 1, None),
+    "ma-semi-sat-m[in n.0]": (True, 1, 0, 1, None),
+    "ma-barbed-semi-sat-m[in n.0]": (True, 1, 0, 1, None),
+    "ma-l-bisim-LM-m[in n.0]": (True, 1, 0, 1, None),
+    "ma-l-bisim-ALL-m[in n.0]": (True, 1, 0, 1, None),
+    "ma-l-bisim-EMPTY-m[in n.0]": (True, 1, 0, 1, None),
+}
+
+
+def _witness_digest(result) -> "str | None":
+    witness = result.to_dict()["witness"]
+    if witness is None:
+        return None
+    text = json.dumps(witness, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 @pytest.mark.parametrize("calc,rel,labels,s1,s2", _MEMO_QUERIES,
                          ids=[_query_id(*q) for q in _MEMO_QUERIES])
 def test_memo_agrees_with_unmemoised_game(calc, rel, labels, s1, s2):
+    """The merged game keeps every verdict, round count and witness of
+    the memoised game in `_UNMERGED`, and plays no more pairs than it
+    did nor expands more pairs than it expanded without a replay."""
     p, q = parse_term(s1, calc), parse_term(s2, calc)
-    memo = _play_game(_SymbolicGame, calc, rel, labels, p, q)
-    plain = _play_game(_Unmemoised, calc, rel, labels, p, q)
-    if isinstance(plain, str):
-        assert memo == plain and "budget of 500" in plain
-        return
-    got, want = memo.to_dict(), plain.to_dict()
-    assert want["stats"].pop("reused") == 0
-    # the first pair of a class is never a replay; a root alive through
-    # an inert residual plays no move at all
-    assert 0 <= got["stats"].pop("reused") \
-        <= max(got["stats"]["expanded"] - 1, 0)
-    assert got == want
-    if memo.verdict is False:
-        assert verify_witness(p, q, memo, rel, labels=labels) is True
+    r = _play_game(_SymbolicGame, calc, rel, labels, p, q)
+    assert not isinstance(r, str), r
+    verdict, rounds, expanded, pairs, digest = \
+        _UNMERGED[_query_id(calc, rel, labels, s1, s2)]
+    assert (r.verdict, r.rounds) == (verdict, rounds)
+    assert _witness_digest(r) == digest, r.to_dict()["witness"]
+    assert r.expanded <= expanded and r.pairs_explored <= pairs
+    if r.verdict is False:
+        assert verify_witness(p, q, r, rel, labels=labels) is True
 
 
-def test_memo_replays_repeated_classes():
+def test_pairs_merge_up_to_renaming():
+    # no common context: the two a-moves lead to pairs of one class
+    p = parse_term("a.b.0 + a.c.0", CCS)
+    q = parse_term("a.b.0 + a.c.0 + a.c.0", CCS)
+    stats = semi_saturated_bisim(p, q).to_dict()["stats"]
+    assert stats == {"pairs": 5, "rounds": 2, "expanded": 3,
+                     "residuals": 0}
     # the shared context a.b.0 | 'a.0 leaves the residual c.0 / c.0 + c.0,
     # whose game decides the pair
     p = parse_term("a.b.0 | 'a.0 | c.0", CCS)
     q = parse_term("'a.0 | a.b.0 | c.0 + c.0", CCS)
     stats = semi_saturated_bisim(p, q).to_dict()["stats"]
-    assert stats == {"pairs": 4, "rounds": 1, "expanded": 2, "reused": 0,
+    assert stats == {"pairs": 3, "rounds": 1, "expanded": 2,
                      "residuals": 1}
-    # no common context: the two a-moves lead to pairs of one class
-    p = parse_term("a.b.0 + a.c.0", CCS)
-    q = parse_term("a.b.0 + a.c.0 + a.c.0", CCS)
-    stats = semi_saturated_bisim(p, q).to_dict()["stats"]
-    assert stats == {"pairs": 9, "rounds": 2, "expanded": 5, "reused": 2,
-                     "residuals": 0}
 
 
 _FIREWALL_REPLAYS = [(rel, labels, s1, s2) for s1, s2 in _FIREWALL
@@ -516,42 +606,6 @@ def test_freshened_states_are_canonical():
                 for ans in game.answers(attack, defender):
                     assert ans == canonical_term(ans)
         assert game._counter > 10, calc
-        for labels in (ALL, EMPTY):
-            _check_memo_hits(calc, labels, game._counter, firsts)
-
-
-def _check_memo_hits(calc, labels, counter, states):
-    """A pair whose variables are renamed in order is a memo hit; its
-    replayed moves are canonical and equal a direct expansion, also
-    where the recorded pair's caller stopped after its first move."""
-    game = _SymbolicGame(calc, labels, False)
-    game._counter = counter        # the states' constants are older
-    hits = 0
-    for i, (a, b) in enumerate(zip(states[:80], states[1:81])):
-        recording = game.moves(a, b)
-        if i % 2:
-            next(recording, None)
-            recording.close()
-        else:
-            list(recording)
-        pvars, nvars = _variables(a.node, b.node)
-        ren_p = {v: "V" + game._fresh() for v in sorted(pvars)}
-        ren_n = {v: "v" + game._fresh() for v in sorted(nvars)}
-        a2, b2 = (Term(a.calculus, rename_vars(t.node, ren_p, ren_n))
-                  for t in (a, b))
-        direct = _Unmemoised(game.calculus, game.labels, False)
-        direct._counter = game._counter
-        want = list(direct.moves(a2, b2))
-        reused = game.reused
-        got = list(game.moves(a2, b2))
-        assert got == want
-        for attack, answers in got:
-            assert attack.target == canonical_term(attack.target)
-            assert all(ans == canonical_term(ans) for ans in answers)
-        if pvars or nvars:
-            assert game.reused == reused + 1
-            hits += bool(got)
-    assert hits > 0, (calc, labels.name)
 
 
 def test_order_breaking_renaming_is_recanonicalised():

@@ -226,6 +226,21 @@ def test_pairs_alive_through_their_residual_are_counted():
     assert r.verdict is True and r.residuals == 1
 
 
+def test_dead_residual_guides_the_pair_by_its_own_names():
+    """The residual ?v2[a[0]] / (nu k)(?v2[b[0]] | k[0]) names ?v2 by its
+    first class name, the pair by its second (?v1 takes the first): the
+    residual's failing attack - | open ?v2.@X1 is followed in the pair
+    once renamed back to the pair's names."""
+    p = parse_term("?v1[0] | ?v2[a[0]]", MA)
+    q = parse_term("?v1[0] | ?v2[b[0]] | (nu k) k[0]", MA)
+    r = _solve(_SymbolicGame(MA, EMPTY, False), p, q, 100)
+    assert r.verdict is False
+    assert (r.pairs_explored, r.expanded, r.rounds) == (10, 5, 6)
+    # the witness calls the root's variables by the names they were given
+    assert [step.move for step in r.witness] \
+        == ["- | open ?v2.@X1", "- | open a.@X1"]
+
+
 def test_games_leave_no_reference_cycles():
     """A game's pairs are freed by reference counting when it returns."""
     games = [(MA, "in n.0", "in n.(nu k) k[0]", ALL),
