@@ -212,10 +212,11 @@ def _cmd_pred(args) -> int:
 
 def _cmd_corpus(args) -> int:
     spec = json.loads(_read_arg(args.spec))
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    if args.max_pairs is not None:
-        spec["max_pairs"] = args.max_pairs
+    if isinstance(spec, dict):     # run_suite rejects any other spec
+        if args.seed is not None:
+            spec["seed"] = args.seed
+        if args.max_pairs is not None:
+            spec["max_pairs"] = args.max_pairs
     outcomes = run_suite(spec)
     payload = {"checks": [o.to_dict() for o in outcomes],
                "ok": all(o.ok for o in outcomes)}

@@ -11,7 +11,8 @@
   * alpha-rename each binder cluster to f0, f1, ... (smallest names not
     free in the cluster), trying every binder order and keeping the
     lexicographically least body;
-  * sort parallel components and summands by a total order on terms.
+  * sort parallel components and summands by a total order on terms,
+    `node_key`, which each node stores when it is built (`terms.Node`).
 
 A parallel composition none of whose children has a binder at the top
 of its canonical form needs neither step: its canonical form is the
@@ -38,7 +39,7 @@ from .errors import LbisimError
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
-    free_names, fresh_name, fresh_names, par, rename_free, restricts,
+    fresh_name, fresh_names, par, rename_free, restricts,
     same_calculus,
 )
 
@@ -72,7 +73,7 @@ def _hoist_out(binders: list[str], core: Node, blocked: frozenset[str]):
     for b in binders:
         if b in blocked or b in out:
             b2 = fresh_name(set(blocked) | set(out) | set(binders)
-                            | free_names(core))
+                            | core.free)
             core = rename_free(core, {b: b2})
             b = b2
         out.append(b)
@@ -129,9 +130,9 @@ def _normalize(node: Node, calc: Calculus) -> Node:
                     others = set(collected)
                     for j, cj in enumerate(cores):
                         if j != i:
-                            others |= free_names(cj)
+                            others |= cj.free
                     if b in others:
-                        b2 = fresh_name(others | free_names(cores[i]))
+                        b2 = fresh_name(others | cores[i].free)
                         cores[i] = rename_free(cores[i], {b: b2})
                         b = b2
                     collected.append(b)
@@ -140,11 +141,11 @@ def _normalize(node: Node, calc: Calculus) -> Node:
                 parts.extend(p for p in components(core)
                              if not isinstance(p, Nil))
             body = par(*parts)
-            return restricts([b for b in collected if b in free_names(body)],
+            return restricts([b for b in collected if b in body.free],
                              body)
         case Restrict(name=n, body=b):
             b = _normalize(b, calc)
-            if n not in free_names(b):
+            if n not in b.free:
                 return b
             return Restrict(n, b)
     raise TypeError(f"not a node: {node!r}")
@@ -152,49 +153,10 @@ def _normalize(node: Node, calc: Calculus) -> Node:
 
 # --- total order -----------------------------------------------------------
 
-def _name_key(n):
-    return (0, n) if isinstance(n, str) else (1, n.name)
-
-
-_CAP_OPS = {"in": 0, "out": 1, "open": 2}
-
-
-def _act_key(act):
-    match act:
-        case Tau():
-            return (0,)
-        case Recv(channel=a):
-            return (1, a)
-        case Send(channel=a):
-            return (2, a)
-        case Cap(op=op, amb=n):
-            return (3, _CAP_OPS[op], _name_key(n))
-    raise TypeError(f"not an action: {act!r}")
-
-
-@lru_cache(maxsize=1 << 18)
 def node_key(node: Node):
-    """Total order on syntax trees; canonical forms compare by this key."""
-    match node:
-        case Nil():
-            return (0,)
-        case Hole():
-            return (1,)
-        case ProcVar(name=v):
-            return (2, v)
-        case Msg(channel=a):
-            return (3, a)
-        case Prefix(action=act, body=b):
-            return (4, _act_key(act), node_key(b))
-        case Sum(children=cs):
-            return (5, tuple(node_key(c) for c in cs))
-        case Amb(name=n, body=b):
-            return (6, _name_key(n), node_key(b))
-        case Restrict(name=n, body=b):
-            return (7, n, node_key(b))
-        case Par(children=cs):
-            return (8, tuple(node_key(c) for c in cs))
-    raise TypeError(f"not a node: {node!r}")
+    """Total order on syntax trees; canonical forms compare by this key.
+    The key is stored on the node when it is built (see `terms.Node`)."""
+    return node.key
 
 
 # --- alpha-canonical renaming and sorting ----------------------------------
@@ -202,21 +164,20 @@ def node_key(node: Node):
 def _alpha(node: Node, env: dict) -> Node:
     if isinstance(node, Restrict):
         names, body = strip_restricts(node)
-        outer_free = {env.get(x, x) for x in free_names(node)}
+        outer_free = {env.get(x, x) for x in node.free}
         fresh = fresh_names(outer_free, len(names))
         if len(names) > _MAX_CLUSTER:
             return restricts(fresh, _alpha_big(names, body, env, fresh))
-        best = None
-        best_key = None
+        # Every candidate stays alive until the loop ends: the orders
+        # share most subtrees, and a subtree is built once only while
+        # some live node holds it.
+        cands = []
         orders = permutations(names) if len(names) > 1 else (tuple(names),)
         for perm in orders:
             env2 = dict(env)
             env2.update({perm[i]: fresh[i] for i in range(len(names))})
-            cand = _alpha(body, env2)
-            k = node_key(cand)
-            if best_key is None or k < best_key:
-                best, best_key = cand, k
-        return restricts(fresh, best)
+            cands.append(_alpha(body, env2))
+        return restricts(fresh, min(cands, key=node_key))
     match node:
         case Nil() | Hole() | ProcVar():
             return node
@@ -261,7 +222,7 @@ def _alpha_big(names: list, body: Node, env: dict, fresh: list) -> Node:
         env2 = dict(env)
         for y in names:
             env2[y] = "\x00self" if y == x else "\x00other"
-        sigs[x] = node_key(_alpha(body, env2))
+        sigs[x] = _alpha(body, env2).key
     order = {x: i for i, x in enumerate(names)}
     ordered = sorted(names, key=lambda x: (sigs[x], order[x]))
     assign = {x: fresh[i] for i, x in enumerate(ordered)}
@@ -306,7 +267,7 @@ class CanonicalForm:
 
     @property
     def key(self):
-        return node_key(self.node)
+        return self.node.key
 
     @property
     def text(self) -> str:

@@ -24,7 +24,7 @@ from .equivalence import (
     ALL, EMPTY, LA, LCCS, LM, LabelSet, async_bisim, is_capturing, l_bisim,
     pred_ccs, pred_open, strong_bisim,
 )
-from .errors import DivergenceBudgetExceededError
+from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
 from .reduction import barbs, reduct_terms
 from .terms import (
@@ -815,40 +815,64 @@ _DEFAULT_T1 = {Calculus.MA: ("0", "k[0]"), Calculus.CCS: ("0", "c.0"),
 _LABELS_FOR = {Calculus.MA: LM, Calculus.CCS: LCCS, Calculus.ACCS: LA}
 
 
+def _spec_int(spec: dict, field: str, default: int, least=0) -> int:
+    value = spec.get(field, default)
+    if type(value) is not int or least is not None and value < least:
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise LbisimError(f"corpus spec {field} must be {kind} integer, "
+                          f"got {value!r}")
+    return value
+
+
+def _spec_strings(spec: dict, field: str, default) -> tuple:
+    value = spec.get(field)
+    if not value:
+        return tuple(default)
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise LbisimError(f"corpus spec {field} must be a list of strings, "
+                          f"got {value!r}")
+    return tuple(value)
+
+
 def run_suite(spec: dict) -> list[CheckOutcome]:
     """Run the cross-check matrix described by a corpus spec (a parsed
-    JSON object); see the CLI `corpus` verb."""
-    from .errors import LbisimError
+    JSON object); see the CLI `corpus` verb.  A malformed spec raises
+    LbisimError naming the field."""
+    if type(spec) is not dict:
+        raise LbisimError(f"corpus spec must be a JSON object, got {spec!r}")
     try:
         calc = Calculus(spec["calculus"])
     except (KeyError, ValueError) as exc:
         raise LbisimError(f"corpus spec needs a valid calculus: {exc}")
-    names = tuple(spec.get("names") or _DEFAULT_NAMES[calc])
-    count = int(spec.get("count", 300))
-    seed = int(spec.get("seed", 0))
-    max_pairs = spec.get("max_pairs", 4000)
-    if type(max_pairs) is not int or max_pairs < 1:
-        raise LbisimError(f"corpus spec max_pairs must be a positive "
-                          f"integer, got {max_pairs!r}")
-    random_n = int(spec.get("random", 150))
-    pair_n = int(spec.get("pairs", 200))
-    triples = int(spec.get("triples", 60))
-    checks = tuple(spec.get("checks") or DEFAULT_CHECKS[calc])
+    names = _spec_strings(spec, "names", _DEFAULT_NAMES[calc])
+    count = _spec_int(spec, "count", 300)
+    seed = _spec_int(spec, "seed", 0, least=None)
+    max_pairs = _spec_int(spec, "max_pairs", 4000, least=1)
+    random_n = _spec_int(spec, "random", 150)
+    pair_n = _spec_int(spec, "pairs", 200)
+    triples = _spec_int(spec, "triples", 60)
+    checks = _spec_strings(spec, "checks", DEFAULT_CHECKS[calc])
     bad = [c for c in checks if c not in DEFAULT_CHECKS[calc]]
     if bad:
         raise LbisimError(f"unknown or inapplicable checks for "
                           f"{calc.value}: {', '.join(bad)}")
+    pair_list = spec.get("pair_list")
+    if pair_list and (type(pair_list) is not list or not all(
+            type(pq) is list and len(pq) == 2
+            and all(type(t) is str for t in pq) for pq in pair_list)):
+        raise LbisimError(f"corpus spec pair_list must be a list of pairs "
+                          f"of strings, got {pair_list!r}")
+    t1_texts = _spec_strings(spec, "t1_pool", _DEFAULT_T1[calc])
     rng = random.Random(seed)
     corpus = enumerate_terms(calc, names, count=count)
-    if spec.get("pair_list"):
+    if pair_list:
         pairs = [(canonical_term(parse_term(a, calc)),
                   canonical_term(parse_term(b, calc)))
-                 for a, b in spec["pair_list"]]
+                 for a, b in pair_list]
     else:
         pairs = term_pairs(corpus, pair_n)
         pairs += [(t, congruent_shuffle(t, rng)) for t in corpus[:30]]
-    t1_pool = [parse_term(s, calc)
-               for s in spec.get("t1_pool") or _DEFAULT_T1[calc]]
+    t1_pool = [parse_term(s, calc) for s in t1_texts]
     rnames = names
     if len(rnames) < 3:
         rnames = rnames + (("k",) if calc is Calculus.MA else ("c",))

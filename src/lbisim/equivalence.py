@@ -148,7 +148,7 @@ from .reduction import barbs, reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Send, Substitution, Sum, Term,
-    _vars_in_order, free_names, fresh_name, is_pure, par, plug, rename_vars,
+    free_names, fresh_name, par, plug, rename_vars,
     restricts, same_calculus,
 )
 
@@ -571,9 +571,9 @@ def _class_named(p: Term, q: Term):
     """A pair of canonical states with its process variables renamed
     jointly, in sorted order, to P10, P11, ... and its name variables to
     p10, p11, ..., and the renaming back; see the module docstring."""
-    pvars, nvars = _variables(p.node, q.node)
-    if not pvars and not nvars:
+    if not (p.node.vars or q.node.vars):
         return p, q, _NO_VARS
+    pvars, nvars = _variables(p.node, q.node)
     procs = {v: "P" + _spell(i) for i, v in enumerate(sorted(pvars))}
     names = {v: "p" + _spell(i) for i, v in enumerate(sorted(nvars))}
     return (Term(p.calculus, rename_vars(p.node, procs, names)),
@@ -837,7 +837,7 @@ def _variables(*nodes) -> tuple[set, set]:
     """The process and the name variables of some game states."""
     pvars, nvars = set(), set()
     for node in nodes:
-        for kind, name in _vars_in_order(node):
+        for kind, name in node.vars:
             (pvars if kind == "proc" else nvars).add(name)
     return pvars, nvars
 
@@ -853,7 +853,7 @@ def _renamed(term: Term, procs: dict, names: dict) -> Term:
     The renamed state is canonical already when the renaming keeps the
     string order of the state's process variables and of its name
     variables; otherwise it is canonicalised again."""
-    if not procs and not names:
+    if not (procs or names) or not term.node.vars:
         return term
     pvars, nvars = _variables(term.node)
     renamed = Term(term.calculus, rename_vars(term.node, procs, names))
@@ -902,7 +902,7 @@ class _SymbolicGame:
         return _spell(self._counter)
 
     def _freshen(self, side: int, tr: ItsTransition) -> _Attack:
-        label_vars = [v for v in dict.fromkeys(_vars_in_order(tr.label.body))
+        label_vars = [v for v in dict.fromkeys(tr.label.body.vars)
                       if v in _LABEL_VARS]
         fresh = {var: self._fresh() for var in sorted(label_vars)}
         fresh_p = tuple((name, "V" + fresh[kind, name])
@@ -946,17 +946,12 @@ class _InstantiatedGame(_SymbolicGame):
         self.names = names
 
     def _closures(self, tr: ItsTransition):
-        pvars = []
-        nvars = []
-        seen = set()
-        for kind, name in _vars_in_order(tr.label.body):
-            if name in seen:
-                continue
-            seen.add(name)
-            (pvars if kind == "proc" else nvars).append(name)
-        if not pvars and not nvars:
+        label_vars = dict.fromkeys(tr.label.body.vars)
+        if not label_vars:
             yield tr
             return
+        pvars = [name for kind, name in label_vars if kind == "proc"]
+        nvars = [name for kind, name in label_vars if kind == "name"]
         for procs in product(self.pool, repeat=len(pvars)):
             for names in product(self.names, repeat=len(nvars)):
                 subst = Substitution.make(
@@ -1005,7 +1000,7 @@ def _its_game(calc: Calculus, p: Term, q: Term, labels: LabelSet,
         return _SymbolicGame(calc, labels, barbed)
     pool = tuple(canonical_term(t) for t in pool)
     for t in pool:
-        if t.calculus is not calc or not is_pure(t.node):
+        if t.calculus is not calc or t.node.vars:
             raise MalformedTermError("instantiation pool terms must be "
                                      "pure terms of the same calculus")
     return _InstantiatedGame(calc, labels, barbed, pool,
@@ -1017,7 +1012,7 @@ def _its_game(calc: Calculus, p: Term, q: Term, labels: LabelSet,
 def _entry(p: Term, q: Term) -> Calculus:
     calc = same_calculus(p, q)
     for t in (p, q):
-        if not is_pure(t.node):
+        if t.node.vars:
             raise MalformedTermError(
                 "equivalence queries take pure terms "
                 "(variables appear only in game states)")
@@ -1085,7 +1080,7 @@ def pred_open(p: Term, target: Term, amb_name: str, t1: Term) -> bool:
     for t in (p, target, t1):
         if t.calculus is not Calculus.MA:
             raise MAUnsupportedError("pred_open is an MA predicate")
-        if not is_pure(t.node):
+        if t.node.vars:
             raise MalformedTermError("pred_open takes pure terms")
     m = fresh_name(free_names(p.node) | free_names(t1.node)
                    | free_names(target.node) | {amb_name})
@@ -1126,7 +1121,7 @@ def pred_ccs(kind: str, p: Term, target: Term, channel: "str | None" = None,
     if channel is None or t1 is None:
         raise LbisimError("kinds 'out' and 'in' need a channel and a term")
     for t in (p, target, t1):
-        if not is_pure(t.node):
+        if t.node.vars:
             raise MalformedTermError("pred_ccs takes pure terms")
     i = fresh_name(free_names(p.node) | free_names(t1.node)
                    | free_names(target.node) | {channel})

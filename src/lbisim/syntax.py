@@ -19,11 +19,19 @@ from .errors import ParseError
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
-    check_node, count_holes, make_label,
+    check_node, make_label,
 )
 
 KEYWORDS = ("tau", "nu", "in", "out", "open")
 _SYMBOLS = "()[].+|'@?-"
+
+# How deep the parser may recurse.  It takes one frame per grammar rule
+# it descends through: one per prefix or restriction, five per bracket
+# `(...)`, `n[...]` or `?x[...]` (expression, parallel, sum, sequent,
+# atom).  Deeper input is refused with a ParseError, so the parser, and
+# the passes that recurse once per level of the tree it builds, stay
+# within Python's default limit of 1,000 frames.
+MAX_DEPTH = 800
 
 
 class _Token:
@@ -101,45 +109,54 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def within(self, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            self.fail(f"input nested deeper than the parser's limit of "
+                      f"{MAX_DEPTH} frames")
+
     def name(self) -> str:
         tok = self.peek()
         if tok.kind != "name":
             self.fail(f"expected a name, found {tok.text or 'end of input'!r}")
         return self.take().text
 
+    # Every rule takes the depth of its own frame; `expr` and `seq`, one
+    # of which lies on every cycle of the grammar, check it.
     # expr ::= "(nu n)" expr | par
-    def expr(self) -> Node:
+    def expr(self, depth: int) -> Node:
+        self.within(depth)
         if self.peek().kind == "(" and self.peek(1).kind == "nu":
             self.take()
             self.take()
             n = self.name()
             self.expect(")")
-            return Restrict(n, self.expr())
-        return self.par()
+            return Restrict(n, self.expr(depth + 1))
+        return self.par(depth + 1)
 
-    def par(self) -> Node:
-        parts = [self.sum()]
+    def par(self, depth: int) -> Node:
+        parts = [self.sum(depth + 1)]
         while self.peek().kind == "|":
             self.take()
             if self.peek().kind == "(" and self.peek(1).kind == "nu":
                 # a restriction scopes maximally right, swallowing the
                 # rest of the parallel composition
-                parts.append(self.expr())
+                parts.append(self.expr(depth + 1))
                 break
-            parts.append(self.sum())
+            parts.append(self.sum(depth + 1))
         return parts[0] if len(parts) == 1 else Par(tuple(parts))
 
-    def sum(self) -> Node:
-        parts = [self.seq()]
+    def sum(self, depth: int) -> Node:
+        parts = [self.seq(depth + 1)]
         while self.peek().kind == "+":
             if self.calc is Calculus.MA:
                 self.fail("MA has no summation")
             self.take()
-            parts.append(self.seq())
+            parts.append(self.seq(depth + 1))
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
     # seq ::= PREFIX "." seq | "(nu n)" seq | atom
-    def seq(self) -> Node:
+    def seq(self, depth: int) -> Node:
+        self.within(depth)
         tok = self.peek()
         if tok.kind == "(" and self.peek(1).kind == "nu":
             # under a prefix the restriction scope ends with the sequent
@@ -147,20 +164,20 @@ class _Parser:
             self.take()
             n = self.name()
             self.expect(")")
-            return Restrict(n, self.seq())
+            return Restrict(n, self.seq(depth + 1))
         if tok.kind in ("in", "out", "open"):
             if self.calc is not Calculus.MA:
                 self.fail(f"capability prefixes are MA syntax")
             op = self.take().kind
             n = self.name()
             self.expect(".")
-            return Prefix(Cap(op, n), self.seq())
+            return Prefix(Cap(op, n), self.seq(depth + 1))
         if tok.kind == "tau":
             if self.calc is Calculus.MA:
                 self.fail("tau prefixes do not exist in MA")
             self.take()
             self.expect(".")
-            return Prefix(Tau(), self.seq())
+            return Prefix(Tau(), self.seq(depth + 1))
         if tok.kind == "'":
             nxt = self.peek(1)
             after = self.peek(2)
@@ -170,17 +187,17 @@ class _Parser:
                 self.take()
                 a = self.name()
                 self.take()
-                return Prefix(Send(a), self.seq())
-            return self.atom()
+                return Prefix(Send(a), self.seq(depth + 1))
+            return self.atom(depth + 1)
         if tok.kind == "name" and self.peek(1).kind == ".":
             if self.calc is Calculus.MA:
                 self.fail("channel prefixes do not exist in MA")
             a = self.name()
             self.take()
-            return Prefix(Recv(a), self.seq())
-        return self.atom()
+            return Prefix(Recv(a), self.seq(depth + 1))
+        return self.atom(depth + 1)
 
-    def atom(self) -> Node:
+    def atom(self, depth: int) -> Node:
         tok = self.peek()
         match tok.kind:
             case "0":
@@ -205,7 +222,7 @@ class _Parser:
                 self.take()
                 x = self.name()
                 self.expect("[")
-                body = self.expr()
+                body = self.expr(depth + 1)
                 self.expect("]")
                 return Amb(NameVar(x), body)
             case "name":
@@ -214,14 +231,14 @@ class _Parser:
                         self.fail("ambients exist only in MA")
                     n = self.name()
                     self.take()
-                    body = self.expr()
+                    body = self.expr(depth + 1)
                     self.expect("]")
                     return Amb(n, body)
                 self.fail(f"name {tok.text!r} is not a process"
                           " (write a prefix 'name.P' or an ambient 'name[P]')")
             case "(":
                 self.take()
-                body = self.expr()
+                body = self.expr(depth + 1)
                 self.expect(")")
                 return body
         self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
@@ -229,7 +246,7 @@ class _Parser:
 
 def parse_term(text: str, calculus: Calculus) -> Term:
     p = _Parser(text, calculus, allow_hole=False)
-    node = p.expr()
+    node = p.expr(0)
     if p.peek().kind != "eof":
         p.fail(f"trailing input {p.peek().text!r}")
     check_node(calculus, node)
@@ -238,10 +255,10 @@ def parse_term(text: str, calculus: Calculus) -> Term:
 
 def parse_label(text: str, calculus: Calculus) -> Label:
     p = _Parser(text, calculus, allow_hole=True)
-    node = p.expr()
+    node = p.expr(0)
     if p.peek().kind != "eof":
         p.fail(f"trailing input {p.peek().text!r}")
-    if count_holes(node) != 1:
+    if node.holes != 1:
         tok = p.toks[0]
         raise ParseError("a label needs exactly one hole", tok.line, tok.col)
     return make_label(calculus, node)

@@ -15,7 +15,12 @@ Names, actions and nodes are interned (hash-consed): constructing one
 that is structurally equal to a live object returns that object, so
 `==` is `is` and hashing is O(1) whatever the tree's size.  Construction
 is positional, fields in declaration order (`Prefix(Recv("a"), Nil())`);
-`match` class patterns work as with dataclasses.  `Term`, `Label` and
+`match` class patterns work as with dataclasses.  A node is built once,
+so it stores four facts then, computed from its children's: its sort
+key `key`, its free names `free`, its variable occurrences `vars` and
+its hole count `holes` (see `Node`).  A node shares a child's set or
+tuple when its own would be equal, so pure nodes share `()`; facts live
+and die with their nodes, and no traversal recomputes them.  `Term`, `Label` and
 `Substitution` stay dataclasses and compare their interned fields.
 """
 from __future__ import annotations
@@ -61,13 +66,20 @@ class _Interned:
     exists returns the existing object, so `==` and `hash` are identity.
 
     A subclass lists its fields in `__slots__`; construction is
-    positional, in that order, as with `match` class patterns.
+    positional, in that order, as with `match` class patterns.  A
+    concrete subclass also defines `_facts(*fields)`, which returns the
+    values of the `_FACTS` slots; `__new__` stores them when it creates
+    the object, so an intern hit costs nothing extra.
     """
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "key", "free", "vars")
+    _FACTS = ("key", "free", "vars")
 
     def __init_subclass__(cls):
+        if "_facts" not in cls.__dict__:
+            return                  # an abstract base: Node
         cls.__match_args__ = cls.__slots__
-        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+        cls._setters = tuple(getattr(cls, f).__set__
+                             for f in (*cls.__slots__, *cls._FACTS))
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -76,12 +88,11 @@ class _Interned:
             obj = ref()
             if obj is not None:
                 return obj
-        setters = cls._setters
-        if len(fields) != len(setters):
-            raise TypeError(f"{cls.__name__} takes {len(setters)} "
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
                             f"positional fields, got {len(fields)}")
         obj = object.__new__(cls)
-        for setter, value in zip(setters, fields):
+        for setter, value in zip(cls._setters, fields + cls._facts(*fields)):
             setter(obj, value)
         ref = _Ref(obj, _forget)
         ref.key = key
@@ -103,9 +114,30 @@ class _Interned:
         return f"{type(self).__qualname__}({fields})"
 
 
+_NO_NAMES: frozenset = frozenset()
+_CAP_OPS = {"in": 0, "out": 1, "open": 2}
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing an operand that already holds the other."""
+    if a <= b:
+        return b
+    if b <= a:
+        return a
+    return a | b
+
+
+def _name_facts(n) -> tuple:
+    """Key, free names and variables of a name position."""
+    if isinstance(n, NameVar):
+        return n.key, n.free, n.vars
+    return (0, n), frozenset((n,)), ()
+
+
 class NameVar(_Interned):
     """Ambient-name variable; ranges over ambient names, never bound."""
     __slots__ = ("name",)
+    _facts = staticmethod(lambda x: ((1, x), _NO_NAMES, (("name", x),)))
 
 
 # A "name position" holds either a concrete name (str) or a NameVar.
@@ -114,63 +146,114 @@ Name = "str | NameVar"
 
 class Tau(_Interned):
     __slots__ = ()
+    _facts = staticmethod(lambda: ((0,), _NO_NAMES, ()))
 
 
 class Recv(_Interned):
     __slots__ = ("channel",)
+    _facts = staticmethod(lambda a: ((1, a), frozenset((a,)), ()))
 
 
 class Send(_Interned):
     __slots__ = ("channel",)
+    _facts = staticmethod(lambda a: ((2, a), frozenset((a,)), ()))
 
 
 class Cap(_Interned):
     """Mobility capability: op is one of "in", "out", "open"."""
     __slots__ = ("op", "amb")       # amb: str | NameVar
 
+    @staticmethod
+    def _facts(op, amb):
+        key, free, vs = _name_facts(amb)
+        return (3, _CAP_OPS[op], key), free, vs
+
 
 Action = "Tau | Recv | Send | Cap"
 
 
 class Node(_Interned):
-    __slots__ = ()
+    """A syntax tree node.  Besides its fields, every node stores four
+    facts, computed from its children's when it is first built:
+
+      * `key`: its place in the total order on nodes, a tuple that
+        compares like the tree (see `congruence.node_key`);
+      * `free`: its free concrete names, a frozenset;
+      * `vars`: its ("proc"|"name", name) variable occurrences in
+        pre-order, repeats kept;
+      * `holes`: how many holes it contains.
+
+    A node whose free names or variables equal a child's shares the
+    child's frozenset or tuple, and nodes without variables share `()`.
+    Actions and name variables store the first three facts too.
+    """
+    __slots__ = ("holes",)
+    _FACTS = ("key", "free", "vars", "holes")
 
 
 class Nil(Node):
     __slots__ = ()
+    _facts = staticmethod(lambda: ((0,), _NO_NAMES, (), 0))
 
 
 class Prefix(Node):
     __slots__ = ("action", "body")  # action: Tau | Recv | Send | Cap
+    _facts = staticmethod(lambda act, b: (
+        (4, act.key, b.key), _union(act.free, b.free), act.vars + b.vars,
+        b.holes))
+
+
+def _many(tag: int, children) -> tuple:
+    keys = []
+    free, vs, holes = _NO_NAMES, (), 0
+    for c in children:
+        keys.append(c.key)
+        free = _union(free, c.free)
+        vs += c.vars
+        holes += c.holes
+    return (tag, tuple(keys)), free, vs, holes
 
 
 class Sum(Node):
     __slots__ = ("children",)       # tuple[Node, ...]
+    _facts = staticmethod(lambda cs: _many(5, cs))
 
 
 class Par(Node):
     __slots__ = ("children",)       # tuple[Node, ...]
+    _facts = staticmethod(lambda cs: _many(8, cs))
 
 
 class Restrict(Node):
     __slots__ = ("name", "body")
+    _facts = staticmethod(lambda n, b: (
+        (7, n, b.key), b.free - {n} if n in b.free else b.free, b.vars,
+        b.holes))
 
 
 class Amb(Node):
     __slots__ = ("name", "body")    # name: str | NameVar
 
+    @staticmethod
+    def _facts(n, b):
+        key, free, vs = _name_facts(n)
+        return (6, key, b.key), _union(free, b.free), vs + b.vars, b.holes
+
 
 class Msg(Node):
     """ACCS output particle (an unguarded message in the ether)."""
     __slots__ = ("channel",)
+    _facts = staticmethod(lambda a: ((3, a), frozenset((a,)), (), 0))
 
 
 class ProcVar(Node):
     __slots__ = ("name",)
+    _facts = staticmethod(lambda v: ((2, v), _NO_NAMES, (("proc", v),), 0))
 
 
 class Hole(Node):
     __slots__ = ()
+    _facts = staticmethod(lambda: ((1,), _NO_NAMES, (), 1))
 
 
 @dataclass(frozen=True)
@@ -188,85 +271,13 @@ class Label:
     @property
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-use (pre-order) position order."""
-        out: list[str] = []
-        for kind, name in _vars_in_order(self.body):
-            if name not in out:
-                out.append(name)
-        return tuple(out)
+        return tuple(dict.fromkeys(name for _, name in self.body.vars))
 
-
-# --- traversals ------------------------------------------------------------
 
 def free_names(node: Node) -> frozenset[str]:
-    """Free concrete names.  Name variables contribute nothing."""
-    match node:
-        case Nil() | Hole() | ProcVar():
-            return frozenset()
-        case Msg(channel=a):
-            return frozenset((a,))
-        case Prefix(action=act, body=b):
-            return _action_names(act) | free_names(b)
-        case Sum(children=cs) | Par(children=cs):
-            out: frozenset[str] = frozenset()
-            for c in cs:
-                out |= free_names(c)
-            return out
-        case Restrict(name=n, body=b):
-            return free_names(b) - {n}
-        case Amb(name=n, body=b):
-            base = free_names(b)
-            return base | {n} if isinstance(n, str) else base
-    raise TypeError(f"not a node: {node!r}")
-
-
-def _action_names(act) -> frozenset[str]:
-    match act:
-        case Tau():
-            return frozenset()
-        case Recv(channel=a) | Send(channel=a):
-            return frozenset((a,))
-        case Cap(amb=n):
-            return frozenset((n,)) if isinstance(n, str) else frozenset()
-    raise TypeError(f"not an action: {act!r}")
-
-
-def _vars_in_order(node: Node):
-    """Yield ("proc"|"name", varname) pre-order occurrences."""
-    match node:
-        case ProcVar(name=v):
-            yield ("proc", v)
-        case Prefix(action=Cap(amb=NameVar(name=x)), body=b):
-            yield ("name", x)
-            yield from _vars_in_order(b)
-        case Prefix(body=b):
-            yield from _vars_in_order(b)
-        case Sum(children=cs) | Par(children=cs):
-            for c in cs:
-                yield from _vars_in_order(c)
-        case Restrict(body=b):
-            yield from _vars_in_order(b)
-        case Amb(name=n, body=b):
-            if isinstance(n, NameVar):
-                yield ("name", n.name)
-            yield from _vars_in_order(b)
-        case _:
-            return
-
-
-def is_pure(node: Node) -> bool:
-    return next(_vars_in_order(node), None) is None
-
-
-def count_holes(node: Node) -> int:
-    match node:
-        case Hole():
-            return 1
-        case Prefix(body=b) | Restrict(body=b) | Amb(body=b):
-            return count_holes(b)
-        case Sum(children=cs) | Par(children=cs):
-            return sum(count_holes(c) for c in cs)
-        case _:
-            return 0
+    """Free concrete names (stored on the node).  Name variables
+    contribute nothing."""
+    return node.free
 
 
 # --- well-formedness -------------------------------------------------------
@@ -288,14 +299,13 @@ def check_node(calculus: Calculus, node: Node, *, allow_hole=False) -> None:
     Checks the per-calculus constructor and prefix repertoire, guardedness
     of summands, and (for extended terms) that no variable occurs twice.
     """
-    seen: set[str] = set()
-    for kind, name in _vars_in_order(node):
-        key = kind + ":" + name
-        if key in seen:
-            raise MalformedTermError(f"variable {name!r} occurs twice")
-        seen.add(key)
+    seen: set = set()
+    for var in node.vars:
+        if var in seen:
+            raise MalformedTermError(f"variable {var[1]!r} occurs twice")
+        seen.add(var)
     _check(calculus, node, allow_hole)
-    if not allow_hole and count_holes(node):
+    if not allow_hole and node.holes:
         raise MalformedTermError("hole outside a label")
 
 
@@ -417,7 +427,7 @@ def rename_free(node: Node, ren: dict) -> Node:
         case Restrict(name=n, body=b):
             inner = {k: v for k, v in ren.items() if k != n}
             if n in inner.values():
-                n2 = fresh_name(free_names(b) | set(inner) | set(inner.values()))
+                n2 = fresh_name(b.free | set(inner) | set(inner.values()))
                 b = rename_free(b, {n: n2})
                 return Restrict(n2, rename_free(b, inner))
             return Restrict(n, rename_free(b, inner))
@@ -425,8 +435,9 @@ def rename_free(node: Node, ren: dict) -> Node:
 
 
 def rename_vars(node: Node, procs: dict, names: dict) -> Node:
-    """Rename variables (no capture concerns: variables are never bound)."""
-    if not procs and not names:
+    """Rename variables (no capture concerns: variables are never bound).
+    A subtree without variables is returned as it stands."""
+    if not (procs or names) or not node.vars:
         return node
     match node:
         case ProcVar(name=v):
@@ -446,8 +457,7 @@ def rename_vars(node: Node, procs: dict, names: dict) -> Node:
             return Amb(NameVar(names.get(x, x)), rename_vars(b, procs, names))
         case Amb(name=n, body=b):
             return Amb(n, rename_vars(b, procs, names))
-        case _:
-            return node
+    raise TypeError(f"not a node: {node!r}")
 
 
 # --- substitution ----------------------------------------------------------
@@ -471,7 +481,7 @@ class Substitution:
                         f"{n.calculus.value} term")
                 n = n.node
                 procs[v] = n
-            if not is_pure(n):
+            if n.vars:
                 raise MalformedTermError(
                     f"substitution for @{v} must be pure")
             check_node(calculus, n)
@@ -488,9 +498,8 @@ class Substitution:
         return dict(self.names)
 
 
-def _mentions_vars(node: Node, pvars, nvars) -> bool:
-    return any((k == "proc" and n in pvars) or (k == "name" and n in nvars)
-               for k, n in _vars_in_order(node))
+def _mentions_vars(node: Node, procs, names) -> bool:
+    return any(n in (procs if k == "proc" else names) for k, n in node.vars)
 
 
 def _subst(node: Node, procs: dict, names: dict, danger: frozenset,
@@ -517,7 +526,7 @@ def _subst(node: Node, procs: dict, names: dict, danger: frozenset,
             return Amb(n, _subst(b, procs, names, danger, used))
         case Restrict(name=n, body=b):
             if n in danger and _mentions_vars(b, procs, names):
-                n2 = fresh_name(danger | free_names(b) | used)
+                n2 = fresh_name(danger | b.free | used)
                 b = rename_free(b, {n: n2})
                 n = n2
             return Restrict(n, _subst(b, procs, names, danger, used | {n}))
@@ -534,7 +543,7 @@ def apply_subst(term: Term, subst: Substitution) -> Term:
     procs, names = subst.proc_map, subst.name_map
     danger: frozenset[str] = frozenset(names.values())
     for n in procs.values():
-        danger |= free_names(n)
+        danger |= n.free
     node = _subst(term.node, procs, names, danger, frozenset())
     return Term(term.calculus, node)
 
@@ -551,7 +560,7 @@ def close_label(label: Label, subst: Substitution) -> Label:
             f"label variables left open: {', '.join(missing)}")
     danger: frozenset[str] = frozenset(names.values())
     for n in procs.values():
-        danger |= free_names(n)
+        danger |= n.free
     return Label(label.calculus,
                  _subst(label.body, procs, names, danger, frozenset()))
 
@@ -572,8 +581,8 @@ def _fill(node: Node, repl: Node, danger: frozenset,
         case Amb(name=n, body=b):
             return Amb(n, _fill(b, repl, danger, used))
         case Restrict(name=n, body=b):
-            if n in danger and count_holes(b):
-                n2 = fresh_name(danger | free_names(b) | used)
+            if n in danger and b.holes:
+                n2 = fresh_name(danger | b.free | used)
                 b = rename_free(b, {n: n2})
                 n = n2
             return Restrict(n, _fill(b, repl, danger, used | {n}))
@@ -588,13 +597,13 @@ def plug(label: Label, term: Term) -> Term:
         raise CrossCalculusError(
             f"cannot plug a {term.calculus.value} term into a "
             f"{label.calculus.value} context")
-    node = _fill(label.body, term.node, free_names(term.node),
+    node = _fill(label.body, term.node, term.node.free,
                  frozenset())
     return Term(term.calculus, node)
 
 
 def make_label(calculus: Calculus, body: Node) -> Label:
-    if count_holes(body) != 1:
+    if body.holes != 1:
         raise MalformedTermError("a label needs exactly one hole")
     check_node(calculus, body, allow_hole=True)
     return Label(calculus, body)

@@ -10,8 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lbisim.cli
 from lbisim.cli import main
+from lbisim.syntax import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -305,6 +308,82 @@ def test_corpus_rejects_unknown_check(capsys):
                        "checks": ["sideways"]})
     code, _, err = run(capsys, "corpus", spec)
     assert code == 2
+
+
+@pytest.mark.parametrize("spec,field", [
+    ([], "JSON object"),
+    (1, "JSON object"),
+    ({"names": [1, 2]}, "names"),
+    ({"checks": "roundtrip"}, "checks"),
+    ({"checks": ["roundtrip", 3]}, "checks"),
+    ({"t1_pool": [3]}, "t1_pool"),
+    ({"pair_list": [["a.0"]]}, "pair_list"),
+    ({"pair_list": [["a.0", 1]]}, "pair_list"),
+    ({"pair_list": "a.0"}, "pair_list"),
+    ({"count": -1}, "count"),
+    ({"random": 1.5}, "random"),
+    ({"pairs": "9"}, "pairs"),
+    ({"triples": True}, "triples"),
+    ({"seed": "7"}, "seed"),
+])
+def test_corpus_spec_fields_are_validated(capsys, spec, field):
+    if isinstance(spec, dict):
+        spec = {"calculus": "ccs", "count": 10, "checks": ["lts"], **spec}
+    code, out, err = run(capsys, "corpus", json.dumps(spec))
+    assert code == 2, err
+    assert field in err and not out
+    if field == "JSON object":     # the overrides set no field of it
+        code, _, err = run(capsys, "corpus", "--seed", "3", "--max-pairs",
+                           "9", json.dumps(spec))
+        assert code == 2 and field in err
+
+
+def test_corpus_spec_accepts_zero_counts(capsys):
+    spec = {"calculus": "ccs", "count": 0, "random": 0, "pairs": 0,
+            "names": None, "checks": ["roundtrip", "lts"]}
+    code, out, _ = run(capsys, "corpus", json.dumps(spec))
+    assert code == 0
+    assert out.splitlines()[-1] == "suite passed"
+
+
+# Each nesting kind, its text nested k deep, and the deepest k the parser
+# accepts: a prefix or a restriction takes one parser frame and a
+# bracket five, under the three or four frames of the enclosing rules.
+_NESTINGS = {
+    "prefix": ("ccs", lambda k: "a." * k + "0", MAX_DEPTH - 3),
+    "restriction": ("ccs", lambda k: "(nu a) " * k + "a.0", MAX_DEPTH - 4),
+    "ambient": ("ma", lambda k: "a[" * k + "0" + "]" * k,
+                (MAX_DEPTH - 3) // 5),
+    "parenthesis": ("ccs", lambda k: "(" * k + "a.0" + ")" * k,
+                    (MAX_DEPTH - 4) // 5),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NESTINGS))
+def test_nesting_limit(capsys, kind):
+    calc, nest, deepest = _NESTINGS[kind]
+    check = ("check", "--calculus", calc, "--rel", "semi-sat")
+    code, out, err = run(capsys, *check, nest(deepest), "0")
+    assert code in (0, 1), err
+    assert out.splitlines()[0] in ("equivalent", "inequivalent")
+    code, out, err = run(capsys, *check, nest(deepest + 1), "0")
+    assert code == 2 and not out
+    assert f"nested deeper than the parser's limit of {MAX_DEPTH}" in err
+
+
+def test_deep_inputs_exit_two_or_get_a_verdict(capsys):
+    chain = "a." * 500
+    code, _, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                       "strong", f"{chain}0 | {chain}b.0", "0")
+    assert code == 1, err
+    for argv in (("check", "--calculus", "ma", "--rel", "semi-sat",
+                  "a[" * 200 + "0" + "]" * 200, "0"),
+                 ("reduce", "--calculus", "ccs", "(" * 200 + "a.0" + ")" * 200),
+                 ("check", "--calculus", "ccs", "--rel", "semi-sat",
+                  "a." * 1200 + "0", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert err.startswith("parse error: 1:")
 
 
 def test_usage_errors(capsys):

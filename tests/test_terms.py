@@ -7,7 +7,8 @@ import random
 import pytest
 
 from lbisim import terms
-from lbisim.corpus import enumerate_terms
+from lbisim.corpus import enumerate_terms, random_term
+from lbisim.lts import its_transitions
 from lbisim.errors import (CrossCalculusError, IncompleteSubstitutionError,
                            MalformedTermError)
 from lbisim.syntax import parse_label, parse_term, print_term
@@ -220,3 +221,174 @@ def test_enumerate_terms_output_is_pinned(calc, names, count):
     text = "\n".join(print_term(t) for t in corpus)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _CORPUS_DIGESTS[calc, names, count]
+
+
+# --- stored facts against recursive reference definitions -----------------
+#
+# Each node stores its key, free names, variables and hole count when it
+# is built.  These are the recursive definitions the stored facts
+# replaced; every node must agree with them.
+
+_CAP_OPS = {"in": 0, "out": 1, "open": 2}
+
+
+def _name_key(n):
+    return (0, n) if isinstance(n, str) else (1, n.name)
+
+
+def _act_key(act):
+    match act:
+        case Tau():
+            return (0,)
+        case Recv(channel=a):
+            return (1, a)
+        case Send(channel=a):
+            return (2, a)
+        case Cap(op=op, amb=n):
+            return (3, _CAP_OPS[op], _name_key(n))
+
+
+def reference_key(node):
+    match node:
+        case Nil():
+            return (0,)
+        case Hole():
+            return (1,)
+        case ProcVar(name=v):
+            return (2, v)
+        case Msg(channel=a):
+            return (3, a)
+        case Prefix(action=act, body=b):
+            return (4, _act_key(act), reference_key(b))
+        case Sum(children=cs):
+            return (5, tuple(reference_key(c) for c in cs))
+        case Amb(name=n, body=b):
+            return (6, _name_key(n), reference_key(b))
+        case Restrict(name=n, body=b):
+            return (7, n, reference_key(b))
+        case Par(children=cs):
+            return (8, tuple(reference_key(c) for c in cs))
+
+
+def _action_names(act):
+    match act:
+        case Recv(channel=a) | Send(channel=a):
+            return {a}
+        case Cap(amb=str(n)):
+            return {n}
+    return set()
+
+
+def reference_free_names(node):
+    match node:
+        case Msg(channel=a):
+            return {a}
+        case Prefix(action=act, body=b):
+            return _action_names(act) | reference_free_names(b)
+        case Sum(children=cs) | Par(children=cs):
+            return set().union(*map(reference_free_names, cs))
+        case Restrict(name=n, body=b):
+            return reference_free_names(b) - {n}
+        case Amb(name=n, body=b):
+            base = reference_free_names(b)
+            return base | {n} if isinstance(n, str) else base
+    return set()
+
+
+def reference_vars(node):
+    match node:
+        case ProcVar(name=v):
+            yield ("proc", v)
+        case Prefix(action=Cap(amb=NameVar(name=x)), body=b):
+            yield ("name", x)
+            yield from reference_vars(b)
+        case Prefix(body=b) | Restrict(body=b):
+            yield from reference_vars(b)
+        case Sum(children=cs) | Par(children=cs):
+            for c in cs:
+                yield from reference_vars(c)
+        case Amb(name=n, body=b):
+            if isinstance(n, NameVar):
+                yield ("name", n.name)
+            yield from reference_vars(b)
+
+
+def reference_holes(node):
+    match node:
+        case Hole():
+            return 1
+        case Prefix(body=b) | Restrict(body=b) | Amb(body=b):
+            return reference_holes(b)
+        case Sum(children=cs) | Par(children=cs):
+            return sum(reference_holes(c) for c in cs)
+    return 0
+
+
+def _subnodes(node):
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(getattr(n, "children", ()))
+        if hasattr(n, "body"):
+            todo.append(n.body)
+
+
+def _assert_facts(node):
+    for n in _subnodes(node):
+        assert n.key == reference_key(n), n
+        assert n.free == reference_free_names(n), n
+        assert isinstance(n.free, frozenset)
+        assert n.vars == tuple(reference_vars(n)), n
+        assert n.holes == reference_holes(n), n
+
+
+@pytest.mark.parametrize("calc,names", [(CCS, ("a", "b")),
+                                        (ACCS, ("a", "b")),
+                                        (MA, ("n", "m"))])
+def test_stored_facts_match_the_reference_on_the_corpus(calc, names):
+    corpus = enumerate_terms(calc, names, count=300)
+    rng = random.Random(5)
+    shapes = [random_term(calc, names, rng, allow_vars=True)
+              for _ in range(200)]
+    for t in corpus + shapes:
+        _assert_facts(t.node)
+
+
+@pytest.mark.parametrize("calc,text", [
+    (CCS, "- | 'a.@X1 + tau.@X2"),
+    (ACCS, "(nu a) (- | a.@X1 | 'b) | @X2"),
+    (MA, "- | ?x[@X2 | in n.@X1]"),
+    (MA, "(nu k) open m.(- | k[out n.@X1 | @X2]) | ?z[0]"),
+])
+def test_stored_facts_match_the_reference_on_labels(calc, text):
+    label = parse_label(text, calc)
+    assert label.body.vars
+    _assert_facts(label.body)
+
+
+def test_stored_facts_match_the_reference_on_its_labels():
+    for t in enumerate_terms(MA, ("n", "m"), count=60):
+        for tr in its_transitions(t):
+            _assert_facts(tr.label.body)
+            _assert_facts(tr.target.node)
+    # Game states also hold capabilities on name variables.
+    _assert_facts(Restrict("k", Par((
+        Prefix(Cap("open", NameVar("y")), Amb("k", ProcVar("X1"))),
+        Amb(NameVar("x"), Prefix(Cap("in", "k"), Hole()))))))
+
+
+def test_facts_share_child_sets_and_tuples():
+    body = Prefix(Recv("a"), ProcVar("X"))
+    node = Restrict("b", Prefix(Send("a"), body))
+    assert node.free is body.free
+    assert node.vars is body.vars
+    assert Prefix(Recv("a"), Nil()).vars is ()
+
+
+def test_deep_chains_have_keys_without_recursion():
+    node = Nil()
+    for _ in range(5000):
+        node = Prefix(Recv("a"), node)
+    assert node.key[:2] == (4, (1, "a"))
+    assert node.free == {"a"}
