@@ -9,8 +9,8 @@
     canonical form keeps every binder in one top-level cluster while CCS
     and ACCS keep binders under prefixes where they started;
   * alpha-rename each binder cluster to f0, f1, ... (smallest names not
-    free in the cluster), trying every binder order and keeping the
-    lexicographically least body;
+    free in the cluster), in the binder order that gives the least body
+    (found by branch and bound, below);
   * sort parallel components and summands by a total order on terms,
     `node_key`, which each node stores when it is built (`terms.Node`).
 
@@ -23,6 +23,28 @@ children and alpha-renaming sorts the components.)  Reduct and ITS
 targets and plugged `- | T` contexts in CCS and ACCS have that shape;
 any other node takes the full pass.
 
+The least binder order is found by branch and bound.  The cluster's
+fresh names are given out least first as strings ("f10" sorts before
+"f2").  A state's bound is the body with every binder not yet assigned
+renamed to one placeholder that sorts just below the next fresh name and
+is not itself of the form f<digits>.  A bound is no greater than the
+body of any completion of its state: keys are lexicographic tuples,
+monotone in each name position, sorting children keeps that order, and
+the placeholder lies below every name a completion gives.  Inner
+clusters (CCS and ACCS keep binders under prefixes) choose their names
+by avoiding their free names: a placeholder blocks nothing, but in a
+completion it is a fresh name the inner cluster may have to skip.  So
+inside a bound an inner cluster with k placeholders among its free names
+gives each binder the least, as a string, of the k + 1 names it could
+get; where an inner cluster's names still differ from a completion's,
+its key is already the smaller at the first name that differs.  States
+are expanded in order of bound and pruned when the bound is no less than
+the best complete body; with one binder left the bound is exact.  Of
+candidates with the same bound, one is skipped when swapping its binder
+with a kept one's maps the body to a congruent body (tested on the body
+as it stands), since its subtree mirrors the kept one's; clusters of
+replicas thus take one descent.
+
 Two terms are structurally congruent exactly when their canonical forms
 are equal, so `equiv` is canonical-form equality.  The pruning step is a
 convention on top of the textbook axiom sets (which cannot derive
@@ -33,17 +55,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from .errors import LbisimError
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
     fresh_name, fresh_names, par, rename_free, restricts,
     same_calculus,
 )
-
-_MAX_CLUSTER = 7  # binder clusters are permuted exhaustively
 
 
 def strip_restricts(node: Node) -> tuple[list[str], Node]:
@@ -161,23 +179,85 @@ def node_key(node: Node):
 
 # --- alpha-canonical renaming and sorting ----------------------------------
 
+_UNSURE = "\U0010ffff"     # ends every placeholder name
+
+
+def _below(name: str) -> str:
+    """A name just below the fresh name `name` in string order that is
+    not itself a fresh name: "f3" gives "f2\\U0010ffff"."""
+    return name[:-1] + chr(ord(name[-1]) - 1) + _UNSURE
+
+
+def _first_key(pair: tuple):
+    return pair[0].key
+
+
 def _alpha(node: Node, env: dict) -> Node:
     if isinstance(node, Restrict):
         names, body = strip_restricts(node)
-        outer_free = {env.get(x, x) for x in node.free}
-        fresh = fresh_names(outer_free, len(names))
-        if len(names) > _MAX_CLUSTER:
-            return restricts(fresh, _alpha_big(names, body, env, fresh))
-        # Every candidate stays alive until the loop ends: the orders
-        # share most subtrees, and a subtree is built once only while
-        # some live node holds it.
-        cands = []
-        orders = permutations(names) if len(names) > 1 else (tuple(names),)
-        for perm in orders:
-            env2 = dict(env)
-            env2.update({perm[i]: fresh[i] for i in range(len(names))})
-            cands.append(_alpha(body, env2))
-        return restricts(fresh, min(cands, key=node_key))
+        outer = [env.get(x, x) for x in node.free]
+        # Inside a bound each placeholder may be a name to skip (see the
+        # module docstring), so take each binder's least possible name.
+        unsure = sum(n.endswith(_UNSURE) for n in outer)
+        fresh = fresh_names(outer, len(names) + unsure)
+        if unsure:
+            fresh = [min(fresh[i:i + unsure + 1]) for i in range(len(names))]
+        # Branch and bound, in this frame so that canonicalising takes one
+        # frame per tree level.  A state has given the len(given) least
+        # fresh names, as strings, to the binders in `given`, in order;
+        # `rest` is unassigned.
+        # `seen` keeps every candidate alive until the search ends: the
+        # candidates share most subtrees, which are built only once while
+        # some live node holds them.
+        order = sorted(fresh)
+        seen = []
+        swaps = {}
+        best = ident = None
+        stack = [(None, (), tuple(names))]
+        while stack:
+            bound, given, rest = stack.pop()
+            if best is not None and bound.key >= best.key:
+                continue
+            k = len(given)
+            base = dict(env)
+            base.update(zip(given, order))
+            if len(rest) > 1:
+                base.update(dict.fromkeys(rest, order[k + 1] if len(rest) == 2
+                                          else _below(order[k + 1])))
+            level = []
+            for b in rest:
+                env2 = dict(base)
+                env2[b] = order[k]
+                level.append((_alpha(body, env2), b))
+            seen.append(level)
+            if len(rest) <= 2:
+                leaf = min(level, key=_first_key)[0]
+                if best is None or leaf.key < best.key:
+                    best = leaf
+                continue
+            level.sort(key=_first_key)
+            # A candidate whose bound equals a kept one's is skipped when
+            # swapping the two binders maps the body to itself.
+            kept = []
+            for cand, b in level:
+                if best is not None and cand.key >= best.key:
+                    break
+                for other, a in kept:
+                    if other is not cand:
+                        continue
+                    pair = frozenset((a, b))
+                    if pair not in swaps:
+                        if ident is None:
+                            ident = _alpha(body, {})
+                        swaps[pair] = _alpha(body, {a: b, b: a}) is ident
+                    if swaps[pair]:
+                        break
+                else:
+                    kept.append((cand, b))
+            for cand, b in reversed(kept):
+                stack.append((cand, given + (b,),
+                              tuple(c for c in rest if c != b)))
+        return restricts(fresh, best)
     match node:
         case Nil() | Hole() | ProcVar():
             return node
@@ -204,50 +284,6 @@ def _alpha(node: Node, env: dict) -> Node:
                 n = env.get(n, n)
             return Amb(n, _alpha(b, env))
     raise TypeError(f"not a node: {node!r}")
-
-
-def _alpha_big(names: list, body: Node, env: dict, fresh: list) -> Node:
-    """Binder clusters too large to permute exhaustively.
-
-    Each binder gets an alpha-invariant signature (the body with that
-    binder marked "self" and its siblings "other"); binders are assigned
-    fresh names in signature order.  Binders with equal signatures must
-    be outright interchangeable — every pairwise swap is recomputed and
-    checked — which covers the practical case of parallel replicas.  A
-    cluster with asymmetric signature ties is rejected rather than given
-    an unstable normal form.
-    """
-    sigs = {}
-    for x in names:
-        env2 = dict(env)
-        for y in names:
-            env2[y] = "\x00self" if y == x else "\x00other"
-        sigs[x] = _alpha(body, env2).key
-    order = {x: i for i, x in enumerate(names)}
-    ordered = sorted(names, key=lambda x: (sigs[x], order[x]))
-    assign = {x: fresh[i] for i, x in enumerate(ordered)}
-    env_base = dict(env)
-    env_base.update(assign)
-    result = _alpha(body, env_base)
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and sigs[ordered[j + 1]] == sigs[ordered[i]]:
-            j += 1
-        for a in range(i, j + 1):
-            for b in range(a + 1, j + 1):
-                swapped = dict(assign)
-                swapped[ordered[a]], swapped[ordered[b]] = \
-                    swapped[ordered[b]], swapped[ordered[a]]
-                env3 = dict(env)
-                env3.update(swapped)
-                if _alpha(body, env3) != result:
-                    raise LbisimError(
-                        f"binder cluster of size {len(names)} exceeds the "
-                        f"exhaustive-permutation maximum of {_MAX_CLUSTER} "
-                        f"and is not symmetric enough to normalise")
-        i = j + 1
-    return result
 
 
 # --- canonical forms -------------------------------------------------------

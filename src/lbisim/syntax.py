@@ -5,13 +5,15 @@ Grammar (identical for terms and labels; labels also admit the hole `-`):
     P ::= "0" | NAME "[" P "]" | PREFIX "." P | "'" NAME
         | "(" "nu" NAME ")" P | P "|" P | S "+" S
         | "@" IDENT | "?" IDENT "[" P "]" | "-"
-    PREFIX ::= "tau" | NAME | "'" NAME | "in" NAME | "out" NAME | "open" NAME
+    PREFIX ::= "tau" | NAME | "'" NAME | CAP NAME | CAP "?" IDENT
+    CAP ::= "in" | "out" | "open"
 
 `.` binds tightest, then `+`, then `|`; `(nu n)` scopes as far right as
 possible.  `tau`, `nu`, `in`, `out` and `open` are reserved words.  Which
 productions are legal depends on the calculus: ambients, `?x[...]` and
-capability prefixes are MA-only, `+` is rejected in MA, the output
-particle `'a` is ACCS-only and the output prefix `'a.P` is CCS-only.
+capability prefixes (`in n`, or `in ?x` on a name variable) are MA-only,
+`+` is rejected in MA, the output particle `'a` is ACCS-only and the
+output prefix `'a.P` is CCS-only.
 """
 from __future__ import annotations
 
@@ -169,7 +171,11 @@ class _Parser:
             if self.calc is not Calculus.MA:
                 self.fail(f"capability prefixes are MA syntax")
             op = self.take().kind
-            n = self.name()
+            if self.peek().kind == "?":
+                self.take()
+                n = NameVar(self.name())
+            else:
+                n = self.name()
             self.expect(".")
             return Prefix(Cap(op, n), self.seq(depth + 1))
         if tok.kind == "tau":

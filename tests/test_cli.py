@@ -386,6 +386,23 @@ def test_deep_inputs_exit_two_or_get_a_verdict(capsys):
         assert err.startswith("parse error: 1:")
 
 
+def test_eight_name_asymmetric_cluster_gets_a_verdict(capsys):
+    # a ring of nested ambients with a chord: no binder order is
+    # interchangeable with another, so every order is a distinct body
+    ks = [f"k{i}" for i in range(1, 9)]
+    comps = [f"{ks[i]}[{ks[(i + 1) % 8]}[0]]" for i in range(8)]
+    comps += ["k1[k3[0]]", "open n.0"]
+    p = "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+    q = "".join(f"(nu {k}) " for k in reversed(ks)) \
+        + f"({' | '.join(reversed(comps))})"
+    for other, verdict in ((q, "equivalent"), ("open n.0", "equivalent"),
+                           ("0", "inequivalent")):
+        code, out, err = run(capsys, "check", "--calculus", "ma", "--rel",
+                             "semi-sat", p, other)
+        assert code == (verdict == "inequivalent"), err
+        assert out.splitlines()[0] == verdict
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2

@@ -1,15 +1,18 @@
 import random
+from itertools import permutations
 
 from lbisim.congruence import (_alpha, _canon_node, _normalize,
                                ambient_cap_matches, ambient_matches,
                                canonical_term, canonicalize, cap_matches,
                                equiv, node_key, particle_matches,
-                               summand_matches)
+                               strip_restricts, summand_matches)
 from lbisim.corpus import (axiom_closure, bounded_closure,
                            check_axiom_soundness, congruent_shuffle,
                            enumerate_terms, random_term)
 from lbisim.syntax import parse_term, print_term
-from lbisim.terms import Calculus, Par, Restrict, Term
+from lbisim.terms import (Amb, Calculus, Cap, Hole, Msg, Nil, Node, Par,
+                          Prefix, ProcVar, Recv, Restrict, Send, Sum, Term,
+                          fresh_names, restricts)
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
 
@@ -145,7 +148,7 @@ def test_ambient_matches_respect_restriction():
 
 
 def test_large_parallel_compositions_stay_tractable():
-    # more restricted names than the exhaustive alpha-permutation bound
+    # a cluster of nine interchangeable binders
     body = " | ".join(f"x{i}[0]" for i in range(9))
     nus = "".join(f"(nu x{i})" for i in range(9))
     t = parse_term(nus + "(" + body + ")", MA)
@@ -196,3 +199,189 @@ def test_parallel_composition_matches_the_full_canonicaliser():
                 is _alpha(_normalize(node, calc), {}), \
                 print_term(Term(calc, node))
         assert with_binders >= 3, calc
+
+
+# --- the binder-order search against exhaustive permutation ----------------
+
+def reference_alpha(node, env):
+    """The least body over every binder order, by trying them all: the
+    canonicaliser's definition, as computed before the search."""
+    if isinstance(node, Restrict):
+        names, body = strip_restricts(node)
+        fresh = fresh_names({env.get(x, x) for x in node.free}, len(names))
+        cands = [reference_alpha(body, {**env, **dict(zip(perm, fresh))})
+                 for perm in permutations(names)]
+        return restricts(fresh, min(cands, key=node_key))
+    match node:
+        case Nil() | Hole() | ProcVar():
+            return node
+        case Msg(channel=a):
+            return Msg(env.get(a, a))
+        case Prefix(action=act, body=b):
+            match act:
+                case Recv(channel=a):
+                    act = Recv(env.get(a, a))
+                case Send(channel=a):
+                    act = Send(env.get(a, a))
+                case Cap(op=op, amb=str(n)):
+                    act = Cap(op, env.get(n, n))
+            return Prefix(act, reference_alpha(b, env))
+        case Sum(children=cs) | Par(children=cs):
+            done = sorted((reference_alpha(c, env) for c in cs),
+                          key=node_key)
+            return type(node)(tuple(done))
+        case Amb(name=n, body=b):
+            return Amb(env.get(n, n) if isinstance(n, str) else n,
+                       reference_alpha(b, env))
+    raise TypeError(f"not a node: {node!r}")
+
+
+def _cluster_sizes(node):
+    if isinstance(node, Restrict):
+        names, node = strip_restricts(node)
+        yield len(names)
+    for field in node.__slots__:
+        value = getattr(node, field)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                yield from _cluster_sizes(child)
+
+
+def _assert_least_order(node, calc):
+    node = _normalize(node, calc)
+    assert _alpha(node, {}) is reference_alpha(node, {}), \
+        print_term(Term(calc, node))
+
+
+def test_search_matches_permutation_on_the_corpus():
+    for calc, names in ((CCS, ("a", "b", "c")), (ACCS, ("a", "b", "c")),
+                        (MA, ("n", "m", "k"))):
+        rng = random.Random(29)
+        terms = [t.node for t in
+                 enumerate_terms(calc, names, count=2000, max_depth=4)]
+        terms += [random_term(calc, names, rng, max_depth=5).node
+                  for _ in range(400)]
+        clustered = 0
+        for node in terms:
+            sizes = list(_cluster_sizes(_normalize(node, calc)))
+            if sizes and 2 <= max(sizes) <= 7:
+                clustered += 1
+                _assert_least_order(node, calc)
+                _assert_least_order(congruent_shuffle(
+                    Term(calc, node), rng).node, calc)
+        assert clustered >= 20, calc
+
+
+def _random_ma_cluster(rng, width):
+    ks = [f"k{i}" for i in range(width)]
+    free = ["n", "m"]
+
+    def proc(depth):
+        r = rng.random()
+        names = ks + free
+        if depth == 0 or r < 0.25:
+            return "0"
+        if r < 0.5:
+            op = rng.choice(("in", "out", "open"))
+            return f"{op} {rng.choice(names)}.{proc(depth - 1)}"
+        if r < 0.85:
+            return f"{rng.choice(names)}[{proc(depth - 1)}]"
+        return f"({proc(depth - 1)} | {proc(depth - 1)})"
+
+    comps = [proc(3) for _ in range(rng.randint(width - 1, width + 2))]
+    return "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+
+
+def _random_graph_cluster(rng, width):
+    """Edges x[y[0]] between the binders, as in big-terms' clusters:
+    many binders tie in the bounds without being interchangeable."""
+    ks = [f"k{i}" for i in range(width)]
+    comps = [f"{rng.choice(ks)}[{rng.choice(ks)}[0]]"
+             for _ in range(rng.randint(width - 1, width + 1))]
+    return "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+
+
+def test_search_matches_permutation_on_random_ma_clusters():
+    rng = random.Random(31)
+    for i in range(600):
+        width = 7 if i % 60 == 0 else rng.randint(2, 6)
+        make = (_random_ma_cluster, _random_graph_cluster)[i % 2]
+        _assert_least_order(parse_term(make(rng, width), MA).node, MA)
+
+
+def _random_nested(rng, calc, outer, free):
+    """Clusters nested under prefixes, whose bodies name free f-names:
+    the fresh names then skip slots, and reach past f9."""
+    def proc(names, depth):
+        r = rng.random()
+        if depth == 0 or r < 0.2:
+            return "0" if calc is CCS or r < 0.1 else f"'{rng.choice(names)}"
+        if r < 0.5:
+            return f"{rng.choice(names)}.{proc(names, depth - 1)}"
+        if r < 0.75:
+            return f"({proc(names, depth - 1)} | {proc(names, depth - 1)})"
+        inner = [f"d{depth}{i}" for i in range(rng.randint(1, 2))]
+        nus = "".join(f"(nu {d})" for d in inner)
+        chain = ".".join(free + rng.sample(names + inner, 2))
+        return (f"t.{nus}({chain}.0 | {proc(names + inner, depth - 1)})")
+
+    comps = [proc(outer, 4) for _ in range(rng.randint(2, 3))]
+    return "".join(f"(nu {o}) " for o in outer) + f"({' | '.join(comps)})"
+
+
+def test_search_matches_permutation_on_nested_clusters():
+    rng = random.Random(37)
+    pools = (["f1", "f3"], [f"f{i}" for i in range(10)])
+    for calc in (CCS, ACCS):
+        for i in range(300):
+            free = [f for f in pools[i % 2] if rng.random() < 0.85]
+            outer = ["a", "b", "c", "e"][:rng.randint(2, 4)]
+            _assert_least_order(parse_term(
+                _random_nested(rng, calc, outer, free), calc).node, calc)
+
+
+def test_inner_clusters_that_skip_past_f9():
+    # Each inner cluster avoids f0-f8 and an outer binder, so it takes f9
+    # or f10, and "f10" sorts before "f9".  In a bound, where the outer
+    # binder is a placeholder, it must take f10 to stay a lower bound.
+    chain = ".".join(f"f{i}" for i in range(9))
+    text = (f"(nu a)(nu b)(nu c)(t.(nu d)(d.a.0 | {chain}.b.0)"
+            f" | t.(nu d)(d.c.0 | {chain}.a.0))")
+    _assert_least_order(parse_term(text, CCS).node, CCS)
+
+
+def _ring(width, chord):
+    """big-terms' cluster: a ring of nested ambients, with one chord to
+    break its symmetry, beside a free `open n.0`."""
+    ks = [f"k{i}" for i in range(1, width + 1)]
+    comps = [f"{ks[i]}[{ks[(i + 1) % width]}[0]]" for i in range(width)]
+    if chord:
+        comps.append(f"{ks[0]}[{ks[2]}[0]]")
+    return ks, comps + ["open n.0"]
+
+
+def test_large_clusters_are_canonical():
+    rng = random.Random(41)
+    for width, chord in ((8, True), (10, True), (12, True), (10, False)):
+        ks, comps = _ring(width, chord)
+        text = "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+        form = canonical_term(parse_term(text, MA))
+        assert canonical_term(form).node is form.node
+        binders, _ = strip_restricts(form.node)
+        assert binders == [f"f{i}" for i in range(width)]
+        for _ in range(3):
+            rng.shuffle(ks)
+            rng.shuffle(comps)
+            again = "".join(f"(nu {k}) " for k in ks) \
+                + f"({' | '.join(comps)})"
+            assert canonical_term(parse_term(again, MA)).node is form.node
+
+
+def test_clusters_past_f9_sort_their_names_as_strings():
+    ks, comps = _ring(12, True)
+    text = "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+    parts = canonicalize(parse_term(text, MA)).parts
+    # the least order gives f0 the chord's foot, then f1 and f10: "f10"
+    # sorts before "f2"
+    assert [print_term(Term(MA, p)) for p in parts[:5]] == [
+        "open n.0", "f0[f1[0]]", "f0[f10[0]]", "f1[f10[0]]", "f10[f11[0]]"]

@@ -49,6 +49,7 @@ from lbisim.equivalence import (
     _keeps_order, _no_residual, _renamed, _solve,
     _SymbolicGame, _variables,
 )
+from lbisim import syntax
 from lbisim.lts import its_transitions
 from lbisim.terms import rename_vars
 
@@ -225,6 +226,32 @@ def test_pred_ccs_golden():
 
 
 # --- witnesses -------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def _printed_labels_parse_back(monkeypatch):
+    """Every label the program prints in these tests, witness moves
+    included, parses back to the node it was printed from."""
+    printed = []
+    print_label = syntax.print_label
+
+    def record(label):
+        printed.append(label)
+        return print_label(label)
+
+    monkeypatch.setattr(syntax, "print_label", record)
+    yield
+    for label in printed:
+        text = print_label(label)
+        assert parse_label(text, label.calculus).body is label.body, text
+
+
+def test_witness_labels_with_capabilities_on_variables_parse_back():
+    p, q = parse_term("out m.a[0]", MA), parse_term("out m.b[0]", MA)
+    for r in (semi_saturated_bisim(p, q), l_bisim(p, q, ALL)):
+        moves = [step.move for step in r.witness if step.kind == "move"]
+        assert any("open ?" in m for m in moves), moves
+        for text in moves:
+            assert print_label(parse_label(text, MA)) == text
 
 def test_witness_replay_across_relations():
     cases = [

@@ -118,6 +118,20 @@ def test_label_roundtrip():
         assert parse_label(print_label(lab), calc).body == lab.body
 
 
+def test_capabilities_on_name_variables():
+    label = parse_label("- | in ?x.@X1 | open ?y.out ?z.0", MA)
+    caps = {(p.action.op, p.action.amb) for p in label.body.children
+            if isinstance(p, Prefix)}
+    assert caps == {("in", NameVar("x")), ("open", NameVar("y"))}
+    assert print_label(label) == "- | in ?x.@X1 | open ?y.out ?z.0"
+    assert parse_term("in ?x.0", MA).node \
+        == Prefix(Cap("in", NameVar("x")), Nil())
+    with pytest.raises(ParseError, match="expected a name"):
+        parse_label("- | in ?.0", MA)
+    with pytest.raises(ParseError, match="capability prefixes are MA"):
+        parse_label("- | in ?x.0", CCS)
+
+
 def test_whitespace_insensitive():
     a = parse_term("a.0|b.0+c.0", CCS)
     b = parse_term(" a.0 | b.0 + c.0 ", CCS)
