@@ -14,14 +14,58 @@
   * sort parallel components and summands by a total order on terms,
     `node_key`, which each node stores when it is built (`terms.Node`).
 
-A parallel composition none of whose children has a binder at the top
-of its canonical form needs neither step: its canonical form is the
-sorted flattened components of the children's canonical forms, which
-the canonical-form cache already holds.  (The full pass computes the
-same node: with no binders to hoist or rename, normalising flattens the
-children and alpha-renaming sorts the components.)  Reduct and ITS
-targets and plugged `- | T` contexts in CCS and ACCS have that shape;
-any other node takes the full pass.
+The canonical form is what one pass doing all of this over the whole
+tree gives (normalise, then rename and sort).  It is built bottom-up
+instead: a node's canonical form comes from its children's, which the
+canonical-form cache `_canon_node` holds, so a subtree shared by many
+terms is canonicalised once.  Each rule gives the node the full pass
+gives, because a canonical form is its own normal form and is already
+sorted:
+
+  * a leaf is its own canonical form;
+  * a CCS or ACCS prefix is the prefix over its body's canonical form
+    (binders stay under prefixes);
+  * a sum is its children's canonical summands, flattened and sorted,
+    with 0 dropped: no summand gives 0, one gives that summand (sums
+    are guarded, so no summand starts with a binder);
+  * a parallel composition none of whose children starts with a binder
+    is the sorted components of its children's canonical forms;
+  * an ambient, or an MA prefix, over a canonical form that starts with
+    no binder is rebuilt over it;
+  * a restriction chain whose binders are all vacuous is its body's
+    canonical form.
+
+With nothing to hoist, prune or rename, the full pass only flattens,
+drops units and sorts, which these rules do.  Binders are placed by the
+search below, run once per cluster on a body whose parts are already
+canonical:
+
+  * a restriction chain is stripped at once; its binders free in the
+    body's canonical form, with the binders at the top of that form,
+    make one cluster over its core;
+  * a parallel composition some of whose children start with binders
+    hoists them all into one cluster over the sorted components,
+    renaming a binder that clashes with a free name or another child's
+    binder;
+  * an ambient n[-] or a capability prefix op n.- over a canonical
+    cluster (nu F) C whose fresh names F do not include n lifts it: the
+    result is (nu F) n[C] as it stands.  The full pass would search the
+    cluster over n[C].  Its fresh names avoid the same free names plus
+    n, which none of them is, so they are F again; and keys are monotone
+    in the body, so the least n[-] body over the binder orders is n[-]
+    around the least C, which is C.  When n is in F the binder named n
+    is renamed and the search runs.
+
+The search renames and sorts every candidate body itself, so its result
+depends on the body only up to the names of the cluster's binders, the
+order of components and the canonical form of subtrees: searching a body
+built from canonical parts gives what the full pass gives on the
+original.  Every body the search sees is built that way, so `_alpha`
+takes canonical input and returns as it stands any subtree that names
+none of the names it renames.  Chains of prefixes, ambients and restrictions are walked in a loop, so
+canonicalising takes a few frames per parallel composition or sum, not
+per level of the tree (the parser accepts chains of
+`syntax.MAX_DEPTH` levels).
 
 The least binder order is found by branch and bound.  The cluster's
 fresh names are given out least first as strings ("f10" sorts before
@@ -57,10 +101,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .terms import (
-    Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
-    fresh_name, fresh_names, par, rename_free, restricts,
-    same_calculus,
+    NIL, Amb, Calculus, Cap, Label, Msg, NameVar, Nil, Node, Par, Prefix,
+    Recv, Restrict, Send, Sum, Tau, Term, fresh_name, fresh_names, par,
+    restricts, same_calculus,
 )
 
 
@@ -80,93 +123,6 @@ def components(node: Node) -> tuple[Node, ...]:
             return ()
         case _:
             return (node,)
-
-
-# --- structural normalisation ----------------------------------------------
-
-def _hoist_out(binders: list[str], core: Node, blocked: frozenset[str]):
-    """Rename binders clashing with `blocked` (names of the surrounding
-    construct) so the cluster can move outward."""
-    out = []
-    for b in binders:
-        if b in blocked or b in out:
-            b2 = fresh_name(set(blocked) | set(out) | set(binders)
-                            | core.free)
-            core = rename_free(core, {b: b2})
-            b = b2
-        out.append(b)
-    return out, core
-
-
-def _normalize(node: Node, calc: Calculus) -> Node:
-    match node:
-        case Nil() | Hole() | Msg() | ProcVar():
-            return node
-        case Prefix(action=act, body=b):
-            b = _normalize(b, calc)
-            if calc is Calculus.MA:
-                bs, core = strip_restricts(b)
-                if bs:
-                    n = act.amb if isinstance(act, Cap) else None
-                    blocked = frozenset((n,)) if isinstance(n, str) else frozenset()
-                    bs, core = _hoist_out(bs, core, blocked)
-                    return restricts(bs, Prefix(act, core))
-            return Prefix(act, b)
-        case Amb(name=n, body=b):
-            b = _normalize(b, calc)
-            bs, core = strip_restricts(b)
-            if bs:
-                blocked = frozenset((n,)) if isinstance(n, str) else frozenset()
-                bs, core = _hoist_out(bs, core, blocked)
-                return restricts(bs, Amb(n, core))
-            return Amb(n, b)
-        case Sum(children=cs):
-            flat: list[Node] = []
-            for c in cs:
-                c = _normalize(c, calc)
-                if isinstance(c, Sum):
-                    flat.extend(c.children)
-                elif not isinstance(c, Nil):
-                    flat.append(c)
-            if not flat:
-                return Nil()
-            if len(flat) == 1:
-                return flat[0]
-            return Sum(tuple(flat))
-        case Par(children=cs):
-            entries: list[tuple[list[str], Node]] = []
-            for c in cs:
-                c = _normalize(c, calc)
-                bs, core = strip_restricts(c)
-                entries.append((list(bs), core))
-            # Move every binder to the front, freshening on clashes with
-            # the other children or the binders already collected.
-            collected: list[str] = []
-            cores = [core for _, core in entries]
-            for i, (bs, _) in enumerate(entries):
-                for b in bs:
-                    others = set(collected)
-                    for j, cj in enumerate(cores):
-                        if j != i:
-                            others |= cj.free
-                    if b in others:
-                        b2 = fresh_name(others | cores[i].free)
-                        cores[i] = rename_free(cores[i], {b: b2})
-                        b = b2
-                    collected.append(b)
-            parts: list[Node] = []
-            for core in cores:
-                parts.extend(p for p in components(core)
-                             if not isinstance(p, Nil))
-            body = par(*parts)
-            return restricts([b for b in collected if b in body.free],
-                             body)
-        case Restrict(name=n, body=b):
-            b = _normalize(b, calc)
-            if n not in b.free:
-                return b
-            return Restrict(n, b)
-    raise TypeError(f"not a node: {node!r}")
 
 
 # --- total order -----------------------------------------------------------
@@ -193,6 +149,10 @@ def _first_key(pair: tuple):
 
 
 def _alpha(node: Node, env: dict) -> Node:
+    """`node` with its free names renamed by `env`, in canonical form;
+    a restriction chain is one cluster, placed by the search.  `node`
+    must be canonical but for the names `env` renames: a child that
+    names none of them is returned as it stands."""
     if isinstance(node, Restrict):
         names, body = strip_restricts(node)
         outer = [env.get(x, x) for x in node.free]
@@ -202,7 +162,7 @@ def _alpha(node: Node, env: dict) -> Node:
         fresh = fresh_names(outer, len(names) + unsure)
         if unsure:
             fresh = [min(fresh[i:i + unsure + 1]) for i in range(len(names))]
-        # Branch and bound, in this frame so that canonicalising takes one
+        # Branch and bound, in this frame so that renaming takes one
         # frame per tree level.  A state has given the len(given) least
         # fresh names, as strings, to the binders in `given`, in order;
         # `rest` is unassigned.
@@ -212,7 +172,7 @@ def _alpha(node: Node, env: dict) -> Node:
         order = sorted(fresh)
         seen = []
         swaps = {}
-        best = ident = None
+        best = None
         stack = [(None, (), tuple(names))]
         while stack:
             bound, given, rest = stack.pop()
@@ -247,9 +207,7 @@ def _alpha(node: Node, env: dict) -> Node:
                         continue
                     pair = frozenset((a, b))
                     if pair not in swaps:
-                        if ident is None:
-                            ident = _alpha(body, {})
-                        swaps[pair] = _alpha(body, {a: b, b: a}) is ident
+                        swaps[pair] = _alpha(body, {a: b, b: a}) is body
                     if swaps[pair]:
                         break
                 else:
@@ -259,8 +217,6 @@ def _alpha(node: Node, env: dict) -> Node:
                               tuple(c for c in rest if c != b)))
         return restricts(fresh, best)
     match node:
-        case Nil() | Hole() | ProcVar():
-            return node
         case Msg(channel=a):
             return Msg(env.get(a, a))
         case Prefix(action=act, body=b):
@@ -272,18 +228,25 @@ def _alpha(node: Node, env: dict) -> Node:
                 case Cap(op=op, amb=n):
                     if isinstance(n, str):
                         act = Cap(op, env.get(n, n))
-            return Prefix(act, _alpha(b, env))
-        case Sum(children=cs):
-            done = sorted((_alpha(c, env) for c in cs), key=node_key)
-            return Sum(tuple(done))
-        case Par(children=cs):
-            done = sorted((_alpha(c, env) for c in cs), key=node_key)
-            return Par(tuple(done))
+            if not b.free.isdisjoint(env):
+                b = _alpha(b, env)
+            return Prefix(act, b)
+        case Sum(children=cs) | Par(children=cs):
+            done = sorted((c if c.free.isdisjoint(env) else _alpha(c, env)
+                           for c in cs), key=node_key)
+            return type(node)(tuple(done))
         case Amb(name=n, body=b):
             if isinstance(n, str):
                 n = env.get(n, n)
-            return Amb(n, _alpha(b, env))
-    raise TypeError(f"not a node: {node!r}")
+            if not b.free.isdisjoint(env):
+                b = _alpha(b, env)
+            return Amb(n, b)
+    return node
+
+
+def _cluster(names, body: Node) -> Node:
+    """(nu names) body in canonical form; `body` must be canonical."""
+    return _alpha(restricts(names, body), {})
 
 
 # --- canonical forms -------------------------------------------------------
@@ -313,16 +276,89 @@ class CanonicalForm:
 
 @lru_cache(maxsize=1 << 17)
 def _canon_node(calc: Calculus, node: Node) -> Node:
+    """The canonical form of `node`, built from its children's (see the
+    module docstring).  A chain of prefixes, ambients and restrictions is
+    walked in a loop, and the node below it is looked up here."""
+    chain = []
+    while isinstance(node, (Prefix, Amb, Restrict)):
+        chain.append(node)
+        node = node.body
     if isinstance(node, Par):
-        parts: list[Node] = []
-        for c in node.children:
-            c = _canon_node(calc, c)
-            if isinstance(c, Restrict):
-                break
-            parts.extend(components(c))
-        else:
-            return par(*sorted(parts, key=node_key))
-    return _alpha(_normalize(node, calc), {})
+        form = _canon_node(calc, node) if chain else _par(calc, node)
+    elif isinstance(node, Sum):
+        form = _canon_node(calc, node) if chain else _sum(calc, node)
+    else:
+        form = node
+    names: list[str] = []           # a restriction chain, innermost first
+    for top in reversed(chain):
+        if isinstance(top, Restrict):
+            names.append(top.name)
+            continue
+        if names:
+            form = _restrict(names, form)
+            names = []
+        form = _enclose(calc, top, form)
+    return _restrict(names, form) if names else form
+
+
+def _sum(calc: Calculus, node: Sum) -> Node:
+    flat: list[Node] = []
+    for c in node.children:
+        c = _canon_node(calc, c)
+        if isinstance(c, Sum):
+            flat.extend(c.children)
+        elif not isinstance(c, Nil):
+            flat.append(c)
+    if not flat:
+        return NIL
+    if len(flat) == 1:
+        return flat[0]
+    return Sum(tuple(sorted(flat, key=node_key)))
+
+
+def _par(calc: Calculus, node: Par) -> Node:
+    parts: list[Node] = []
+    binders: list[str] = []
+    taken = node.free               # free names, then binders placed so far
+    for c in node.children:
+        c = _canon_node(calc, c)
+        if isinstance(c, Restrict):
+            fs, c = strip_restricts(c)
+            ren = {}
+            for f in fs:
+                if f in taken:
+                    ren[f] = f = fresh_name(taken | set(fs))
+                taken = taken | {f}
+                binders.append(f)
+            if ren:
+                c = _alpha(c, ren)
+        parts.extend(components(c))
+    body = par(*sorted(parts, key=node_key))
+    return _cluster(binders, body) if binders else body
+
+
+def _restrict(names: list[str], form: Node) -> Node:
+    """(nu names) over the canonical form `form`; `names` innermost
+    first, so an inner binder shadows an outer one of the same name."""
+    kept = [n for n in dict.fromkeys(names) if n in form.free]
+    return _cluster(kept, form) if kept else form
+
+
+def _enclose(calc: Calculus, top: Prefix | Amb, form: Node) -> Node:
+    """`top` rebuilt over the canonical form `form` of its body."""
+    kind = type(top)
+    head = top.action if kind is Prefix else top.name
+    if not isinstance(form, Restrict) or (kind is Prefix
+                                          and calc is not Calculus.MA):
+        return top if form is top.body else kind(head, form)
+    n = getattr(head, "amb", head)  # the ambient's or the capability's name
+    fs, core = strip_restricts(form)
+    if n not in fs:
+        return restricts(fs, kind(head, core))
+    # The binder named n would capture the context's name: rename it.
+    n2 = fresh_name(core.free)
+    return _cluster([n2 if f == n else f for f in fs],
+                    kind(head, _alpha(core, {n: n2})))
 
 
 def canonical_node(term: Term) -> Node:

@@ -42,6 +42,11 @@ class Calculus(Enum):
     ACCS = "accs"
     MA = "ma"
 
+    # Members are singletons, so identity hashing (in C) agrees with
+    # equality; `Enum.__hash__` is Python code that hashes the name, and
+    # every cache key holds a calculus.
+    __hash__ = object.__hash__
+
 
 # --- syntax tree -----------------------------------------------------------
 

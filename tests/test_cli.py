@@ -386,6 +386,24 @@ def test_deep_inputs_exit_two_or_get_a_verdict(capsys):
         assert err.startswith("parse error: 1:")
 
 
+def test_deep_capability_chain_over_a_cluster_gets_a_verdict(capsys):
+    # the deepest chain the parser accepts: a frame per capability, one
+    # for the restriction and five for the ambient's brackets, under the
+    # three frames of the enclosing rules
+    deepest = MAX_DEPTH - 9
+    check = ("check", "--calculus", "ma", "--rel", "semi-sat")
+    p = "in a." * deepest + "(nu k) k[0]"
+    code, out, err = run(capsys, *check, p, "0")
+    assert code == 1, err
+    assert out.splitlines()[0] == "inequivalent"
+    code, out, err = run(capsys, *check, p.replace("k", "j"), p)
+    assert code == 0, err
+    assert out.splitlines()[0] == "equivalent"
+    code, out, err = run(capsys, *check, "in a." + p, "0")
+    assert code == 2 and not out
+    assert f"nested deeper than the parser's limit of {MAX_DEPTH}" in err
+
+
 def test_eight_name_asymmetric_cluster_gets_a_verdict(capsys):
     # a ring of nested ambients with a chord: no binder order is
     # interchangeable with another, so every order is a distinct body

@@ -1,18 +1,20 @@
 import random
 from itertools import permutations
 
-from lbisim.congruence import (_alpha, _canon_node, _normalize,
-                               ambient_cap_matches, ambient_matches,
-                               canonical_term, canonicalize, cap_matches,
-                               equiv, node_key, particle_matches,
-                               strip_restricts, summand_matches)
+import lbisim.congruence as congruence
+from lbisim.congruence import (_canon_node, ambient_cap_matches,
+                               ambient_matches, canonical_term, canonicalize,
+                               cap_matches, components, equiv, node_key,
+                               particle_matches, strip_restricts,
+                               summand_matches)
 from lbisim.corpus import (axiom_closure, bounded_closure,
                            check_axiom_soundness, congruent_shuffle,
                            enumerate_terms, random_term)
 from lbisim.syntax import parse_term, print_term
 from lbisim.terms import (Amb, Calculus, Cap, Hole, Msg, Nil, Node, Par,
-                          Prefix, ProcVar, Recv, Restrict, Send, Sum, Term,
-                          fresh_names, restricts)
+                          Prefix, ProcVar, Recv, Restrict, Send, Sum, Tau,
+                          Term, fresh_name, fresh_names, par, rename_free,
+                          restricts)
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
 
@@ -167,45 +169,103 @@ def test_canonical_form_keeps_its_node():
     assert cf.binders == ("f0",) and len(cf.parts) == 3
 
 
-# Children whose canonical form starts with a binder: a restriction, and
-# in MA binders that hoist out of an ambient or a capability prefix.
-_BINDER_CHILDREN = {
-    CCS: ("(nu c) c.0", "(nu c)(c.0 | 'c.a.0)"),
-    ACCS: ("(nu c) 'c", "(nu c)(c.0 | 'c)"),
-    MA: ("(nu k) k[0]", "n[(nu k) k[open k.0]]", "open n.(nu k) k[0]"),
-}
+# --- the canonicaliser against the full pass --------------------------------
+#
+# `reference_canon` canonicalises in one pass over the whole tree:
+# normalise (units, flattening, pruning, hoisting), then give every
+# binder cluster the least body over all its binder orders.
+# `_canon_node` builds the same node bottom-up, from its children's
+# canonical forms, and finds the least order by branch and bound.
+
+def _hoist_out(binders, core, blocked):
+    """Rename binders clashing with `blocked` (names of the surrounding
+    construct) so the cluster can move outward."""
+    out = []
+    for b in binders:
+        if b in blocked or b in out:
+            b2 = fresh_name(set(blocked) | set(out) | set(binders)
+                            | core.free)
+            core = rename_free(core, {b: b2})
+            b = b2
+        out.append(b)
+    return out, core
 
 
-def test_parallel_composition_matches_the_full_canonicaliser():
-    """Composing the children's canonical forms gives the node the full
-    normalise-and-rename pass gives, and a child with binders makes the
-    composition take that pass."""
-    rng = random.Random(11)
-    for calc in (CCS, ACCS, MA):
-        binder = [parse_term(s, calc).node for s in _BINDER_CHILDREN[calc]]
-        corpus = [t.node for t in
-                  enumerate_terms(calc, ("a", "b"), count=320, max_depth=3)]
-        corpus += binder
-        groups = [tuple(rng.choice(corpus) for _ in range(k))
-                  for k in (2, 3) for _ in range(300)]
-        groups += [(c, rng.choice(corpus)) for c in binder]
-        with_binders = 0
-        for children in groups:
-            node = Par(children)
-            if any(isinstance(_canon_node(calc, c), Restrict)
-                   for c in children):
-                with_binders += 1
-            assert _canon_node(calc, node) \
-                is _alpha(_normalize(node, calc), {}), \
-                print_term(Term(calc, node))
-        assert with_binders >= 3, calc
+def reference_normalize(node, calc):
+    match node:
+        case Nil() | Hole() | Msg() | ProcVar():
+            return node
+        case Prefix(action=act, body=b):
+            b = reference_normalize(b, calc)
+            if calc is MA:
+                bs, core = strip_restricts(b)
+                if bs:
+                    n = act.amb if isinstance(act, Cap) else None
+                    blocked = frozenset((n,)) if isinstance(n, str) \
+                        else frozenset()
+                    bs, core = _hoist_out(bs, core, blocked)
+                    return restricts(bs, Prefix(act, core))
+            return Prefix(act, b)
+        case Amb(name=n, body=b):
+            b = reference_normalize(b, calc)
+            bs, core = strip_restricts(b)
+            if bs:
+                blocked = frozenset((n,)) if isinstance(n, str) \
+                    else frozenset()
+                bs, core = _hoist_out(bs, core, blocked)
+                return restricts(bs, Amb(n, core))
+            return Amb(n, b)
+        case Sum(children=cs):
+            flat = []
+            for c in cs:
+                c = reference_normalize(c, calc)
+                if isinstance(c, Sum):
+                    flat.extend(c.children)
+                elif not isinstance(c, Nil):
+                    flat.append(c)
+            if not flat:
+                return Nil()
+            if len(flat) == 1:
+                return flat[0]
+            return Sum(tuple(flat))
+        case Par(children=cs):
+            entries = []
+            for c in cs:
+                bs, core = strip_restricts(reference_normalize(c, calc))
+                entries.append((list(bs), core))
+            # Move every binder to the front, freshening on clashes with
+            # the other children or the binders already collected.
+            collected = []
+            cores = [core for _, core in entries]
+            for i, (bs, _) in enumerate(entries):
+                for b in bs:
+                    others = set(collected)
+                    for j, cj in enumerate(cores):
+                        if j != i:
+                            others |= cj.free
+                    if b in others:
+                        b2 = fresh_name(others | cores[i].free)
+                        cores[i] = rename_free(cores[i], {b: b2})
+                        b = b2
+                    collected.append(b)
+            parts = []
+            for core in cores:
+                parts.extend(p for p in components(core)
+                             if not isinstance(p, Nil))
+            body = par(*parts)
+            return restricts([b for b in collected if b in body.free],
+                             body)
+        case Restrict(name=n, body=b):
+            b = reference_normalize(b, calc)
+            if n not in b.free:
+                return b
+            return Restrict(n, b)
+    raise TypeError(f"not a node: {node!r}")
 
-
-# --- the binder-order search against exhaustive permutation ----------------
 
 def reference_alpha(node, env):
-    """The least body over every binder order, by trying them all: the
-    canonicaliser's definition, as computed before the search."""
+    """The least body over every binder order of each cluster of the
+    normalised `node`, by trying them all."""
     if isinstance(node, Restrict):
         names, body = strip_restricts(node)
         fresh = fresh_names({env.get(x, x) for x in node.free}, len(names))
@@ -236,6 +296,48 @@ def reference_alpha(node, env):
     raise TypeError(f"not a node: {node!r}")
 
 
+def reference_canon(node, calc):
+    return reference_alpha(reference_normalize(node, calc), {})
+
+
+def _assert_canonical(node, calc):
+    assert _canon_node(calc, node) is reference_canon(node, calc), \
+        print_term(Term(calc, node))
+
+
+# Children whose canonical form starts with a binder: a restriction, and
+# in MA binders that hoist out of an ambient or a capability prefix.
+_BINDER_CHILDREN = {
+    CCS: ("(nu c) c.0", "(nu c)(c.0 | 'c.a.0)"),
+    ACCS: ("(nu c) 'c", "(nu c)(c.0 | 'c)"),
+    MA: ("(nu k) k[0]", "n[(nu k) k[open k.0]]", "open n.(nu k) k[0]"),
+}
+
+
+def test_parallel_composition_matches_the_full_canonicaliser():
+    """Composing the children's canonical forms gives the node the full
+    normalise-and-rename pass gives, also when children start with
+    binders."""
+    rng = random.Random(11)
+    for calc in (CCS, ACCS, MA):
+        binder = [parse_term(s, calc).node for s in _BINDER_CHILDREN[calc]]
+        corpus = [t.node for t in
+                  enumerate_terms(calc, ("a", "b"), count=320, max_depth=3)]
+        corpus += binder
+        groups = [tuple(rng.choice(corpus) for _ in range(k))
+                  for k in (2, 3) for _ in range(300)]
+        groups += [(c, rng.choice(corpus)) for c in binder]
+        with_binders = 0
+        for children in groups:
+            if any(isinstance(_canon_node(calc, c), Restrict)
+                   for c in children):
+                with_binders += 1
+            _assert_canonical(Par(children), calc)
+        assert with_binders >= 3, calc
+
+
+# --- the binder-order search against exhaustive permutation ----------------
+
 def _cluster_sizes(node):
     if isinstance(node, Restrict):
         names, node = strip_restricts(node)
@@ -245,12 +347,6 @@ def _cluster_sizes(node):
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, Node):
                 yield from _cluster_sizes(child)
-
-
-def _assert_least_order(node, calc):
-    node = _normalize(node, calc)
-    assert _alpha(node, {}) is reference_alpha(node, {}), \
-        print_term(Term(calc, node))
 
 
 def test_search_matches_permutation_on_the_corpus():
@@ -263,11 +359,11 @@ def test_search_matches_permutation_on_the_corpus():
                   for _ in range(400)]
         clustered = 0
         for node in terms:
-            sizes = list(_cluster_sizes(_normalize(node, calc)))
+            sizes = list(_cluster_sizes(_canon_node(calc, node)))
             if sizes and 2 <= max(sizes) <= 7:
                 clustered += 1
-                _assert_least_order(node, calc)
-                _assert_least_order(congruent_shuffle(
+                _assert_canonical(node, calc)
+                _assert_canonical(congruent_shuffle(
                     Term(calc, node), rng).node, calc)
         assert clustered >= 20, calc
 
@@ -306,7 +402,7 @@ def test_search_matches_permutation_on_random_ma_clusters():
     for i in range(600):
         width = 7 if i % 60 == 0 else rng.randint(2, 6)
         make = (_random_ma_cluster, _random_graph_cluster)[i % 2]
-        _assert_least_order(parse_term(make(rng, width), MA).node, MA)
+        _assert_canonical(parse_term(make(rng, width), MA).node, MA)
 
 
 def _random_nested(rng, calc, outer, free):
@@ -336,7 +432,7 @@ def test_search_matches_permutation_on_nested_clusters():
         for i in range(300):
             free = [f for f in pools[i % 2] if rng.random() < 0.85]
             outer = ["a", "b", "c", "e"][:rng.randint(2, 4)]
-            _assert_least_order(parse_term(
+            _assert_canonical(parse_term(
                 _random_nested(rng, calc, outer, free), calc).node, calc)
 
 
@@ -347,7 +443,7 @@ def test_inner_clusters_that_skip_past_f9():
     chain = ".".join(f"f{i}" for i in range(9))
     text = (f"(nu a)(nu b)(nu c)(t.(nu d)(d.a.0 | {chain}.b.0)"
             f" | t.(nu d)(d.c.0 | {chain}.a.0))")
-    _assert_least_order(parse_term(text, CCS).node, CCS)
+    _assert_canonical(parse_term(text, CCS).node, CCS)
 
 
 def _ring(width, chord):
@@ -385,3 +481,107 @@ def test_clusters_past_f9_sort_their_names_as_strings():
     # sorts before "f2"
     assert [print_term(Term(MA, p)) for p in parts[:5]] == [
         "open n.0", "f0[f1[0]]", "f0[f10[0]]", "f1[f10[0]]", "f10[f11[0]]"]
+
+
+# --- bottom-up canonicalisation ---------------------------------------------
+
+def _contexts(calc):
+    """Each kind of context as a map from node to node: prefix, ambient
+    (MA) or sum (CCS, ACCS), parallel beside a binder and beside a free
+    f0 (both clash with the node's first fresh name), and a restriction
+    chain."""
+    if calc is MA:
+        return (lambda p: Prefix(Cap("in", "n"), p),
+                lambda p: Amb("m", p),
+                lambda p: Par((p, Restrict("k", Amb("k", Nil())))),
+                lambda p: Par((p, Amb("f0", Nil()))),
+                lambda p: restricts(("n", "k", "n"), p))
+    return (lambda p: Prefix(Recv("a"), p),
+            lambda p: Sum((p if isinstance(p, (Prefix, Sum)) else
+                           Prefix(Tau(), p), Prefix(Recv("b"), Nil()))),
+            lambda p: Par((p, Restrict("c", Prefix(Recv("c"), Nil())))),
+            lambda p: Par((p, Prefix(Recv("f0"), Nil()))),
+            lambda p: restricts(("a", "c", "a"), p))
+
+
+def test_bottom_up_matches_the_full_pass_on_the_corpus():
+    for calc, names in ((CCS, ("a", "b", "c")), (ACCS, ("a", "b", "c")),
+                        (MA, ("n", "m", "k"))):
+        rng = random.Random(43)
+        terms = [t.node for t in
+                 enumerate_terms(calc, names, count=600, max_depth=4)]
+        terms += [random_term(calc, names, rng, max_depth=5).node
+                  for _ in range(150)]
+        for node in terms:
+            _assert_canonical(node, calc)
+            for context in _contexts(calc):
+                _assert_canonical(context(node), calc)
+
+
+def _cluster_text(ks, comps):
+    return "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+
+
+def test_bottom_up_matches_the_full_pass_on_ma_clusters():
+    # big-terms' shapes: rings with a chord, and bare replicas
+    shapes = [_ring(w, w > 2) for w in range(1, 8)]
+    for w in (4, 8):
+        ks = [f"k{i}" for i in range(1, w + 1)]
+        shapes.append((ks, [f"{k}[0]" for k in ks] + ["open n.0"]))
+    for ks, comps in shapes:
+        node = parse_term(_cluster_text(ks, comps), MA).node
+        for context in (lambda p: p, lambda p: Amb("n", p),
+                        lambda p: Prefix(Cap("in", "n"), p)):
+            _assert_canonical(context(node), MA)
+
+
+def test_contexts_named_like_a_fresh_name():
+    # The cluster cannot be lifted through a context whose name is one
+    # of its fresh names; the binder is renamed and the search runs.
+    assert canon("f0[(nu k) k[0]]", MA) == "(nu f1) f0[f1[0]]"
+    frees = " | ".join(f"f{i}[0]" for i in range(10))
+    for text in ("f0[(nu k) k[0]]", "in f1.(nu k)(nu j) k[j[0]]",
+                 "open f0.(nu k)(nu j)(k[j[0]] | f1[0])",
+                 f"f10[(nu k)(k[0] | {frees})]",
+                 f"out f11.(nu k)(nu j)(k[j[0]] | {frees})",
+                 f"f10[f11[(nu k)(nu j) k[j[f0[0]]] | {frees}]]"):
+        _assert_canonical(parse_term(text, MA).node, MA)
+
+
+def test_bottom_up_matches_the_full_pass_on_nested_clusters():
+    rng = random.Random(47)
+    pools = (["f1", "f3"], [f"f{i}" for i in range(10)])
+    for calc in (CCS, ACCS):
+        for i in range(100):
+            free = [f for f in pools[i % 2] if rng.random() < 0.85]
+            outer = ["a", "b", "c", "e"][:rng.randint(2, 4)]
+            node = parse_term(_random_nested(rng, calc, outer, free),
+                              calc).node
+            for context in _contexts(calc):
+                _assert_canonical(context(node), calc)
+
+
+def test_one_binder_search_per_cluster(monkeypatch):
+    """A cluster under k capabilities or k ambients is searched once,
+    then lifted through each of them."""
+    searches = []
+    alpha = congruence._alpha
+
+    def counting(node, env):
+        if isinstance(node, Restrict):
+            searches.append(node)
+        return alpha(node, env)
+
+    monkeypatch.setattr(congruence, "_alpha", counting)
+    ring = parse_term(_cluster_text(*_ring(4, True)), MA).node
+    for k in (0, 1, 2, 8, 40):
+        for wrap in (lambda p: Prefix(Cap("in", "a"), p),
+                     lambda p: Amb("m", p)):
+            node = ring
+            for _ in range(k):
+                node = wrap(node)
+            _canon_node.cache_clear()
+            searches.clear()
+            form = _canon_node(MA, node)
+            assert len(searches) == 1, (k, len(searches))
+            assert strip_restricts(form)[0] == ["f0", "f1", "f2", "f3"]

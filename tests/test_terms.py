@@ -185,6 +185,19 @@ def test_copy_and_pickle_return_the_interned_node():
     assert pickle.loads(pickle.dumps(term)).node is node
 
 
+def test_calculus_members_hash_by_identity():
+    assert list(Calculus) == [CCS, ACCS, MA]
+    assert Calculus("ma") is MA and Calculus["ACCS"] is ACCS
+    assert MA.value == "ma" and MA.name == "MA"
+    assert hash(MA) == object.__hash__(MA)
+    assert pickle.loads(pickle.dumps(MA)) is MA
+    assert copy.deepcopy(CCS) is CCS
+    assert MA in {MA, CCS} and ACCS not in {MA, CCS}
+    assert {Calculus("ccs"): 1}[CCS] == 1
+    assert Term(MA, Nil()) == pickle.loads(pickle.dumps(Term(MA, Nil())))
+    assert len({Term(CCS, Nil()), Term(CCS, Nil()), Term(MA, Nil())}) == 2
+
+
 def test_intern_table_is_weak():
     gc.collect()
     before = len(terms._INTERNED)
