@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .congruence import canonical_term, node_key
+from .congruence import canonical_label, canonical_term, equiv, node_key
 from .equivalence import (
     ALL, EMPTY, LA, LCCS, LM, LabelSet, async_bisim, is_capturing, l_bisim,
     pred_ccs, pred_open, strong_bisim,
@@ -30,7 +30,7 @@ from .reduction import barbs, reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Substitution, Sum, Tau, Term,
-    free_names, par, plug,
+    free_names, fresh_name, par, plug, rename_free,
 )
 from .syntax import parse_label, parse_term, print_label, print_term
 
@@ -138,7 +138,7 @@ def random_term(calc: Calculus, names, rng: random.Random, *,
     return Term(calc, node)
 
 
-def _random_node(calc, names, rng, fuel, allow_vars, vars_counter) -> Node:
+def _random_node(calc, names, rng, fuel, allow_vars, var_ids) -> Node:
     choices = ["nil", "prefix", "prefix"]
     if fuel > 0:
         choices += ["par", "par", "restrict"]
@@ -156,23 +156,23 @@ def _random_node(calc, names, rng, fuel, allow_vars, vars_counter) -> Node:
         case "msg":
             return Msg(rng.choice(names))
         case "pvar":
-            return ProcVar(f"Y{next(vars_counter)}")
+            return ProcVar(f"Y{next(var_ids)}")
         case "prefix":
             act = rng.choice(_actions(calc, names))
             return Prefix(act, _random_node(calc, names, rng, fuel - 1,
-                                            allow_vars, vars_counter))
+                                            allow_vars, var_ids))
         case "restrict":
             return Restrict(rng.choice(names),
                             _random_node(calc, names, rng, fuel - 1,
-                                         allow_vars, vars_counter))
+                                         allow_vars, var_ids))
         case "amb":
             return Amb(rng.choice(names),
                        _random_node(calc, names, rng, fuel - 1,
-                                    allow_vars, vars_counter))
+                                    allow_vars, var_ids))
         case "par":
             k = rng.choice((2, 2, 3))
             return Par(tuple(_random_node(calc, names, rng, fuel - 1,
-                                          allow_vars, vars_counter)
+                                          allow_vars, var_ids)
                              for _ in range(k)))
         case "sum":
             parts = []
@@ -180,7 +180,7 @@ def _random_node(calc, names, rng, fuel, allow_vars, vars_counter) -> Node:
                 act = rng.choice(_actions(calc, names))
                 parts.append(Prefix(act, _random_node(calc, names, rng,
                                                       fuel - 1, allow_vars,
-                                                      vars_counter)))
+                                                      var_ids)))
             return Sum(tuple(parts))
     raise AssertionError
 
@@ -255,7 +255,6 @@ def _shuffle(node: Node, rng, calc) -> Node:
                          if m != n and m not in free_names(b)]
                 if fresh:
                     m = rng.choice(fresh)
-                    from .terms import rename_free
                     node = Restrict(m, rename_free(b, {n: m}))
             elif r < 0.4 and isinstance(b, Restrict):
                 node = Restrict(b.name, Restrict(n, b.body))
@@ -343,7 +342,6 @@ def _axiom_neighbours(node: Node, calc: Calculus, pool):
                     yield rest[0] if len(rest) == 1 else Sum(rest)
             yield Sum(cs + (Nil(),))
         case Restrict(name=n, body=b):
-            from .terms import rename_free
             for m in pool:                     # alpha
                 if m != n and m not in free_names(b):
                     yield Restrict(m, rename_free(b, {n: m}))
@@ -496,7 +494,6 @@ def check_idempotence(calc: Calculus, count: int, rng: random.Random,
 
 def check_shuffle_equiv(calc: Calculus, count: int, rng: random.Random,
                         names=("a", "b", "c")) -> CheckOutcome:
-    from .congruence import equiv
     fails = []
     for _ in range(count):
         t = random_term(calc, names, rng)
@@ -540,7 +537,6 @@ def _expected_its(calc: Calculus, term: Term):
             else:
                 label = par(Hole(), Msg(tr.action))
                 tgt = tr.target.node
-        from .congruence import canonical_label
         lab = canonical_label(Label(calc, label))
         expected.add((lab.body,
                       canonical_term(Term(calc, tgt)).node))
@@ -559,7 +555,6 @@ def check_lts_correspondence(calc: Calculus, corpus) -> CheckOutcome:
 
 def check_barb_capturing(corpus) -> CheckOutcome:
     """MA: P has barb n iff P has a transition labelled - | open n.X1."""
-    from .congruence import canonical_label
     fails = []
     x1 = ProcVar("X1")
     names: set[str] = set()
@@ -626,8 +621,6 @@ def _label_parts(body):
 
 def _pred_open_targets(t: Term, n: str, t1: Term) -> set:
     """Outcome set of the two-step marker protocol, computed blindly."""
-    m = None
-    from .terms import fresh_name
     m = fresh_name(free_names(t.node) | free_names(t1.node) | {n})
     ctx = Label(Calculus.MA,
                 par(Hole(),
@@ -690,7 +683,6 @@ def _chan_of(tr):
 
 
 def _pred_ccs_targets(kind: str, t: Term, a: str, t1: Term) -> set:
-    from .terms import fresh_name
     i = fresh_name(free_names(t.node) | free_names(t1.node) | {a})
     inner = par(Prefix(Send(i), Nil()), t1.node)
     probe = (Prefix(Send(a), inner) if kind == "out"

@@ -26,41 +26,40 @@ The relations:
     refused).  With a pool, the same game closes label variables over
     the pool instead of playing them symbolically.
 
-Symbolic moves carry the canonical label variables X1, X2, x; the engine
-freshens them to per-pair constants so that the attacker's and defender's
-residuals share them.  A label may also name a variable of the state it
-leaves (the ambient ?p10 of `- | open ?p10.@X1`): that variable keeps
-its name, so the defender is plugged into the same context.  A constant
-is `V` (process) or `v` (name) followed by a game-wide counter spelt as
-its digit count and then its digits (V19, V210, ...), so it sorts as a
-string after every earlier constant, and a move's label variables get
-their constants in sorted order.  Canonical forms compare a variable
-only with variables of its own kind, by name, and normalisation never
-looks at variables; so a renaming that keeps the order of a canonical
-state's process variables and of its name variables leaves it
-canonical.  A freshened target is therefore used as it stands (X1 and
-X2 sort after every V constant, x after every v constant, and so do
-their fresh names); `_renamed` canonicalises again only a state whose
-renaming reorders its variables.
+Symbolic moves carry the canonical label variables X1, X2, x, and the
+engine keeps them: the attacker's and the defender's residuals share
+them because both sides take them from the same label.  A label may
+also name a variable of the state it leaves (the ambient ?p10 of
+`- | open ?p10.@X1`): the defender is plugged into the same context.
+The game asks for moves only of its stored pairs, whose variables all
+carry class names (below), and a witness replay only of states whose
+variables are W1, w2, ...; neither is ever X1, X2 or x, so a label
+variable never clashes with a variable of the state it leaves.
 
-Pairs up to renaming.  Since label variables are fresh, inert
-constants, renaming a pair's variables injectively renames its moves
-and changes nothing else.  So the game keeps one pair per renaming
-class: `_solve` renames a pair's process variables jointly, in sorted
-order, to P10, P11, ... and its name variables to p10, p11, ... (the
-class names, spelt as the constants are), and stores the pair under
-them.  Class names sort below every constant and label variable, and
-the renaming keeps the order of each kind, so the stored states are
-canonical as they stand.  Each answer links its successor's key with
-the inverse renaming, from the successor's class names back to the
-names of the pair that played it.  Witnesses follow those links: they
-re-number the constants W1, W2, ... (w1 ... for name variables) step by
-step, in states and in labels alike, carry that numbering to the next
-pair through the inverse renaming and print each answer as it was
-played; `verify_witness` replays a witness through the attacks and
-answers of the game that produced it.  The solver computes answers only
-for the attacks it reaches: a pair that dies on its first attack
-computes none for the rest.
+Pairs up to renaming.  Label variables are inert (a process @X1 has no
+move, a name ?x is never restricted), so renaming a pair's variables
+injectively renames its moves and changes nothing else.  So the game
+keeps one pair per renaming class: `_solve` renames a pair's process
+variables jointly, in sorted order, to P10, P11, ... and its name
+variables to p10, p11, ... (the class names: a number spelt as its
+digit count and then its digits, so P19 < P210 as strings), and stores
+the pair under them.  This is the only renaming of game variables.
+Canonical forms compare a variable only with variables of its own kind,
+by name, and normalisation never looks at variables; so a renaming that
+keeps the order of a canonical state's process variables and of its name
+variables leaves it canonical, and the stored states are canonical as
+they stand.  Class names sort below X1, X2 and x, so class-naming a
+successor numbers the variables it keeps from its parent first, in their
+order, and its label variables after them.  Each answer links its
+successor's key with the inverse renaming, from the successor's class
+names back to the names of the pair that played it.  Witnesses follow
+those links: they number the label variables W1, W2, ... (w1 ... for
+name variables) step by step, in states and in labels alike, carry that
+numbering to the next pair through the inverse renaming and print each
+answer as it was played; `verify_witness` replays a witness through the
+attacks and answers of the game that produced it.  The solver computes
+answers only for the attacks it reaches: a pair that dies on its first
+attack computes none for the rest.
 
 Pairs up to context.  A game's `residual` strips the largest common
 evaluation context of a pair's two canonical states: repeatedly, the
@@ -108,8 +107,8 @@ into a move of p under a larger label, answered by q and recomposed
 Each answer leaves a pair C'[p''], C'[q''] with (p'', q'') related.
 R never names a binder of either side, so (nu A)(R | P) = R | (nu A)P,
 and n[(nu A)P] = (nu A)n[P] for n not in A.  Game variables are inert
-constants (a process @V has no move, a name ?v is never restricted), so
-the argument holds for states that contain them.  Per relation:
+(a process @P10 has no move, a name ?p10 is never restricted), so the
+argument holds for states that contain them.  Per relation:
 
   * strong (CCS, ACCS) and async (ACCS): the decomposition is the rule
     for parallel composition; in the async game, an input of p answered
@@ -311,9 +310,7 @@ class _Attack:
     side: int                      # 0: left state attacks, 1: right
     action: "str | None"           # ordinary games: the action
     label: "Label | None"          # ITS games: the label
-    target: Term                   # internal variable naming
-    fresh_procs: tuple = ()        # (canonical, internal) pairs
-    fresh_names: tuple = ()
+    target: Term
 
     def text(self, procs: dict, names: dict) -> str:
         """The move as a witness prints it: the action, or the label with
@@ -614,15 +611,6 @@ def _show(term: Term, procs: dict, names: dict) -> str:
         Term(term.calculus, rename_vars(term.node, procs, names))))
 
 
-def _back(attack: _Attack) -> tuple[dict, dict]:
-    """Maps from an attack's fresh variables back to the label variables
-    they stand for."""
-    return ({internal: canonical for canonical, internal
-             in attack.fresh_procs},
-            {internal: canonical for canonical, internal
-             in attack.fresh_names})
-
-
 def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
     """The refutation of the root, whose variables the witness calls by
     the names `root_back` gives its class names."""
@@ -642,17 +630,16 @@ def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
                                      "barb unmatched"))
             return moves
         attack, answers = node.attacks[info[0]]
-        back_p, back_n = _back(attack)
-        show_p, show_n = ren_p | back_p, ren_n | back_n
-        att_text = _show(attack.target, show_p, show_n)
+        att_text = _show(attack.target, ren_p, ren_n)
         move = attack.text(ren_p, ren_n)
+        procs, names = _label_variables(attack)
         intro = {}
-        for canonical, internal in attack.fresh_procs:
+        for var in procs:
             counter += 1
-            intro[canonical] = ren_p[internal] = f"W{counter}"
-        for canonical, internal in attack.fresh_names:
+            intro[var] = f"W{counter}"
+        for var in names:
             counter += 1
-            intro[canonical] = ren_n[internal] = f"w{counter}"
+            intro[var] = f"w{counter}"
         side_text = "left" if attack.side == 0 else "right"
         if not answers:
             moves.append(WitnessMove(pair_text, side_text, "move", move,
@@ -661,8 +648,10 @@ def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
         answer, key, (inv_p, inv_n) = min(
             answers, key=lambda a: (pairs[a[1]].rank, node_key(a[0].node)))
         moves.append(WitnessMove(pair_text, side_text, "move", move,
-                                 att_text, _show(answer, show_p, show_n),
+                                 att_text, _show(answer, ren_p, ren_n),
                                  intro, None))
+        ren_p |= {v: intro[v] for v in procs}
+        ren_n |= {v: intro[v] for v in names}
         ren_p = {c: ren_p[v] for c, v in inv_p.items()}
         ren_n = {c: ren_n[v] for c, v in inv_n.items()}
 
@@ -745,7 +734,7 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
 
 def _inert(node: Node) -> bool:
     """Has a canonical state no move, no reduction and no barb?  So it is
-    when its components are process variables (inert game constants) and
+    when its components are process variables (inert game variables) and
     ambients of restricted names that hold no capability."""
     binders, core = strip_restricts(node)
     return all(isinstance(c, ProcVar)
@@ -842,40 +831,27 @@ def _variables(*nodes) -> tuple[set, set]:
     return pvars, nvars
 
 
-def _keeps_order(names, ren: dict) -> bool:
-    new = [ren.get(n, n) for n in sorted(names)]
-    return all(a < b for a, b in zip(new, new[1:]))
-
-
-def _renamed(term: Term, procs: dict, names: dict) -> Term:
-    """A canonical game state with its variables renamed, canonical.
-
-    The renamed state is canonical already when the renaming keeps the
-    string order of the state's process variables and of its name
-    variables; otherwise it is canonicalised again."""
-    if not (procs or names) or not term.node.vars:
-        return term
-    pvars, nvars = _variables(term.node)
-    renamed = Term(term.calculus, rename_vars(term.node, procs, names))
-    if _keeps_order(pvars, procs) and _keeps_order(nvars, names):
-        return renamed
-    return canonical_term(renamed)
+def _label_variables(attack: _Attack) -> tuple[list, list]:
+    """The label variables a move introduces, X1 and X2 then x, each kind
+    in the order of first use in its label."""
+    if attack.label is None:
+        return [], []
+    used = [v for v in dict.fromkeys(attack.label.body.vars)
+            if v in _LABEL_VARS]
+    return ([name for kind, name in used if kind == "proc"],
+            [name for kind, name in used if kind == "name"])
 
 
 class _SymbolicGame:
     """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
     answered by the same label, any other attack C[-] by one reduction of
     C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
-    semi-saturated bisimilarity.
-
-    Its counter numbers the constants of label variables across the
-    whole game, so they never clash with a state's own constants."""
+    semi-saturated bisimilarity."""
 
     def __init__(self, calculus: Calculus, labels: LabelSet, barbed: bool):
         self.calculus = calculus
         self.labels = labels
         self.barbed = barbed
-        self._counter = 0
 
     def pair_barb_fail(self, p, q):
         if not self.barbed:
@@ -895,42 +871,20 @@ class _SymbolicGame:
             return _strip_context(p, q)
         return p, q
 
-    def _fresh(self) -> str:
-        """The next counter value, spelt so that it sorts after every
-        earlier one as a string."""
-        self._counter += 1
-        return _spell(self._counter)
-
-    def _freshen(self, side: int, tr: ItsTransition) -> _Attack:
-        label_vars = [v for v in dict.fromkeys(tr.label.body.vars)
-                      if v in _LABEL_VARS]
-        fresh = {var: self._fresh() for var in sorted(label_vars)}
-        fresh_p = tuple((name, "V" + fresh[kind, name])
-                        for kind, name in label_vars if kind == "proc")
-        fresh_n = tuple((name, "v" + fresh[kind, name])
-                        for kind, name in label_vars if kind == "name")
-        target = _renamed(tr.target, dict(fresh_p), dict(fresh_n))
-        return _Attack(side, None, tr.label, target, fresh_p, fresh_n)
-
     def attacks(self, p, q):
-        return [self._freshen(side, tr)
+        return [_Attack(side, None, tr.label, tr.target)
                 for side, state in ((0, p), (1, q))
                 for tr in its_transitions(state)]
 
     def _same_label(self, attack, defender):
         """The defender's moves with the attack's label."""
-        pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
-        return [_renamed(tr.target, pm, nm)
-                for tr in its_transitions(defender)
+        return [tr.target for tr in its_transitions(defender)
                 if tr.label.body == attack.label.body]
 
     def answers(self, attack, defender):
         if self.labels.contains(attack.label):
             return self._same_label(attack, defender)
-        pm, nm = dict(attack.fresh_procs), dict(attack.fresh_names)
-        ctx = Label(attack.label.calculus,
-                    rename_vars(attack.label.body, pm, nm))
-        return list(reduct_terms(plug(ctx, defender)))
+        return list(reduct_terms(plug(attack.label, defender)))
 
 
 class _InstantiatedGame(_SymbolicGame):
@@ -1244,10 +1198,8 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
             return game.pair_barb_fail(cur_p, cur_q) == ("barb", side,
                                                          step.move)
         for attack in game.attacks(cur_p, cur_q):
-            back_p, back_n = _back(attack)
             if attack.side == side and attack.text({}, {}) == step.move \
-                    and _show(attack.target, back_p, back_n) \
-                    == step.attacker_target:
+                    and _show(attack.target, {}, {}) == step.attacker_target:
                 break
         else:
             return False
@@ -1255,13 +1207,12 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
         if step.defender_target is None:
             return not answers and step.reason == "no answer"
         chosen = next((a for a in answers
-                       if _show(a, back_p, back_n) == step.defender_target),
-                      None)
-        if chosen is None or set(step.intro_vars) \
-                != set(back_p.values()) | set(back_n.values()):
+                       if _show(a, {}, {}) == step.defender_target), None)
+        procs, names = _label_variables(attack)
+        if chosen is None or set(step.intro_vars) != {*procs, *names}:
             return False
-        ren_p = {i: step.intro_vars[c] for i, c in back_p.items()}
-        ren_n = {i: step.intro_vars[c] for i, c in back_n.items()}
+        ren_p = {v: step.intro_vars[v] for v in procs}
+        ren_n = {v: step.intro_vars[v] for v in names}
         nxt_att = canonical_term(
             Term(calc, rename_vars(attack.target.node, ren_p, ren_n)))
         nxt_def = canonical_term(

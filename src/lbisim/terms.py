@@ -614,7 +614,6 @@ def make_label(calculus: Calculus, body: Node) -> Label:
     return Label(calculus, body)
 
 
-HOLE = Hole()
 NIL = Nil()
 
 

@@ -46,12 +46,10 @@ from lbisim import (
     verify_witness,
 )
 from lbisim.equivalence import (
-    _keeps_order, _no_residual, _renamed, _solve,
-    _SymbolicGame, _variables,
+    _class_named, _label_variables, _no_residual, _solve, _SymbolicGame,
+    _variables,
 )
 from lbisim import syntax
-from lbisim.lts import its_transitions
-from lbisim.terms import rename_vars
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -278,6 +276,20 @@ def test_witness_replay_across_relations():
         # a tampered replay (swapped endpoints) must not validate
         if print_term(canonical_term(p)) != print_term(canonical_term(q)):
             assert verify_witness(q, p, r, rel, labels=labels) is False
+
+
+def test_witness_with_more_than_ten_game_variables():
+    # each move leaves @X1 behind, so the class names of the later pairs
+    # run past P19 to P210, and the witness numbers twelve of them
+    p = parse_term("a." * 12 + "0", CCS)
+    q = parse_term("a." * 12 + "b.0", CCS)
+    r = semi_saturated_bisim(p, q)
+    assert (r.verdict, r.pairs_explored, r.rounds, len(r.witness)) \
+        == (False, 13, 25, 13)
+    consts = " | ".join(sorted(f"@W{i}" for i in range(1, 13)))
+    assert r.witness[-1].pair == (consts, consts + " | b.0")
+    assert r.witness[-1].intro_vars == {"X1": "W13"}
+    assert verify_witness(p, q, r, "semi-sat") is True
 
 
 _CCS_DIFF = ("c.0 | 'd.0 | a.0", "c.0 | 'd.0 | b.0")
@@ -568,11 +580,9 @@ def test_dead_first_attack_computes_no_later_answers():
             game = _CountingAnswers(CCS, labels, False)
             assert len(game.attacks(canonical_term(p),
                                     canonical_term(q))) == 3
-            game._counter = 0
             r = _solve(game, p, q, 100)
             assert r.verdict is False and r.expanded == 1
             assert game.asked == 1, (s1, labels.name)
-            assert game._counter == 3
 
 
 def test_barbed_witness_replay():
@@ -592,76 +602,55 @@ def test_witness_only_on_inequivalence():
         verify_witness(p, q, r, "strong")
 
 
-# --- fresh constants and renamed game states --------------------------------
+# --- label variables in class-named game states ----------------------------
 
-def test_fresh_names_sort_in_allocation_order():
-    game = _SymbolicGame(CCS, ALL, False)
-    names = ["V" + game._fresh() for _ in range(1001)]
-    assert names[8:10] == ["V19", "V210"]
-    assert names[98:100] == ["V299", "V3100"]
-    assert names[998:1000] == ["V3999", "V41000"]
-    assert names == sorted(names) and len(set(names)) == len(names)
-
-
-def _renamings(game, states):
-    """(attack, its target renamed without re-canonicalising) for every
-    ITS move of every state."""
-    for state in states:
-        for tr in its_transitions(state):
-            attack = game._freshen(0, tr)
-            yield attack, Term(state.calculus,
-                               rename_vars(tr.target.node,
-                                           dict(attack.fresh_procs),
-                                           dict(attack.fresh_names)))
+def _successors(game, pairs) -> list:
+    """The class-named successors that hold variables, of every answered
+    attack of the pairs; asserts on the way that every attack target,
+    every answer and every class-named successor is canonical."""
+    out = []
+    for p, q in pairs:
+        for attack in game.attacks(p, q):
+            assert attack.target == canonical_term(attack.target)
+            for ans in game.answers(attack, q if attack.side == 0 else p):
+                assert ans == canonical_term(ans)
+                sp, sq, _ = _class_named(attack.target, ans)
+                assert (sp, sq) == (canonical_term(sp), canonical_term(sq))
+                if sp.node.vars or sq.node.vars:
+                    out.append((sp, sq))
+    return out[:150]
 
 
-def test_freshened_states_are_canonical():
+def test_moves_of_class_named_states_are_canonical():
+    # a move of a class-named state leaves its label variables as they
+    # are: the targets and answers are canonical, and so are the
+    # class-named successors, with no renaming in between
     for calc in (CCS, ACCS, MA):
-        game = _SymbolicGame(calc, ALL, False)
-        corpus = enumerate_terms(calc, ("a", "b"), count=320, max_depth=3)
-        firsts = []
-        for attack, plain in _renamings(game, corpus):
-            # fresh names keep the order of the label variables, so the
-            # renamed target is canonical as it stands
-            assert plain == canonical_term(plain)
-            assert attack.target == plain
-            firsts.append(attack.target)
-        # second moves rename targets that already hold game constants
-        for attack, plain in _renamings(game, firsts[:150]):
-            assert attack.target == canonical_term(plain)
-            for defender in firsts[:20]:
-                for ans in game.answers(attack, defender):
-                    assert ans == canonical_term(ans)
-        assert game._counter > 10, calc
+        corpus = enumerate_terms(calc, ("a", "b"), count=160, max_depth=3)
+        firsts = [(canonical_term(p), canonical_term(q))
+                  for p, q in zip(corpus, corpus[1:])]
+        for labels in (ALL, EMPTY):
+            game = _SymbolicGame(calc, labels, False)
+            seconds = _successors(game, firsts)
+            assert seconds, (calc, labels.name)
+            _successors(game, seconds)
 
 
-def test_order_breaking_renaming_is_recanonicalised():
-    state = canonical_term(parse_term("?v12[0] | ?v15[a[0]] | @V13", MA))
-    # v3100 sorts after v15: the renamed components are out of order
-    breaking = {"v12": "v3100"}
-    assert _keeps_order({"v12", "v15"}, breaking) is False
-    plain = Term(MA, rename_vars(state.node, {}, breaking))
-    assert plain != canonical_term(plain)
-    assert _renamed(state, {}, breaking) == canonical_term(plain)
-    keeping = {"v12": "v13"}
-    assert _keeps_order({"v12", "v15"}, keeping) is True
-    assert _renamed(state, {}, keeping) \
-        == Term(MA, rename_vars(state.node, {}, keeping))
-
-
-def test_freshening_keeps_the_state_variables():
-    # - | open ?v12.@X1 and - | ?x[in ?v12.@X1 | @X2] name the state's own
-    # ambient ?v12: only X1, X2 and x get fresh constants
-    state = canonical_term(parse_term("?v12[0] | ?v15[a[0]] | @V13", MA))
+def test_moves_keep_the_state_variables():
+    # - | open ?p10.@X1 and - | ?x[in ?p10.@X1 | @X2] name the state's own
+    # ambient ?p10: a move introduces only X1, X2 and x
+    state = canonical_term(parse_term("?p10[0] | ?p11[a[0]] | @P10", MA))
+    own = set().union(*_variables(state.node))
     game = _SymbolicGame(MA, EMPTY, False)
-    game._counter = 20
     named = 0
-    for attack, plain in _renamings(game, [state]):
-        fresh = {c for c, _ in attack.fresh_procs + attack.fresh_names}
-        assert fresh <= {"X1", "X2", "x"}
-        assert attack.target == plain == canonical_term(plain)
-        named += "v12" in set().union(*_variables(attack.label.body))
-    assert named == 2
+    for attack in game.attacks(state, state):
+        procs, names = _label_variables(attack)
+        used = set().union(*_variables(attack.label.body, attack.target.node))
+        assert used - own <= {"X1", "X2", "x"}
+        assert {*procs, *names} == used - own
+        assert attack.target == canonical_term(attack.target)
+        named += "p10" in set().union(*_variables(attack.label.body))
+    assert named == 2 * 2           # each label, from either side
 
 
 # --- pools, budgets, guards ------------------------------------------------
