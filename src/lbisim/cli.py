@@ -327,10 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None                     # built by the first call of main
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one command line and return its exit code.
+
+    May be called repeatedly in one process: the parser is built on the
+    first call and reused, as `parse_args` keeps no state between calls.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

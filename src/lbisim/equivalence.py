@@ -407,7 +407,7 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
         key = (p.node, q.node)
         if key not in pairs:
             if len(pairs) >= max_pairs:
-                raise DivergenceBudgetExceededError(max_pairs, len(pairs) + 1)
+                raise _budget_exceeded(pairs, max_pairs)
             node = pairs[key] = _PairNode(p, q, len(pairs))
             if p.node == q.node:
                 node.status = "true"
@@ -562,6 +562,18 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
                 break
         if pairs[root].status == "dead":
             return result(False, _build_witness(pairs, root, root_back))
+
+
+def _budget_exceeded(pairs: dict, max_pairs: int):
+    """The error of a game whose budget is full, naming how many stored
+    pairs were never expanded and how long the largest stored state
+    prints."""
+    from .syntax import print_node
+    states = {t.node for node in pairs.values() for t in (node.p, node.q)}
+    return DivergenceBudgetExceededError(
+        max_pairs, len(pairs) + 1,
+        sum(not node.expanded for node in pairs.values()),
+        max((len(print_node(s)) for s in states), default=0))
 
 
 def _class_named(p: Term, q: Term):

@@ -31,15 +31,26 @@ class IncompleteSubstitutionError(LbisimError):
 
 
 class DivergenceBudgetExceededError(LbisimError):
-    """A game or state-space exploration exceeded its size budget."""
+    """A game or state-space exploration exceeded its size budget.
 
-    def __init__(self, budget, explored):
+    A game also reports what grew: `unexpanded`, its stored pairs whose
+    moves were not played yet, and `largest_state`, the printed length
+    of its largest stored state."""
+
+    def __init__(self, budget, explored, unexpanded=None, largest_state=None):
+        grew = ""
+        if unexpanded is not None:
+            grew = (f", with {unexpanded} pairs not yet expanded and a "
+                    f"largest state of {largest_state} characters")
         super().__init__(
             f"exploration exceeded the budget of {budget} "
-            f"(reached {explored}); the symbolic state space may be infinite"
+            f"(reached {explored}){grew}; the symbolic state space may be "
+            "infinite"
         )
         self.budget = budget
         self.explored = explored
+        self.unexpanded = unexpanded
+        self.largest_state = largest_state
 
 
 class UnsupportedQuantificationError(LbisimError):

@@ -6,6 +6,7 @@ hold, 2 usage or parse error, 3 budget exhausted, 4 internal error.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,19 @@ def test_budget_flag_exits_three(capsys):
                        "strong", "--max-pairs", "1", "a.0 + a.0", "a.0")
     assert code == 3
     assert "budget" in err
+
+
+def test_budget_exit_says_what_grew(capsys):
+    # the game on two capability chains that differ only at their ends
+    # grows past 200 pairs before it refutes them
+    code, out, err = run(capsys, "check", "--format", "json", "--calculus",
+                         "ma", "--rel", "semi-sat", "--max-pairs", "200",
+                         "in a." * 8 + "0", "in a." * 7 + "in b.0")
+    assert code == 3, err
+    error = json.loads(out)["error"]
+    assert "exceeded the budget of 200 (reached 201)" in error
+    assert re.search(r"with [1-9]\d* pairs not yet expanded and a largest "
+                     r"state of [1-9]\d* characters", error)
 
 
 def test_budget_flag_only_for_check(capsys):
@@ -425,6 +439,58 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "check", "--calculus", "ccs", "a.0", "b.0")[0] == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build = lbisim.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(lbisim.cli, "_PARSER", None)
+    monkeypatch.setattr(lbisim.cli, "build_parser", counting)
+    assert run(capsys, "check", "--calculus", "ccs", "--rel", "strong",
+               "a.0", "a.0")[0] == 0
+    assert run(capsys, "lts", "--calculus", "ccs", "a.0")[0] == 0
+    assert run(capsys, "reduce", "--calculus", "ccs", "a.0 | 'a.0")[0] == 0
+    assert run(capsys, "check", "--calculus", "ccs", "a.0")[0] == 2
+    assert len(built) == 1
+
+
+def test_options_do_not_leak_between_calls(capsys, monkeypatch):
+    code, _, err = run(capsys, "check", "--calculus", "accs", "--rel",
+                       "l-bisim", "--labels", "LA", "a.0", "a.0")
+    assert code == 0, err
+    code, _, err = run(capsys, "check", "--calculus", "accs", "--rel",
+                       "strong", "a.0", "a.0")
+    assert code == 0, err
+    code, out, _ = run(capsys, "lts", "--calculus", "ccs", "--ordinary",
+                       "--format", "json", "a.0")
+    assert code == 0 and json.loads(out)["kind"] == "ordinary"
+    code, out, _ = run(capsys, "lts", "--calculus", "ccs", "--format",
+                       "json", "a.0")
+    assert code == 0 and json.loads(out)["kind"] == "its"
+    specs = []
+    monkeypatch.setattr(lbisim.cli, "run_suite",
+                        lambda spec: specs.append(dict(spec)) or [])
+    spec = json.dumps({"calculus": "ccs", "seed": 7, "max_pairs": 40})
+    assert run(capsys, "corpus", "--seed", "3", "--max-pairs", "5",
+               spec)[0] == 0
+    assert run(capsys, "corpus", spec)[0] == 0
+    assert [(s["seed"], s["max_pairs"]) for s in specs] == [(3, 5), (7, 40)]
+
+
+def test_usage_error_then_valid_call(capsys):
+    code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                         "nonsense", "a.0", "a.0")
+    assert code == 2 and not out
+    assert err.startswith("usage: lbisim check") and "--rel" in err
+    code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                         "strong", "a.0", "a.0")
+    assert code == 0 and not err
+    assert out.splitlines()[0] == "equivalent"
 
 
 _HASH_ORDER_QUERIES = [

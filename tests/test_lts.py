@@ -148,8 +148,10 @@ def test_instantiated_transitions_are_reductions():
 
 
 def test_reachable_budget():
-    with pytest.raises(DivergenceBudgetExceededError):
+    with pytest.raises(DivergenceBudgetExceededError) as info:
         reachable(parse_term("n[in n.0]", MA), "its", max_states=6)
+    assert (info.value.budget, info.value.explored) == (6, 7)
+    assert info.value.unexpanded is info.value.largest_state is None
     with pytest.raises(ValueError):
         reachable(parse_term("a.0", CCS), "sideways")
 

@@ -396,7 +396,8 @@ def test_facts_share_child_sets_and_tuples():
     node = Restrict("b", Prefix(Send("a"), body))
     assert node.free is body.free
     assert node.vars is body.vars
-    assert Prefix(Recv("a"), Nil()).vars is ()
+    assert Prefix(Recv("a"), Nil()).vars == ()
+    assert Prefix(Recv("a"), Nil()).vars is Nil().vars
 
 
 def test_deep_chains_have_keys_without_recursion():
