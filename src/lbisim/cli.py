@@ -327,18 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARSER = None                     # built by the first call of main
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    May be called repeatedly in one process: the parser is built on the
-    first call and reused, as `parse_args` keeps no state between calls.
+    May be called repeatedly in one process: every call reuses the
+    parser built at import, as `parse_args` keeps no state between calls.
     """
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

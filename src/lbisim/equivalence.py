@@ -146,7 +146,7 @@ from .lts import ItsTransition, instantiate, its_transitions, ordinary_transitio
 from .reduction import barbs, reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    ProcVar, Recv, Send, Substitution, Sum, Term,
+    ProcVar, Recv, Restrict, Send, Substitution, Sum, Term,
     free_names, fresh_name, par, plug, rename_vars,
     restricts, same_calculus,
 )
@@ -565,15 +565,32 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
 
 
 def _budget_exceeded(pairs: dict, max_pairs: int):
-    """The error of a game whose budget is full, naming how many stored
-    pairs were never expanded and how long the largest stored state
-    prints."""
+    """The error of a game whose budget is full, naming how many open
+    pairs were never expanded and how long the largest stored state,
+    the one of most syntax nodes, prints."""
     from .syntax import print_node
-    states = {t.node for node in pairs.values() for t in (node.p, node.q)}
+    sizes: dict = {}               # node -> syntax nodes in its tree
+
+    def size(node):
+        n = sizes.get(node)
+        if n is None:
+            match node:
+                case Prefix(body=b) | Restrict(body=b) | Amb(body=b):
+                    n = 1 + size(b)
+                case Par(children=cs) | Sum(children=cs):
+                    n = 1 + sum(map(size, cs))
+                case _:
+                    n = 1
+            sizes[node] = n
+        return n
+
+    states = (t.node for node in pairs.values() for t in (node.p, node.q))
+    largest = max(states, key=size, default=None)
     return DivergenceBudgetExceededError(
         max_pairs, len(pairs) + 1,
-        sum(not node.expanded for node in pairs.values()),
-        max((len(print_node(s)) for s in states), default=0))
+        sum(node.status == "open" and not node.expanded
+            for node in pairs.values()),
+        0 if largest is None else len(print_node(largest)))
 
 
 def _class_named(p: Term, q: Term):

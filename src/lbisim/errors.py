@@ -33,9 +33,9 @@ class IncompleteSubstitutionError(LbisimError):
 class DivergenceBudgetExceededError(LbisimError):
     """A game or state-space exploration exceeded its size budget.
 
-    A game also reports what grew: `unexpanded`, its stored pairs whose
-    moves were not played yet, and `largest_state`, the printed length
-    of its largest stored state."""
+    A game also reports what grew: `unexpanded`, its stored open pairs
+    whose moves were not played yet, and `largest_state`, the printed
+    length of its stored state of most syntax nodes."""
 
     def __init__(self, budget, explored, unexpanded=None, largest_state=None):
         grew = ""

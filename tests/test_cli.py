@@ -115,6 +115,18 @@ def test_budget_exit_says_what_grew(capsys):
                      r"state of [1-9]\d* characters", error)
 
 
+def test_budget_exit_counts_open_pairs_only(capsys):
+    # the budget of 2 stores the root, expanded, and the equal-state
+    # pair (0, 0), settled unplayed: no pair is left to expand
+    code, out, err = run(capsys, "check", "--format", "json", "--calculus",
+                         "ccs", "--rel", "strong", "--max-pairs", "2",
+                         "a.0 + a.b.0", "a.0")
+    assert code == 3, err
+    error = json.loads(out)["error"]
+    assert ("exceeded the budget of 2 (reached 3), with 0 pairs not yet "
+            "expanded and a largest state of 11 characters") in error
+
+
 def test_budget_flag_only_for_check(capsys):
     """Only `check` plays a game; the other verbs take no budget."""
     for argv in (["reduce", "--calculus", "ccs", "a.0 | 'a.0"],
@@ -442,21 +454,16 @@ def test_usage_errors(capsys):
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
+    """The parser is built at import; `main` never builds another."""
     built = []
-    build = lbisim.cli.build_parser
-
-    def counting():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(lbisim.cli, "_PARSER", None)
-    monkeypatch.setattr(lbisim.cli, "build_parser", counting)
+    monkeypatch.setattr(lbisim.cli, "build_parser",
+                        lambda: built.append(1))
     assert run(capsys, "check", "--calculus", "ccs", "--rel", "strong",
                "a.0", "a.0")[0] == 0
     assert run(capsys, "lts", "--calculus", "ccs", "a.0")[0] == 0
     assert run(capsys, "reduce", "--calculus", "ccs", "a.0 | 'a.0")[0] == 0
     assert run(capsys, "check", "--calculus", "ccs", "a.0")[0] == 2
-    assert len(built) == 1
+    assert not built
 
 
 def test_options_do_not_leak_between_calls(capsys, monkeypatch):
