@@ -19,10 +19,12 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .congruence import canonical_label, canonical_term, equiv, node_key
+from .congruence import (
+    canonical_label, canonical_term, components, equiv, node_key,
+)
 from .equivalence import (
-    ALL, EMPTY, LA, LCCS, LM, LabelSet, async_bisim, is_capturing, l_bisim,
-    pred_ccs, pred_open, strong_bisim,
+    ALL, EMPTY, LA, LCCS, LM, LabelSet, async_bisim, ccs_targets,
+    is_capturing, l_bisim, open_targets, pred_ccs, pred_open, strong_bisim,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
@@ -30,7 +32,7 @@ from .reduction import barbs, reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Substitution, Sum, Tau, Term,
-    free_names, fresh_name, par, plug, rename_free,
+    free_names, par, plug, rename_free,
 )
 from .syntax import parse_label, parse_term, print_label, print_term
 
@@ -384,50 +386,40 @@ def _all_neighbours(node: Node, calc, pool):
             yield _with_child(node, i, c2)
 
 
-def axiom_closure(t1: Term, t2: Term, *, max_terms: int = 20000):
-    """Is t2 reachable from t1 by literal axiom steps?  Returns True or
-    None (budget hit; the step space is infinite, so absence is never
-    definite)."""
-    calc = t1.calculus
-    pool = tuple(sorted(free_names(t1.node) | free_names(t2.node)))[:3] \
-        + ("f0", "f1")
-    seen = {t1.node}
-    frontier = [t1.node]
-    if t1.node == t2.node:
-        return True
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for m in _all_neighbours(n, calc, pool):
-                if m in seen:
-                    continue
-                if m == t2.node:
-                    return True
-                seen.add(m)
-                if len(seen) > max_terms:
-                    return None
-                nxt.append(m)
-        frontier = nxt
-    return None
-
-
-def bounded_closure(t: Term, max_terms: int) -> set:
-    """Up to `max_terms` distinct raw syntax trees reachable from t by
-    literal axiom steps."""
-    pool = tuple(sorted(free_names(t.node)))[:2] + ("f0",)
+def _closure(t: Term, pool):
+    """The raw syntax trees reachable from t by literal axiom steps,
+    breadth-first: t first, then every new tree once."""
     seen = {t.node}
     frontier = [t.node]
-    while frontier and len(seen) < max_terms:
+    yield t.node
+    while frontier:
         nxt = []
         for n in frontier:
             for m in _all_neighbours(n, t.calculus, pool):
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)
-                    if len(seen) >= max_terms:
-                        return seen
+                    yield m
         frontier = nxt
-    return seen
+
+
+def axiom_closure(t1: Term, t2: Term, *, max_terms: int = 20000):
+    """Is t2 reachable from t1 by literal axiom steps?  Returns True or
+    None (budget hit; the step space is infinite, so absence is never
+    definite)."""
+    pool = tuple(sorted(free_names(t1.node) | free_names(t2.node)))[:3] \
+        + ("f0", "f1")
+    # t1, never over budget, then new trees until the closure holds more
+    # than max_terms, the tree that overflows it tested too
+    reach = itertools.islice(_closure(t1, pool), max(max_terms, 1) + 1)
+    return True if t2.node in reach else None
+
+
+def bounded_closure(t: Term, max_terms: int) -> set:
+    """Up to `max_terms` distinct raw syntax trees reachable from t by
+    literal axiom steps (t itself at least)."""
+    pool = tuple(sorted(free_names(t.node)))[:2] + ("f0",)
+    return set(itertools.islice(_closure(t, pool), max(max_terms, 1)))
 
 
 def check_axiom_soundness(calc: Calculus, count: int, rng: random.Random,
@@ -576,65 +568,46 @@ def check_barb_capturing(corpus) -> CheckOutcome:
     return CheckOutcome("barb-capturing-ma", len(corpus), fails)
 
 
-def check_pred_open(corpus, t1_pool) -> CheckOutcome:
-    fails = []
-    for t in corpus:
-        names = sorted(free_names(t.node)) or ["n"]
-        opens = [tr for tr in its_transitions(t) if tr.rule == "CoOpen"]
-        for n in names:
-            here = [tr for tr in opens
-                    if _coopen_name(tr) == n]
-            for t1 in t1_pool:
-                subst = Substitution.make(Calculus.MA, procs={"X1": t1})
-                trans_targets = {instantiate(tr, subst).target.node
-                                 for tr in here}
-                pred_targets = _pred_open_targets(t, n, t1)
-                if trans_targets != pred_targets:
-                    fails.append(f"{print_term(t)} open {n} "
-                                 f"T1={print_term(t1)}")
-                    continue
-                decoys = {canonical_term(t).node, Nil(),
-                          *(r.node for r in reduct_terms(t))}
-                for y in trans_targets | decoys:
-                    got = pred_open(t, Term(Calculus.MA, y), n, t1)
-                    if got != (y in trans_targets):
-                        fails.append(f"{print_term(t)} open {n} verdict")
-    return CheckOutcome("pred-open-ma", len(corpus), fails)
+def _check_marker(t: Term, here, t1_pool, targets, holds, what: str,
+                  fails: list) -> None:
+    """Check a predicate of t against its ITS transitions `here`: for
+    every T1 the predicate's `targets(t1)` must be their targets with
+    X1 := T1, and `holds(y, t1)` true of exactly those among them and
+    some decoys."""
+    decoys = {canonical_term(t).node, Nil(),
+              *(r.node for r in reduct_terms(t))}
+    for t1 in t1_pool:
+        subst = Substitution.make(t.calculus, procs={"X1": t1})
+        want = {instantiate(tr, subst).target.node for tr in here}
+        if set(targets(t1)) != want:
+            fails.append(f"{print_term(t)} {what} T1={print_term(t1)}")
+            continue
+        for y in want | decoys:
+            if holds(Term(t.calculus, y), t1) != (y in want):
+                fails.append(f"{print_term(t)} {what} verdict")
 
 
-def _coopen_name(tr):
-    for kind, prefix_node in _label_parts(tr.label.body):
-        if kind == "open":
-            return prefix_node
+def _acted_on(label: Label):
+    """The name the prefix of a `- | open n.X1`, `- | a.X1` or
+    `- | 'a.X1` label acts on."""
+    for part in components(label.body):
+        match part:
+            case Prefix(action=Cap(amb=n) | Recv(channel=n) | Send(channel=n)):
+                return n
     return None
 
 
-def _label_parts(body):
-    parts = body.children if isinstance(body, Par) else (body,)
-    for p in parts:
-        match p:
-            case Prefix(action=Cap(op="open", amb=n)):
-                yield ("open", n)
-            case _:
-                continue
-
-
-def _pred_open_targets(t: Term, n: str, t1: Term) -> set:
-    """Outcome set of the two-step marker protocol, computed blindly."""
-    m = fresh_name(free_names(t.node) | free_names(t1.node) | {n})
-    ctx = Label(Calculus.MA,
-                par(Hole(),
-                    Prefix(Cap("open", n),
-                           par(Amb(m, Nil()),
-                               Prefix(Cap("open", m), t1.node)))))
-    out = set()
-    for mid in reduct_terms(plug(ctx, t)):
-        if m not in barbs(mid):
-            continue
-        for y in reduct_terms(mid):
-            if m not in barbs(y) and m not in free_names(y.node):
-                out.add(y.node)
-    return out
+def check_pred_open(corpus, t1_pool) -> CheckOutcome:
+    fails = []
+    for t in corpus:
+        opens = [tr for tr in its_transitions(t) if tr.rule == "CoOpen"]
+        for n in sorted(free_names(t.node)) or ["n"]:
+            here = [tr for tr in opens if _acted_on(tr.label) == n]
+            _check_marker(t, here, t1_pool,
+                          lambda t1: open_targets(t, n, t1),
+                          lambda y, t1: pred_open(t, y, n, t1),
+                          f"open {n}", fails)
+    return CheckOutcome("pred-open-ma", len(corpus), fails)
 
 
 def check_pred_ccs(corpus, t1_pool) -> CheckOutcome:
@@ -646,22 +619,11 @@ def check_pred_ccs(corpus, t1_pool) -> CheckOutcome:
         for kind, rule in rules.items():
             for a in names:
                 here = [tr for tr in trs
-                        if tr.rule == rule and _chan_of(tr) == a]
-                for t1 in t1_pool:
-                    subst = Substitution.make(Calculus.CCS, procs={"X1": t1})
-                    trans_targets = {instantiate(tr, subst).target.node
-                                     for tr in here}
-                    pred_targets = _pred_ccs_targets(kind, t, a, t1)
-                    if trans_targets != pred_targets:
-                        fails.append(f"{print_term(t)} {kind} {a} "
-                                     f"T1={print_term(t1)}")
-                        continue
-                    decoys = {canonical_term(t).node, Nil(),
-                              *(r.node for r in reduct_terms(t))}
-                    for y in trans_targets | decoys:
-                        got = pred_ccs(kind, t, Term(Calculus.CCS, y), a, t1)
-                        if got != (y in trans_targets):
-                            fails.append(f"{print_term(t)} {kind} {a} verdict")
+                        if tr.rule == rule and _acted_on(tr.label) == a]
+                _check_marker(t, here, t1_pool,
+                              lambda t1: ccs_targets(kind, t, a, t1),
+                              lambda y, t1: pred_ccs(kind, t, y, a, t1),
+                              f"{kind} {a}", fails)
         tau_targets = {tr.target.node for tr in trs if tr.rule == "Tau"}
         red_targets = {r.node for r in reduct_terms(t)}
         if tau_targets != red_targets:
@@ -670,33 +632,6 @@ def check_pred_ccs(corpus, t1_pool) -> CheckOutcome:
             if pred_ccs("tau", t, Term(Calculus.CCS, y)) != (y in red_targets):
                 fails.append(f"{print_term(t)} tau verdict")
     return CheckOutcome("pred-ccs", len(corpus), fails)
-
-
-def _chan_of(tr):
-    body = tr.label.body
-    parts = body.children if isinstance(body, Par) else (body,)
-    for p in parts:
-        match p:
-            case Prefix(action=Recv(channel=a)) | Prefix(action=Send(channel=a)):
-                return a
-    return None
-
-
-def _pred_ccs_targets(kind: str, t: Term, a: str, t1: Term) -> set:
-    i = fresh_name(free_names(t.node) | free_names(t1.node) | {a})
-    inner = par(Prefix(Send(i), Nil()), t1.node)
-    probe = (Prefix(Send(a), inner) if kind == "out"
-             else Prefix(Recv(a), inner))
-    ctx = Label(Calculus.CCS, par(Hole(), probe, Prefix(Recv(i), Nil())))
-    mark = f"'{i}"
-    out = set()
-    for mid in reduct_terms(plug(ctx, t)):
-        if mark not in barbs(mid):
-            continue
-        for y in reduct_terms(mid):
-            if mark not in barbs(y) and i not in free_names(y.node):
-                out.add(y.node)
-    return out
 
 
 def check_coincidence(calc: Calculus, pairs, which: str) -> CheckOutcome:

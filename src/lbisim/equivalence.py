@@ -142,7 +142,7 @@ from .errors import (
     DivergenceBudgetExceededError, LbisimError, MalformedTermError,
     MAUnsupportedError, UnsupportedQuantificationError,
 )
-from .lts import ItsTransition, instantiate, its_transitions, ordinary_transitions
+from .lts import instantiate, its_transitions, ordinary_transitions
 from .reduction import barbs, reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
@@ -900,19 +900,20 @@ class _SymbolicGame:
             return _strip_context(p, q)
         return p, q
 
+    def moves(self, state):
+        """The state's ITS transitions."""
+        return its_transitions(state)
+
     def attacks(self, p, q):
         return [_Attack(side, None, tr.label, tr.target)
                 for side, state in ((0, p), (1, q))
-                for tr in its_transitions(state)]
-
-    def _same_label(self, attack, defender):
-        """The defender's moves with the attack's label."""
-        return [tr.target for tr in its_transitions(defender)
-                if tr.label.body == attack.label.body]
+                for tr in self.moves(state)]
 
     def answers(self, attack, defender):
         if self.labels.contains(attack.label):
-            return self._same_label(attack, defender)
+            # the defender's moves with the attack's label
+            return [tr.target for tr in self.moves(defender)
+                    if tr.label.body == attack.label.body]
         return list(reduct_terms(plug(attack.label, defender)))
 
 
@@ -928,44 +929,24 @@ class _InstantiatedGame(_SymbolicGame):
         self.pool = pool
         self.names = names
 
-    def _closures(self, tr: ItsTransition):
-        label_vars = dict.fromkeys(tr.label.body.vars)
-        if not label_vars:
-            yield tr
-            return
-        pvars = [name for kind, name in label_vars if kind == "proc"]
-        nvars = [name for kind, name in label_vars if kind == "name"]
-        for procs in product(self.pool, repeat=len(pvars)):
-            for names in product(self.names, repeat=len(nvars)):
-                subst = Substitution.make(
-                    self.calculus,
-                    procs={v: t for v, t in zip(pvars, procs)},
-                    names={v: n for v, n in zip(nvars, names)})
-                yield instantiate(tr, subst)
-
-    def attacks(self, p, q):
-        out = []
-        for side, state in ((0, p), (1, q)):
-            seen = set()
-            for tr in its_transitions(state):
-                for inst in self._closures(tr):
-                    key = (inst.label.body, inst.target.node)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(_Attack(side, None, inst.label, inst.target))
-        return out
-
-    def _same_label(self, attack, defender):
-        res = []
-        seen = set()
-        for tr in its_transitions(defender):
-            for inst in self._closures(tr):
-                if inst.label.body == attack.label.body \
-                        and inst.target.node not in seen:
-                    seen.add(inst.target.node)
-                    res.append(inst.target)
-        return res
+    def moves(self, state):
+        """Every closure of each ITS transition over the pool, each
+        (label, target) once, in first-seen order."""
+        out = {}
+        for tr in its_transitions(state):
+            label_vars = dict.fromkeys(tr.label.body.vars)
+            if not label_vars:
+                out.setdefault((tr.label.body, tr.target.node), tr)
+                continue
+            pvars = [name for kind, name in label_vars if kind == "proc"]
+            nvars = [name for kind, name in label_vars if kind == "name"]
+            for procs in product(self.pool, repeat=len(pvars)):
+                for names in product(self.names, repeat=len(nvars)):
+                    inst = instantiate(tr, Substitution.make(
+                        self.calculus, procs=dict(zip(pvars, procs)),
+                        names=dict(zip(nvars, names))))
+                    out.setdefault((inst.label.body, inst.target.node), inst)
+        return list(out.values())
 
 
 def _pool_names(p, q, pool) -> tuple[str, ...]:
@@ -1052,77 +1033,98 @@ def barbed_semi_saturated_bisim(p: Term, q: Term, *,
 
 # --- reduction predicates behind the non-capturable labels -----------------
 
-def pred_open(p: Term, target: Term, amb_name: str, t1: Term) -> bool:
-    """Does p have an open-label transition to `target`, decided purely
-    from reductions and barbs?
+def _marker(p: Term, name: str, t1: Term) -> str:
+    """A marker name fresh for p, T1 and `name`, the name the label's
+    prefix acts on, which must be one the grammar can write."""
+    from .syntax import is_name
+    if not is_name(name):
+        raise LbisimError(f"{name!r} is not a name")
+    return fresh_name(free_names(p.node) | free_names(t1.node) | {name})
+
+
+def _marker_outcomes(p: Term, ctx: Label, marker: str, barb: str):
+    """What C[p] becomes in two reductions, the first showing the
+    marker's barb and the second losing it, with the marker gone."""
+    for mid in reduct_terms(plug(ctx, p)):
+        if barb in barbs(mid):
+            for out in reduct_terms(mid):
+                if barb not in barbs(out) and marker not in out.node.free:
+                    yield out.node
+
+
+def _pure(what: str, *terms, ma: bool = False) -> None:
+    """Refuse terms with variables and, for an MA predicate, terms of
+    another calculus."""
+    for t in terms:
+        if ma and t.calculus is not Calculus.MA:
+            raise MAUnsupportedError(f"{what} is an MA predicate")
+        if t.node.vars:
+            raise MalformedTermError(f"{what} takes pure terms")
+
+
+def open_targets(p: Term, amb_name: str, t1: Term):
+    """The targets of p's `- | open n.X1` transitions with X1 := T1, found
+    purely from reductions and barbs, as a generator.
 
     Uses the context  - | open n.(m[0] | open m.T1)  with m fresh: the
     first reduction must unleash the marker ambient m, the second must
     consume it again, and the result must have lost the m barb.
     """
-    for t in (p, target, t1):
-        if t.calculus is not Calculus.MA:
-            raise MAUnsupportedError("pred_open is an MA predicate")
-        if t.node.vars:
-            raise MalformedTermError("pred_open takes pure terms")
-    m = fresh_name(free_names(p.node) | free_names(t1.node)
-                   | free_names(target.node) | {amb_name})
+    _pure("pred_open", p, t1, ma=True)
+    m = _marker(p, amb_name, t1)
     ctx = Label(Calculus.MA,
                 par(Hole(),
                     Prefix(Cap("open", amb_name),
                            par(Amb(m, Nil()),
                                Prefix(Cap("open", m), t1.node)))))
+    return _marker_outcomes(p, ctx, m, m)
+
+
+def pred_open(p: Term, target: Term, amb_name: str, t1: Term) -> bool:
+    """Does p have an open-label transition to `target`, decided purely
+    from reductions and barbs?  See `open_targets`."""
+    _pure("pred_open", target, ma=True)
     want = canonical_node(target)
-    if m in barbs(target):
-        return False
-    for mid in reduct_terms(plug(ctx, p)):
-        if m not in barbs(mid):
-            continue
-        for out in reduct_terms(mid):
-            if out.node == want and m not in barbs(out):
-                return True
-    return False
+    return any(out == want for out in open_targets(p, amb_name, t1))
 
 
-def pred_ccs(kind: str, p: Term, target: Term, channel: "str | None" = None,
-             t1: "Term | None" = None) -> bool:
-    """CCS counterpart: "out" asks for a - | 'a.T1 transition (the context
-    offers an output), "in" for - | a.T1, "tau" for a silent step.
+def ccs_targets(kind: str, p: Term, channel: "str | None", t1: "Term | None"):
+    """The targets of p's `- | 'a.X1` ("out") or `- | a.X1` ("in")
+    transitions with X1 := T1, found purely from reductions and barbs, as
+    a generator.
 
     The marker is a fresh channel i: the context offers the prefix on `a`
     with continuation ('i.0 | T1), plus a probe i.0.  The first step must
     fire the prefix (observable as the 'i barb), the second consumes the
     marker pair, and the result must have lost the 'i barb.
     """
-    if p.calculus is not Calculus.CCS:
-        raise LbisimError("pred_ccs is a CCS predicate")
-    if kind == "tau":
-        want = canonical_node(target)
-        return any(out.node == want for out in reduct_terms(p))
     if kind not in ("out", "in"):
         raise LbisimError(f"unknown predicate kind {kind!r}")
     if channel is None or t1 is None:
         raise LbisimError("kinds 'out' and 'in' need a channel and a term")
-    for t in (p, target, t1):
-        if t.node.vars:
-            raise MalformedTermError("pred_ccs takes pure terms")
-    i = fresh_name(free_names(p.node) | free_names(t1.node)
-                   | free_names(target.node) | {channel})
+    _pure("pred_ccs", p, t1)
+    i = _marker(p, channel, t1)
     inner = par(Prefix(Send(i), Nil()), t1.node)
     probe = (Prefix(Send(channel), inner) if kind == "out"
              else Prefix(Recv(channel), inner))
     ctx = Label(Calculus.CCS, par(Hole(), probe, Prefix(Recv(i), Nil())))
+    return _marker_outcomes(p, ctx, i, f"'{i}")
+
+
+def pred_ccs(kind: str, p: Term, target: Term, channel: "str | None" = None,
+             t1: "Term | None" = None) -> bool:
+    """CCS counterpart: "out" asks for a - | 'a.T1 transition (the context
+    offers an output), "in" for - | a.T1 (see `ccs_targets`), "tau" for a
+    silent step."""
+    if p.calculus is not Calculus.CCS:
+        raise LbisimError("pred_ccs is a CCS predicate")
+    if kind == "tau":
+        outs = (out.node for out in reduct_terms(p))
+    else:
+        outs = ccs_targets(kind, p, channel, t1)
+        _pure("pred_ccs", target)
     want = canonical_node(target)
-    mark = f"'{i}"
-    if mark in barbs(target):
-        return False
-    for mid in reduct_terms(plug(ctx, p)):
-        if mark not in barbs(mid):
-            continue
-        for out in reduct_terms(mid):
-            if out.node == want and mark not in barbs(out):
-                return True
-    return False
+    return any(out == want for out in outs)
 
 
 # --- capturing check -------------------------------------------------------
@@ -1182,7 +1184,7 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
             entries.append(BarbReport(barb, print_label(cand), not bad,
                                       [print_term(t) for t in bad[:5]]))
     return CapturingReport(labels.name, calculus.value, entries,
-                           all(e.ok for e in entries) and bool(entries))
+                           all(e.ok for e in entries))
 
 
 # --- witness replay --------------------------------------------------------

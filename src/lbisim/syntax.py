@@ -86,6 +86,15 @@ def _scan(text: str) -> list[_Token]:
     return toks
 
 
+def is_name(text: str) -> bool:
+    """Does the scanner read `text` as exactly one name token?"""
+    try:
+        toks = _scan(text)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0].kind == "name" and toks[0].text == text
+
+
 class _Parser:
     def __init__(self, text: str, calculus: Calculus, allow_hole: bool):
         self.toks = _scan(text)

@@ -9,7 +9,9 @@ only in ACCS, and so on).
 Extended syntax adds process variables (`@X`) and ambient-name variables
 (`?x[...]`, MA only).  A term with no variables is *pure*.  Labels are
 terms with exactly one hole `-`; they double as the unary contexts of the
-instance transition systems.
+instance transition systems.  Plugging a label, renaming variables and
+substituting for them are one walk, `_subst`: plugging substitutes the
+term for the hole, renaming substitutes variables for variables.
 
 Names, actions and nodes are interned (hash-consed): constructing one
 that is structurally equal to a live object returns that object, so
@@ -440,29 +442,14 @@ def rename_free(node: Node, ren: dict) -> Node:
 
 
 def rename_vars(node: Node, procs: dict, names: dict) -> Node:
-    """Rename variables (no capture concerns: variables are never bound).
-    A subtree without variables is returned as it stands."""
-    if not (procs or names) or not node.vars:
-        return node
-    match node:
-        case ProcVar(name=v):
-            return ProcVar(procs.get(v, v))
-        case Prefix(action=Cap(op=op, amb=NameVar(name=x)), body=b):
-            return Prefix(Cap(op, NameVar(names.get(x, x))),
-                          rename_vars(b, procs, names))
-        case Prefix(action=act, body=b):
-            return Prefix(act, rename_vars(b, procs, names))
-        case Sum(children=cs):
-            return Sum(tuple(rename_vars(c, procs, names) for c in cs))
-        case Par(children=cs):
-            return Par(tuple(rename_vars(c, procs, names) for c in cs))
-        case Restrict(name=n, body=b):
-            return Restrict(n, rename_vars(b, procs, names))
-        case Amb(name=NameVar(name=x), body=b):
-            return Amb(NameVar(names.get(x, x)), rename_vars(b, procs, names))
-        case Amb(name=n, body=b):
-            return Amb(n, rename_vars(b, procs, names))
-    raise TypeError(f"not a node: {node!r}")
+    """Rename variables: @v becomes @procs[v] and ?x becomes ?names[x].
+    No binder is freshened, for variables are never bound.  A subtree
+    without variables is returned as it stands."""
+    if not (procs or names):
+        return node             # most calls rename nothing: spare the maps
+    return _subst(node, {v: ProcVar(w) for v, w in procs.items()},
+                  {x: NameVar(y) for x, y in names.items()}, None,
+                  _NO_NAMES, _NO_NAMES)
 
 
 # --- substitution ----------------------------------------------------------
@@ -503,39 +490,55 @@ class Substitution:
         return dict(self.names)
 
 
-def _mentions_vars(node: Node, procs, names) -> bool:
-    return any(n in (procs if k == "proc" else names) for k, n in node.vars)
-
-
-def _subst(node: Node, procs: dict, names: dict, danger: frozenset,
-           used: frozenset) -> Node:
+def _subst(node: Node, procs: dict, names: dict, hole: "Node | None",
+           danger: frozenset, used: frozenset) -> Node:
+    """The one walk behind substitution, renaming and plugging: replace
+    each @v in `procs` by procs[v], each ?x in `names` by names[x] and,
+    unless `hole` is None, the hole by `hole`.  A binder whose name is in
+    `danger` (the free names of what is put in) and whose body changes is
+    renamed fresh for `danger`, its body and the binders `used` above it
+    (interned trees are unchanged exactly when identical).  A subtree
+    with nothing to replace is returned as it stands."""
+    if not ((procs or names) and node.vars
+            or hole is not None and node.holes):
+        return node
     match node:
         case ProcVar(name=v):
             return procs.get(v, node)
-        case Nil() | Hole() | Msg():
-            return node
         case Prefix(action=Cap(op=op, amb=NameVar(name=x)), body=b) if x in names:
             return Prefix(Cap(op, names[x]),
-                          _subst(b, procs, names, danger, used))
+                          _subst(b, procs, names, hole, danger, used))
         case Prefix(action=act, body=b):
-            return Prefix(act, _subst(b, procs, names, danger, used))
+            return Prefix(act, _subst(b, procs, names, hole, danger, used))
         case Sum(children=cs):
-            return Sum(tuple(_subst(c, procs, names, danger, used)
+            return Sum(tuple(_subst(c, procs, names, hole, danger, used)
                              for c in cs))
         case Par(children=cs):
-            return Par(tuple(_subst(c, procs, names, danger, used)
+            return Par(tuple(_subst(c, procs, names, hole, danger, used)
                              for c in cs))
         case Amb(name=NameVar(name=x), body=b) if x in names:
-            return Amb(names[x], _subst(b, procs, names, danger, used))
+            return Amb(names[x], _subst(b, procs, names, hole, danger, used))
         case Amb(name=n, body=b):
-            return Amb(n, _subst(b, procs, names, danger, used))
+            return Amb(n, _subst(b, procs, names, hole, danger, used))
+        case Restrict(name=n, body=b) if n in danger:
+            # walk with n renamed out of the way; keep n if nothing moved in
+            n2 = fresh_name(danger | b.free | used)
+            b2 = rename_free(b, {n: n2})
+            out = _subst(b2, procs, names, hole, danger, used | {n2})
+            return node if out is b2 else Restrict(n2, out)
         case Restrict(name=n, body=b):
-            if n in danger and _mentions_vars(b, procs, names):
-                n2 = fresh_name(danger | b.free | used)
-                b = rename_free(b, {n: n2})
-                n = n2
-            return Restrict(n, _subst(b, procs, names, danger, used | {n}))
+            return Restrict(n, _subst(b, procs, names, hole, danger,
+                                      used | {n}))
+        case Hole():
+            return hole
     raise TypeError(f"not a node: {node!r}")
+
+
+def _apply(subst: Substitution, node: Node) -> Node:
+    """Capture-avoiding substitution into `node`, the hole left alone."""
+    procs, names = subst.proc_map, subst.name_map
+    danger = frozenset(names.values()).union(*(n.free for n in procs.values()))
+    return _subst(node, procs, names, None, danger, _NO_NAMES)
 
 
 def apply_subst(term: Term, subst: Substitution) -> Term:
@@ -545,55 +548,22 @@ def apply_subst(term: Term, subst: Substitution) -> Term:
         raise CrossCalculusError(
             f"{subst.calculus.value} substitution applied to a "
             f"{term.calculus.value} term")
-    procs, names = subst.proc_map, subst.name_map
-    danger: frozenset[str] = frozenset(names.values())
-    for n in procs.values():
-        danger |= n.free
-    node = _subst(term.node, procs, names, danger, frozenset())
-    return Term(term.calculus, node)
+    return Term(term.calculus, _apply(subst, term.node))
 
 
 def close_label(label: Label, subst: Substitution) -> Label:
     """Substitute into a label body, leaving the hole alone."""
     if label.calculus is not subst.calculus:
         raise CrossCalculusError("substitution and label disagree on calculus")
-    procs, names = subst.proc_map, subst.name_map
-    missing = [v for v in label.variables
-               if v not in procs and v not in names]
+    closing = subst.proc_map | subst.name_map
+    missing = [v for v in label.variables if v not in closing]
     if missing:
         raise IncompleteSubstitutionError(
             f"label variables left open: {', '.join(missing)}")
-    danger: frozenset[str] = frozenset(names.values())
-    for n in procs.values():
-        danger |= n.free
-    return Label(label.calculus,
-                 _subst(label.body, procs, names, danger, frozenset()))
+    return Label(label.calculus, _apply(subst, label.body))
 
 
 # --- plugging --------------------------------------------------------------
-
-def _fill(node: Node, repl: Node, danger: frozenset,
-          used: frozenset) -> Node:
-    match node:
-        case Hole():
-            return repl
-        case Prefix(action=act, body=b):
-            return Prefix(act, _fill(b, repl, danger, used))
-        case Sum(children=cs):
-            return Sum(tuple(_fill(c, repl, danger, used) for c in cs))
-        case Par(children=cs):
-            return Par(tuple(_fill(c, repl, danger, used) for c in cs))
-        case Amb(name=n, body=b):
-            return Amb(n, _fill(b, repl, danger, used))
-        case Restrict(name=n, body=b):
-            if n in danger and b.holes:
-                n2 = fresh_name(danger | b.free | used)
-                b = rename_free(b, {n: n2})
-                n = n2
-            return Restrict(n, _fill(b, repl, danger, used | {n}))
-        case _:
-            return node
-
 
 def plug(label: Label, term: Term) -> Term:
     """Place `term` in the hole of `label`, avoiding capture of its free
@@ -602,8 +572,7 @@ def plug(label: Label, term: Term) -> Term:
         raise CrossCalculusError(
             f"cannot plug a {term.calculus.value} term into a "
             f"{label.calculus.value} context")
-    node = _fill(label.body, term.node, term.node.free,
-                 frozenset())
+    node = _subst(label.body, {}, {}, term.node, term.node.free, _NO_NAMES)
     return Term(term.calculus, node)
 
 

@@ -310,6 +310,17 @@ def test_pred_verb(capsys):
                      "n[k[0]]", "k[0] | w[0]")
     assert code == 1
 
+    # a name the grammar cannot write is a usage error, not a verdict
+    for name in ("", "tau"):
+        code, out, _ = run(capsys, "pred", "--calculus", "ma", "--kind",
+                           "open", "--name", name, "--t1", "w[0]",
+                           "n[k[0]]", "k[0] | w[0]")
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "pred", "--calculus", "ccs", "--kind",
+                           "out", "--name", name, "--t1", "c.0",
+                           "a.b.0", "b.0 | c.0")
+        assert (code, out) == (2, "")
+
 
 def test_corpus_verb(capsys, tmp_path):
     spec = {"calculus": "ccs", "names": ["a", "b"], "count": 25,
@@ -370,6 +381,12 @@ def test_corpus_spec_accepts_zero_counts(capsys):
     code, out, _ = run(capsys, "corpus", json.dumps(spec))
     assert code == 0
     assert out.splitlines()[-1] == "suite passed"
+    # a corpus without barbs has every barb captured
+    for count in (0, 1):
+        spec = {"calculus": "ma", "count": count, "checks": ["barbs"]}
+        code, out, _ = run(capsys, "corpus", json.dumps(spec))
+        assert code == 0
+        assert out.splitlines()[-1] == "suite passed"
 
 
 # Each nesting kind, its text nested k deep, and the deepest k the parser

@@ -189,6 +189,9 @@ def test_capturing_reports():
     assert is_capturing(EMPTY, MA, ma).ok is False
     accs = enumerate_terms(ACCS, ("a", "b"), count=60)
     assert is_capturing(LA, ACCS, accs).ok is True
+    # a set captures every barb of a corpus that shows none
+    assert is_capturing(LM, MA, [parse_term("0", MA)]).ok is True
+    assert is_capturing(LM, MA, []).ok is True
 
 
 # --- reduction predicates --------------------------------------------------
@@ -202,6 +205,9 @@ def test_pred_open_golden():
     assert pred_open(p, canonical_term(p), "n", t1) is False
     # a bare open-prefix has no coopen transition
     assert pred_open(parse_term("open n.k[0]", MA), target, "n", t1) is False
+    # no target names the fresh marker f0
+    marked = canonical_term(parse_term("k[0] | w[0] | f0[0]", MA))
+    assert pred_open(p, marked, "n", t1) is False
 
 
 def test_pred_ccs_golden():
@@ -221,6 +227,10 @@ def test_pred_ccs_golden():
         pred_ccs("out", recv, target)  # channel and t1 required
     with pytest.raises(LbisimError):
         pred_ccs("sideways", recv, target, "a", t1)
+    # no target names the fresh marker channel f0
+    for marked in ("b.0 | c.0 | f0.0", "b.0 | c.0 | 'f0.0"):
+        marked = canonical_term(parse_term(marked, CCS))
+        assert pred_ccs("out", recv, marked, "a", t1) is False
 
 
 # --- witnesses -------------------------------------------------------------

@@ -110,6 +110,28 @@ def test_plug_fills_every_hole_and_avoids_capture():
     out = plug(lab, parse_term("n[0]", MA))
     assert print_term(out) == "(nu f0) n[0]"
     assert free_names(out.node) == {"n"}
+    # the binder moves out of the plugged term's way, the variable stays
+    lab = parse_label("(nu n)(- | n[@X1])", MA)
+    out = plug(lab, parse_term("n[0]", MA))
+    assert print_term(out) == "(nu f0) (n[0] | f0[@X1])"
+    assert free_names(out.node) == {"n"}
+    # every binder of a clashing chain moves, each level walked once
+    names = [f"n{i}" for i in range(30)]
+    lab = parse_label("".join(f"(nu {n}) " for n in names) + "-", MA)
+    out = plug(lab, parse_term(" | ".join(f"{n}[0]" for n in names), MA))
+    assert free_names(out.node) == set(names)
+
+
+def test_rename_vars_renames_under_binders_ambients_and_capabilities():
+    t = parse_term("(nu n)(n[@X] | ?x[in ?y.@Z] | open k.0)", MA)
+    out = terms.rename_vars(t.node, {"X": "W1", "Z": "W3"},
+                            {"x": "w2", "y": "w4"})
+    assert print_term(Term(MA, out)) == \
+        "(nu n) (n[@W1] | ?w2[in ?w4.@W3] | open k.0)"
+    # a subtree without variables is returned as it stands
+    pure = t.node.body.children[2]
+    assert terms.rename_vars(pure, {"X": "W1"}, {"x": "w2"}) is pure
+    assert terms.rename_vars(t.node, {}, {}) is t.node
 
 
 def test_plug_rejects_cross_calculus():
