@@ -15,7 +15,8 @@ from .corpus import (CheckOutcome, axiom_closure, bounded_closure,
 from .equivalence import (ALL, BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, EMPTY,
                           LA, LCCS, LM, RELATIONS, CapturingReport,
                           GameResult, LabelSet, WitnessMove, async_bisim,
-                          barbed_semi_saturated_bisim, ccs_targets, ipo_bisim,
+                          barbed_semi_saturated_bisim, ccs_targets, check,
+                          ipo_bisim,
                           is_capturing, l_bisim, open_targets,
                           pattern_label_set, pred_ccs, pred_open,
                           semi_saturated_bisim, strong_bisim, verify_witness)

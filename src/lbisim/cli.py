@@ -16,9 +16,8 @@ import traceback
 
 from .corpus import run_suite
 from .equivalence import (
-    BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, RELATIONS, async_bisim,
-    barbed_semi_saturated_bisim, ipo_bisim, l_bisim, pattern_label_set,
-    pred_ccs, pred_open, semi_saturated_bisim, strong_bisim,
+    BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, RELATIONS, check,
+    pattern_label_set, pred_ccs, pred_open,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError, ParseError
 from .lts import lts_to_dot, lts_to_json, reachable
@@ -102,34 +101,11 @@ def _cmd_check(args) -> int:
     calc = Calculus(args.calculus)
     p = parse_term(_read_arg(args.p), calc)
     q = parse_term(_read_arg(args.q), calc)
-    pool = _pool(args.mode, calc)
-    kw = {"max_pairs": args.max_pairs or _default_max_pairs()}
-    rel = args.rel
-    if args.labels is not None and rel != "l-bisim":
-        raise LbisimError("--labels applies to --rel l-bisim only")
-    if rel == "strong":
-        if pool is not None:
-            raise LbisimError("--mode applies to contextual relations only")
-        res = strong_bisim(p, q, **kw)
-    elif rel == "async":
-        if pool is not None:
-            raise LbisimError("--mode applies to contextual relations only")
-        res = async_bisim(p, q, **kw)
-    elif rel == "ipo":
-        res = ipo_bisim(p, q, pool=pool, **kw)
-    elif rel == "semi-sat":
-        res = semi_saturated_bisim(p, q, pool=pool, **kw)
-    elif rel == "barbed-semi-sat":
-        res = barbed_semi_saturated_bisim(p, q, pool=pool, **kw)
-    elif rel == "l-bisim":
-        if args.labels is None:
-            raise LbisimError("--rel l-bisim needs --labels")
-        labels = _label_set(args.labels, calc)
-        res = l_bisim(p, q, labels, pool=pool, **kw)
-    else:
-        raise LbisimError(f"unknown relation {rel!r}")
+    labels = None if args.labels is None else _label_set(args.labels, calc)
+    res = check(args.rel, p, q, labels=labels, pool=_pool(args.mode, calc),
+                max_pairs=args.max_pairs or _default_max_pairs())
     payload = res.to_dict()
-    payload.update({"relation": rel, "calculus": calc.value,
+    payload.update({"relation": args.rel, "calculus": calc.value,
                     "p": print_term(p), "q": print_term(q)})
     if args.labels is not None:
         payload["labels"] = args.labels

@@ -102,8 +102,8 @@ from functools import lru_cache
 
 from .terms import (
     NIL, Amb, Calculus, Cap, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    Recv, Restrict, Send, Sum, Tau, Term, fresh_name, fresh_names, par,
-    restricts, same_calculus,
+    Recv, Restrict, Send, Sum, Tau, Term, _ren_action, _ren_name,
+    fresh_name, fresh_names, par, restricts, same_calculus,
 )
 
 
@@ -220,27 +220,17 @@ def _alpha(node: Node, env: dict) -> Node:
         case Msg(channel=a):
             return Msg(env.get(a, a))
         case Prefix(action=act, body=b):
-            match act:
-                case Recv(channel=a):
-                    act = Recv(env.get(a, a))
-                case Send(channel=a):
-                    act = Send(env.get(a, a))
-                case Cap(op=op, amb=n):
-                    if isinstance(n, str):
-                        act = Cap(op, env.get(n, n))
             if not b.free.isdisjoint(env):
                 b = _alpha(b, env)
-            return Prefix(act, b)
+            return Prefix(_ren_action(act, env), b)
         case Sum(children=cs) | Par(children=cs):
             done = sorted((c if c.free.isdisjoint(env) else _alpha(c, env)
                            for c in cs), key=node_key)
             return type(node)(tuple(done))
         case Amb(name=n, body=b):
-            if isinstance(n, str):
-                n = env.get(n, n)
             if not b.free.isdisjoint(env):
                 b = _alpha(b, env)
-            return Amb(n, b)
+            return Amb(_ren_name(n, env), b)
     return node
 
 
@@ -263,15 +253,6 @@ class CanonicalForm:
     @property
     def term(self) -> Term:
         return Term(self.calculus, self.node)
-
-    @property
-    def key(self):
-        return self.node.key
-
-    @property
-    def text(self) -> str:
-        from .syntax import print_node
-        return print_node(self.node)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -365,12 +346,9 @@ def canonical_node(term: Term) -> Node:
     return _canon_node(term.calculus, term.node)
 
 
-def canonicalize(term) -> CanonicalForm:
+def canonicalize(term: Term) -> CanonicalForm:
     """Canonical representative of the structural-congruence class."""
-    if isinstance(term, Label):
-        node = _canon_node(term.calculus, term.body)
-    else:
-        node = _canon_node(term.calculus, term.node)
+    node = _canon_node(term.calculus, term.node)
     binders, core = strip_restricts(node)
     return CanonicalForm(term.calculus, tuple(binders), components(core),
                          node)

@@ -23,8 +23,8 @@ from .congruence import (
     canonical_label, canonical_term, components, equiv, node_key,
 )
 from .equivalence import (
-    ALL, EMPTY, LA, LCCS, LM, LabelSet, async_bisim, ccs_targets,
-    is_capturing, l_bisim, open_targets, pred_ccs, pred_open, strong_bisim,
+    ALL, EMPTY, LM, OWN_LABEL_SETS, LabelSet, ccs_targets, check,
+    is_capturing, l_bisim, open_targets, pred_ccs, pred_open,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
@@ -634,20 +634,19 @@ def check_pred_ccs(corpus, t1_pool) -> CheckOutcome:
     return CheckOutcome("pred-ccs", len(corpus), fails)
 
 
-def check_coincidence(calc: Calculus, pairs, which: str) -> CheckOutcome:
-    """Verdict agreement between a contextual game and its classical
-    counterpart ("strong-lccs" on CCS, "async-la" on ACCS)."""
+def check_coincidence(calc: Calculus, pairs) -> CheckOutcome:
+    """Verdict agreement between l-bisim on the calculus's own label set
+    and its classical counterpart: strong on CCS (LCCS), async on ACCS
+    (LA)."""
+    classical = "strong" if calc is Calculus.CCS else "async"
+    labels = OWN_LABEL_SETS[calc]
     fails = []
     for p, q in pairs:
-        if which == "strong-lccs":
-            a = strong_bisim(p, q).verdict
-            b = l_bisim(p, q, LCCS).verdict
-        else:
-            a = async_bisim(p, q).verdict
-            b = l_bisim(p, q, LA).verdict
-        if a != b:
+        if check(classical, p, q).verdict \
+                != check("l-bisim", p, q, labels=labels).verdict:
             fails.append(f"{print_term(p)}  vs  {print_term(q)}")
-    return CheckOutcome(f"coincidence-{which}", len(pairs), fails)
+    return CheckOutcome(f"coincidence-{classical}-{labels.name.lower()}",
+                        len(pairs), fails)
 
 
 def check_endpoints(calc: Calculus, pairs, *, max_pairs=2000) -> CheckOutcome:
@@ -655,7 +654,7 @@ def check_endpoints(calc: Calculus, pairs, *, max_pairs=2000) -> CheckOutcome:
     IPO-equivalent pairs are L-equivalent and L-equivalent pairs are
     semi-saturated-equivalent.  A pair on which any of the three games
     runs out of budget is skipped."""
-    chain = (ALL, _LABELS_FOR[calc], EMPTY)
+    chain = (ALL, OWN_LABEL_SETS[calc], EMPTY)
     fails = []
     for p, q in pairs:
         try:
@@ -739,7 +738,6 @@ _DEFAULT_NAMES = {Calculus.MA: ("n", "m"), Calculus.CCS: ("a", "b"),
                   Calculus.ACCS: ("a", "b")}
 _DEFAULT_T1 = {Calculus.MA: ("0", "k[0]"), Calculus.CCS: ("0", "c.0"),
                Calculus.ACCS: ("0",)}
-_LABELS_FOR = {Calculus.MA: LM, Calculus.CCS: LCCS, Calculus.ACCS: LA}
 
 
 def _spec_int(spec: dict, field: str, default: int, least=0) -> int:
@@ -819,8 +817,7 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
         elif name == "lts":
             out.append(check_lts_correspondence(calc, corpus))
         elif name == "coincidence":
-            which = "strong-lccs" if calc is Calculus.CCS else "async-la"
-            out.append(check_coincidence(calc, pairs, which))
+            out.append(check_coincidence(calc, pairs))
         elif name == "endpoints":
             out.append(check_endpoints(calc, pairs[:max(60, pair_n // 3)],
                                        max_pairs=max_pairs))
@@ -832,7 +829,7 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
             else:
                 out.append(check_pred_ccs(corpus, t1_pool))
         elif name == "congruence":
-            labels = _LABELS_FOR[calc]
+            labels = OWN_LABEL_SETS[calc]
             base = find_equivalent_pairs(
                 calc, corpus, lambda p, q, **kw: l_bisim(p, q, labels, **kw),
                 30, rng, max_pairs=max_pairs)

@@ -9,22 +9,23 @@ entering).  The verdict is `True` only once every reachable pair is
 expanded and alive, `False` when the root dies; running out of budget
 raises DivergenceBudgetExceededError.
 
-The relations:
+The relations.  `check(relation, p, q, ...)` decides each name of
+RELATIONS; `_game` is the one place that maps a name to its game, which
+`verify_witness` replays, and each named solver is one `check` call.
 
-  * strong_bisim / async_bisim play on the ordinary labelled semantics
-    (async uses the asynchronous input clause: an input may also be
-    answered by an internal step, leaving the message `'a` next to the
-    defender's residual).
-  * l_bisim(L) plays one game on the instance transition systems:
-    attacks whose label lies in L must be answered by the same label;
-    any other attack C[-] is answered by one reduction step of
-    C[defender].  The endpoints are calls of it: ipo_bisim is
-    l_bisim(ALL), semi_saturated_bisim is l_bisim(EMPTY), and
-    barbed_semi_saturated_bisim is l_bisim(EMPTY) that additionally
-    requires equal barbs at every pair (deciding barbs via the capturing
-    labels of the calculus; quantifying over all contexts instead is
-    refused).  With a pool, the same game closes label variables over
-    the pool instead of playing them symbolically.
+  * strong and async play on the ordinary labelled semantics (async uses
+    the asynchronous input clause: an input may also be answered by an
+    internal step, leaving the message `'a` next to the defender's
+    residual).
+  * l-bisim with a label set L plays one game on the instance transition
+    systems: attacks whose label lies in L must be answered by the same
+    label; any other attack C[-] is answered by one reduction step of
+    C[defender].  The endpoints are this game with a fixed L: ipo is
+    L = ALL, semi-sat is L = EMPTY, and barbed-semi-sat is L = EMPTY
+    that additionally requires equal barbs at every pair (deciding barbs
+    via the capturing labels of the calculus; quantifying over all
+    contexts instead is refused).  With a pool, the same game closes
+    label variables over the pool instead of playing them symbolically.
 
 Symbolic moves carry the canonical label variables X1, X2, x, and the
 engine keeps them: the attacker's and the defender's residuals share
@@ -152,8 +153,6 @@ from .terms import (
 )
 
 DEFAULT_MAX_PAIRS = 50_000
-
-RELATIONS = ("strong", "async", "ipo", "semi-sat", "barbed-semi-sat", "l-bisim")
 
 
 # --- label sets ------------------------------------------------------------
@@ -297,6 +296,11 @@ LCCS = LabelSet("LCCS", "lccs")
 
 BUILTIN_LABEL_SETS = {"ALL": ALL, "EMPTY": EMPTY, "LM": LM, "LA": LA,
                       "LCCS": LCCS}
+
+# Each calculus's own label set: the paper's L for it, under which
+# L-bisimilarity is a congruence (and is strong bisimilarity on CCS,
+# asynchronous bisimilarity on ACCS).
+OWN_LABEL_SETS = {Calculus.CCS: LCCS, Calculus.ACCS: LA, Calculus.MA: LM}
 
 
 def pattern_label_set(name: str, patterns) -> LabelSet:
@@ -837,12 +841,6 @@ class _AsyncGame(_OrdinaryGame):
 # label is a variable of the state it leaves.
 _LABEL_VARS = frozenset({("proc", "X1"), ("proc", "X2"), ("name", "x")})
 
-# (label-set kind, calculi) for which the module docstring states why a
-# pair is alive when its residual is.
-_UP_TO_CONTEXT = {"all": tuple(Calculus), "empty": tuple(Calculus),
-                  "lccs": (Calculus.CCS,), "la": (Calculus.ACCS,),
-                  "lm": (Calculus.MA,)}
-
 
 def _spell(n: int) -> str:
     """n as its digit count followed by its digits: spelt numbers sort
@@ -896,7 +894,8 @@ class _SymbolicGame:
     def residual(self, p, q):
         """The pair up to its common context where the module docstring
         states why that is sound, else the pair itself."""
-        if self.calculus in _UP_TO_CONTEXT.get(self.labels.kind, ()):
+        if self.labels.kind in ("all", "empty",
+                                OWN_LABEL_SETS[self.calculus].kind):
             return _strip_context(p, q)
         return p, q
 
@@ -957,12 +956,52 @@ def _pool_names(p, q, pool) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _its_game(calc: Calculus, p: Term, q: Term, labels: LabelSet,
-              barbed: bool, pool) -> _SymbolicGame:
-    """The game l_bisim plays and verify_witness replays."""
+# --- public solvers --------------------------------------------------------
+
+# The label set of each relation decided by a game on the ITS with a fixed
+# L; l-bisim takes its L from the caller.
+_FIXED_LABELS = {"ipo": ALL, "semi-sat": EMPTY, "barbed-semi-sat": EMPTY}
+
+RELATIONS = ("strong", "async", *_FIXED_LABELS, "l-bisim")
+
+
+def _game(relation: str, calc: Calculus, p: Term, q: Term,
+          labels: "LabelSet | None", pool):
+    """The game that decides `relation` between p and q, which `check`
+    plays and `verify_witness` replays.  The one place that maps a
+    relation name to its game, and that refuses what a relation does not
+    take."""
+    if relation not in RELATIONS:
+        raise LbisimError(f"unknown relation {relation!r}; use one of "
+                          f"{', '.join(RELATIONS)}")
+    if relation == "l-bisim" and labels is None:
+        raise LbisimError("l-bisim needs a label set (--labels, or the "
+                          "labels keyword)")
+    if relation != "l-bisim" and labels is not None:
+        raise LbisimError(f"{relation} takes no label set (--labels, or "
+                          f"the labels keyword); only l-bisim does")
+    if relation in ("strong", "async"):
+        if pool is not None:
+            raise LbisimError(f"{relation} takes no instantiation pool "
+                              f"(--mode, or the pool keyword); only the "
+                              f"contextual relations do")
+        if relation == "async":
+            if calc is not Calculus.ACCS:
+                raise LbisimError(
+                    "asynchronous bisimilarity is an ACCS relation")
+            return _AsyncGame(calc)
+        if calc is Calculus.MA:
+            raise MAUnsupportedError("strong bisimilarity needs an ordinary "
+                                     "LTS; MA has none here")
+        return _OrdinaryGame(calc)
+    labels = _FIXED_LABELS.get(relation, labels)
+    barbed = relation == "barbed-semi-sat"
     if pool is None:
         return _SymbolicGame(calc, labels, barbed)
     pool = tuple(canonical_term(t) for t in pool)
+    if not pool:
+        raise MalformedTermError("the instantiation pool is empty, so no "
+                                 "move with a label variable has an instance")
     for t in pool:
         if t.calculus is not calc or t.node.vars:
             raise MalformedTermError("instantiation pool terms must be "
@@ -970,8 +1009,6 @@ def _its_game(calc: Calculus, p: Term, q: Term, labels: LabelSet,
     return _InstantiatedGame(calc, labels, barbed, pool,
                              _pool_names(p, q, pool))
 
-
-# --- public solvers --------------------------------------------------------
 
 def _entry(p: Term, q: Term) -> Calculus:
     calc = same_calculus(p, q)
@@ -983,40 +1020,53 @@ def _entry(p: Term, q: Term) -> Calculus:
     return calc
 
 
+def check(relation: str, p: Term, q: Term, *,
+          labels: "LabelSet | None" = None, pool=None,
+          max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
+    """Decide `relation`, one of RELATIONS, between two pure terms.
+
+    `labels` is l-bisim's label set, and only l-bisim takes one.  `pool`,
+    a non-empty list of pure terms, closes the label variables of the
+    contextual relations' games over it.  A game that needs more than
+    `max_pairs` pairs stops with DivergenceBudgetExceededError."""
+    calc = _entry(p, q)
+    return _solve(_game(relation, calc, p, q, labels, pool), p, q,
+                  max_pairs)
+
+
 def strong_bisim(p: Term, q: Term, *, max_pairs: int = DEFAULT_MAX_PAIRS) \
         -> GameResult:
-    calc = _entry(p, q)
-    if calc is Calculus.MA:
-        raise MAUnsupportedError("strong bisimilarity needs an ordinary LTS; "
-                                 "MA has none here")
-    return _solve(_OrdinaryGame(calc), p, q, max_pairs)
+    return check("strong", p, q, max_pairs=max_pairs)
 
 
 def async_bisim(p: Term, q: Term, *, max_pairs: int = DEFAULT_MAX_PAIRS) \
         -> GameResult:
-    calc = _entry(p, q)
-    if calc is not Calculus.ACCS:
-        raise LbisimError("asynchronous bisimilarity is an ACCS relation")
-    return _solve(_AsyncGame(calc), p, q, max_pairs)
+    return check("async", p, q, max_pairs=max_pairs)
 
 
 def l_bisim(p: Term, q: Term, labels: LabelSet, *,
             barbed: bool = False,
             pool=None,
             max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    calc = _entry(p, q)
-    return _solve(_its_game(calc, p, q, labels, barbed, pool), p, q,
-                  max_pairs)
+    """L-bisimilarity.  `barbed=True` matches barbs too: that is
+    barbed-semi-sat, so it takes L = EMPTY only."""
+    if not barbed:
+        return check("l-bisim", p, q, labels=labels, pool=pool,
+                     max_pairs=max_pairs)
+    if labels.kind != "empty":
+        raise LbisimError("barbs are matched under EMPTY only "
+                          "(barbed-semi-sat)")
+    return check("barbed-semi-sat", p, q, pool=pool, max_pairs=max_pairs)
 
 
 def ipo_bisim(p: Term, q: Term, *, pool=None,
               max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    return l_bisim(p, q, ALL, pool=pool, max_pairs=max_pairs)
+    return check("ipo", p, q, pool=pool, max_pairs=max_pairs)
 
 
 def semi_saturated_bisim(p: Term, q: Term, *, pool=None,
                          max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    return l_bisim(p, q, EMPTY, pool=pool, max_pairs=max_pairs)
+    return check("semi-sat", p, q, pool=pool, max_pairs=max_pairs)
 
 
 def barbed_semi_saturated_bisim(p: Term, q: Term, *,
@@ -1028,7 +1078,7 @@ def barbed_semi_saturated_bisim(p: Term, q: Term, *,
         raise UnsupportedQuantificationError(
             "deciding barbs by quantification over all contexts is not "
             "supported; use the contextual-barb mode")
-    return l_bisim(p, q, EMPTY, barbed=True, pool=pool, max_pairs=max_pairs)
+    return check("barbed-semi-sat", p, q, pool=pool, max_pairs=max_pairs)
 
 
 # --- reduction predicates behind the non-capturable labels -----------------
@@ -1149,48 +1199,45 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
         -> CapturingReport:
     """Check, over a corpus, that every barb is equivalent to having a
     transition with some fixed label of the set."""
-    from .syntax import print_term
+    from .syntax import print_label, print_term
     corpus = [canonical_term(t) for t in corpus]
-    universe: set[str] = set()
+    # The barbs a term of the corpus could show: its own, and each free
+    # name n as the barb n (MA, and CCS input) and 'n (CCS and ACCS
+    # output).
+    checked: set[str] = set()
     for t in corpus:
-        universe |= barbs(t)
-        universe |= free_names(t.node)
+        checked |= barbs(t)
+        for n in free_names(t.node):
+            if calculus is not Calculus.ACCS:
+                checked.add(n)
+            if calculus is not Calculus.MA:
+                checked.add(f"'{n}")
     observed = {}
     for t in corpus:
         observed[t.node] = {tr.label.body for tr in its_transitions(t)}
     entries = []
-    for raw in sorted(universe):
-        forms = {raw}
-        if calculus is not Calculus.MA and not raw.startswith("'"):
-            forms = {f"'{raw}"} if calculus is Calculus.ACCS else {raw, f"'{raw}"}
-        if calculus is Calculus.CCS and raw.startswith("'"):
-            continue  # handled from the positive form
-        for barb in sorted(forms):
-            cands = labels.barb_candidates(barb, calculus)
-            best = None
-            for cand in cands:
-                bad = [t for t in corpus
-                       if (barb in barbs(t)) != (cand.body in observed[t.node])]
-                if not bad:
-                    best = (cand, [])
-                    break
-                if best is None or len(bad) < len(best[1]):
-                    best = (cand, bad)
-            if best is None:
-                entries.append(BarbReport(barb, None, False))
-                continue
-            cand, bad = best
-            from .syntax import print_label
-            entries.append(BarbReport(barb, print_label(cand), not bad,
-                                      [print_term(t) for t in bad[:5]]))
+    for barb in sorted(checked, key=lambda b: (b.lstrip("'"), b)):
+        cands = labels.barb_candidates(barb, calculus)
+        best = None
+        for cand in cands:
+            bad = [t for t in corpus
+                   if (barb in barbs(t)) != (cand.body in observed[t.node])]
+            if not bad:
+                best = (cand, [])
+                break
+            if best is None or len(bad) < len(best[1]):
+                best = (cand, bad)
+        if best is None:
+            entries.append(BarbReport(barb, None, False))
+            continue
+        cand, bad = best
+        entries.append(BarbReport(barb, print_label(cand), not bad,
+                                  [print_term(t) for t in bad[:5]]))
     return CapturingReport(labels.name, calculus.value, entries,
                            all(e.ok for e in entries))
 
 
 # --- witness replay --------------------------------------------------------
-
-_REPLAY_LABELS = {"ipo": ALL, "semi-sat": EMPTY, "barbed-semi-sat": EMPTY}
-
 
 def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
                    labels: "LabelSet | None" = None, pool=None) -> bool:
@@ -1207,19 +1254,7 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
     if result.verdict or not result.witness:
         raise LbisimError("only inequivalence results carry a witness")
     calc = same_calculus(p, q)
-    if relation == "strong":
-        game = _OrdinaryGame(calc)
-    elif relation == "async":
-        game = _AsyncGame(calc)
-    elif relation == "l-bisim":
-        if labels is None:
-            raise LbisimError("l-bisim replay needs its label set")
-        game = _its_game(calc, p, q, labels, False, pool)
-    elif relation in _REPLAY_LABELS:
-        game = _its_game(calc, p, q, _REPLAY_LABELS[relation],
-                         relation == "barbed-semi-sat", pool)
-    else:
-        raise LbisimError(f"unknown relation {relation!r}")
+    game = _game(relation, calc, p, q, labels, pool)
     cur_p, cur_q = canonical_term(p), canonical_term(q)
     for step in result.witness:
         if (print_term(cur_p), print_term(cur_q)) != step.pair:

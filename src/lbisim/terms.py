@@ -135,7 +135,8 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 def _name_facts(n) -> tuple:
-    """Key, free names and variables of a name position."""
+    """Key, free names and variables of an ambient name (a str or a
+    NameVar)."""
     if isinstance(n, NameVar):
         return n.key, n.free, n.vars
     return (0, n), frozenset((n,)), ()
@@ -145,10 +146,6 @@ class NameVar(_Interned):
     """Ambient-name variable; ranges over ambient names, never bound."""
     __slots__ = ("name",)
     _facts = staticmethod(lambda x: ((1, x), _NO_NAMES, (("name", x),)))
-
-
-# A "name position" holds either a concrete name (str) or a NameVar.
-Name = "str | NameVar"
 
 
 class Tau(_Interned):
@@ -174,9 +171,6 @@ class Cap(_Interned):
     def _facts(op, amb):
         key, free, vs = _name_facts(amb)
         return (3, _CAP_OPS[op], key), free, vs
-
-
-Action = "Tau | Recv | Send | Cap"
 
 
 class Node(_Interned):

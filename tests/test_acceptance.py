@@ -28,7 +28,6 @@ from lbisim import (
     LabelSet,
 )
 from lbisim.corpus import (
-    _LABELS_FOR,
     check_barb_capturing,
     check_coincidence,
     check_congruence,
@@ -44,6 +43,7 @@ from lbisim.corpus import (
     find_equivalent_pairs,
     term_pairs,
 )
+from lbisim.equivalence import OWN_LABEL_SETS
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -124,9 +124,11 @@ def test_criterion_04_accs_correspondence(corpora):
 
 
 def test_criterion_05_coincidence_theorems(pair_sets):
-    r = check_coincidence(CCS, pair_sets[CCS], "strong-lccs")
+    r = check_coincidence(CCS, pair_sets[CCS])
+    assert r.name == "coincidence-strong-lccs"
     assert r.total == 500 and not r.failures
-    r = check_coincidence(ACCS, pair_sets[ACCS], "async-la")
+    r = check_coincidence(ACCS, pair_sets[ACCS])
+    assert r.name == "coincidence-async-la"
     assert r.total == 500 and not r.failures
 
 
@@ -184,7 +186,7 @@ def test_criterion_09_congruence_sampling():
     total = 0
     for calc, triples in ((MA, 67), (ACCS, 67), (CCS, 66)):
         rng = random.Random(9)
-        labels = _LABELS_FOR[calc]
+        labels = OWN_LABEL_SETS[calc]
         corpus = enumerate_terms(calc, ("a", "b"), count=320)
         base = find_equivalent_pairs(
             calc, corpus,

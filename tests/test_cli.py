@@ -214,7 +214,7 @@ def test_internal_error_exits_four_without_verdict(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(lbisim.cli, "strong_bisim", crash)
+    monkeypatch.setattr(lbisim.cli, "check", crash)
     argv = ("check", "--calculus", "ccs", "--rel", "strong", "a.0", "b.0")
     code, out, err = run(capsys, *argv)
     assert code == 4
@@ -255,6 +255,21 @@ def test_instantiate_mode(capsys, tmp_path):
                        "'a", "0")
     assert code == 1
     assert out.splitlines()[0] == "inequivalent"
+
+
+def test_empty_pool_exits_two(capsys, tmp_path):
+    # a pool without terms leaves a.0 no move, which made it equivalent
+    # to 0; it is refused, and no verdict is printed
+    code, out, _ = run(capsys, "check", "--calculus", "ccs", "--rel", "ipo",
+                       "a.0", "0")
+    assert (code, out.splitlines()[0]) == (1, "inequivalent")
+    for text in ("", "# no terms here\n\n"):
+        f = tmp_path / "pool.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                             "ipo", "--mode", f"instantiate:@{f}", "a.0", "0")
+        assert code == 2 and not out, text
+        assert "pool is empty" in err
 
 
 def test_lts_json_golden(capsys):

@@ -22,11 +22,13 @@ from lbisim import (
     MalformedTermError,
     MAUnsupportedError,
     ProcVar,
+    RELATIONS,
     Term,
     UnsupportedQuantificationError,
     async_bisim,
     barbed_semi_saturated_bisim,
     canonical_term,
+    check,
     enumerate_terms,
     ipo_bisim,
     is_capturing,
@@ -46,8 +48,8 @@ from lbisim import (
     verify_witness,
 )
 from lbisim.equivalence import (
-    _class_named, _label_variables, _no_residual, _solve, _SymbolicGame,
-    _variables,
+    _class_named, _game, _label_variables, _no_residual, _solve,
+    _SymbolicGame, _variables,
 )
 from lbisim import syntax
 
@@ -181,6 +183,20 @@ def test_barb_candidates():
     assert EMPTY.barb_candidates("n", MA) == []
 
 
+def test_capturing_reports_each_barb_once():
+    # ACCS: the barb 'a and the free name a are one output barb
+    accs = [parse_term(s, ACCS) for s in ("'a", "a.0", "0", "'b | a.0")]
+    rep = is_capturing(LA, ACCS, accs)
+    assert [e.barb for e in rep.entries] == ["'a", "'b"]
+    assert rep.ok is True
+    # CCS: each name as an output and an input barb, name by name
+    ccs = [parse_term(s, CCS) for s in ("'a.0", "b.0")]
+    assert [e.barb for e in is_capturing(LCCS, CCS, ccs).entries] \
+        == ["'a", "a", "'b", "b"]
+    ma = [parse_term(s, MA) for s in ("n[0]", "open m.0")]
+    assert [e.barb for e in is_capturing(LM, MA, ma).entries] == ["m", "n"]
+
+
 def test_capturing_reports():
     ma = enumerate_terms(MA, ("n", "m"), count=60)
     rep = is_capturing(LM, MA, ma)
@@ -271,16 +287,9 @@ def test_witness_replay_across_relations():
         ("l-bisim", MA, "n[0]", "0", LM),
         ("l-bisim", CCS, "a.0 + b.0", "a.0", LCCS),
     ]
-    runners = {
-        "strong": lambda p, q, _: strong_bisim(p, q),
-        "async": lambda p, q, _: async_bisim(p, q),
-        "ipo": lambda p, q, _: ipo_bisim(p, q),
-        "semi-sat": lambda p, q, _: semi_saturated_bisim(p, q),
-        "l-bisim": lambda p, q, ls: l_bisim(p, q, ls),
-    }
     for rel, calc, s1, s2, labels in cases:
         p, q = parse_term(s1, calc), parse_term(s2, calc)
-        r = runners[rel](p, q, labels)
+        r = check(rel, p, q, labels=labels)
         assert r.verdict is False and r.witness, (rel, s1, s2)
         assert verify_witness(p, q, r, rel, labels=labels) is True, (rel, s1)
         # a tampered replay (swapped endpoints) must not validate
@@ -325,15 +334,6 @@ _REPLAYED = (
        for pair in _MA_DIFFS.values() for rel, labels in _MA_RELS])
 
 
-def _play(rel, labels, p, q):
-    solvers = {"strong": strong_bisim, "ipo": ipo_bisim,
-               "semi-sat": semi_saturated_bisim,
-               "barbed-semi-sat": barbed_semi_saturated_bisim}
-    if rel == "l-bisim":
-        return l_bisim(p, q, labels)
-    return solvers[rel](p, q)
-
-
 def _state_vars(text: str, calc) -> set:
     return set().union(*_variables(parse_term(text, calc).node))
 
@@ -354,7 +354,7 @@ def _assert_intro_vars_fresh(r, calc):
          for c, r, ls, s1, _ in _REPLAYED])
 def test_inequivalence_witnesses_replay(calc, rel, labels, s1, s2):
     p, q = parse_term(s1, calc), parse_term(s2, calc)
-    r = _play(rel, labels, p, q)
+    r = check(rel, p, q, labels=labels)
     assert r.verdict is False and r.witness
     assert verify_witness(p, q, r, rel, labels=labels) is True
     _assert_intro_vars_fresh(r, calc)
@@ -382,8 +382,6 @@ _ITS_RELS = {CCS: _CCS_RELS[1:],
                     ("barbed-semi-sat", None), ("l-bisim", LA),
                     ("l-bisim", ALL), ("l-bisim", EMPTY)],
              MA: _MA_RELS}
-_GAME_LABELS = {"ipo": (ALL, False), "semi-sat": (EMPTY, False),
-                "barbed-semi-sat": (EMPTY, True)}
 # MA firewall-law pairs: equivalent under every relation; played in
 # full, without residuals, they exhaust any budget.
 _FIREWALL = (("m[(nu k) k[0]]", "m[0]"), ("in n.0", "in n.(nu k) k[0]"),
@@ -405,10 +403,12 @@ def _query_id(calc, rel, labels, s1, s2):
 
 
 def _play_game(cls, calc, rel, labels, p, q):
-    """The result dict of one game, or the budget it exhausted."""
-    ls, barbed = _GAME_LABELS.get(rel, (labels, False))
+    """The result dict of one game, or the budget it exhausted: the
+    relation's game, played as a `cls`."""
+    game = _game(rel, calc, p, q, labels, None)
     try:
-        return _solve(cls(calc, ls, barbed), p, q, _MEMO_BUDGET)
+        return _solve(cls(calc, game.labels, game.barbed), p, q,
+                      _MEMO_BUDGET)
     except DivergenceBudgetExceededError as exc:
         return str(exc)
 
@@ -677,10 +677,9 @@ def test_instantiated_pool_agrees_with_symbolic():
     witnessed = [("ipo", "a.'a + tau.0", "tau.0")] + [
         (rel, s1, s2) for rel in ("ipo", "semi-sat")
         for s1, s2 in (("'a", "0"), ("'a | 'b", "'a"))]
-    solvers = {"ipo": ipo_bisim, "semi-sat": semi_saturated_bisim}
     for rel, s1, s2 in witnessed:
         p, q = parse_term(s1, ACCS), parse_term(s2, ACCS)
-        r = solvers[rel](p, q, pool=pool)
+        r = check(rel, p, q, pool=pool)
         assert r.verdict is False and r.witness, (rel, s1)
         assert verify_witness(p, q, r, rel, pool=pool) is True, (rel, s1)
         assert verify_witness(q, p, r, rel, pool=pool) is False, (rel, s1)
@@ -702,10 +701,83 @@ def test_relation_guards():
     with pytest.raises(MAUnsupportedError):
         strong_bisim(p, p)
     c = parse_term("a.0", CCS)
-    with pytest.raises(LbisimError):
-        async_bisim(c, c)
+    for t in (c, p):
+        with pytest.raises(LbisimError, match="ACCS"):
+            async_bisim(t, t)
+    with pytest.raises(LbisimError, match="unknown relation"):
+        check("bisim", c, c)
     with pytest.raises(UnsupportedQuantificationError):
         barbed_semi_saturated_bisim(p, p, contextual_barbs=False)
     impure = Term(Calculus.CCS, ProcVar("X1"))
     with pytest.raises(MalformedTermError):
         strong_bisim(impure, impure)
+
+
+# --- one relation table ------------------------------------------------------
+
+# Per relation: its named solver and an inequivalent pair (with the label
+# set l-bisim needs).
+_BY_RELATION = {
+    "strong": (strong_bisim, CCS, None, "a.0", "b.0"),
+    "async": (async_bisim, ACCS, None, "'a", "0"),
+    "ipo": (ipo_bisim, ACCS, None, *_FLAGSHIP),
+    "semi-sat": (semi_saturated_bisim, ACCS, None, "'a | 'b", "'a"),
+    "barbed-semi-sat": (barbed_semi_saturated_bisim, MA, None, "n[0]", "0"),
+    "l-bisim": (l_bisim, MA, LM, "n[0]", "0"),
+}
+
+
+def test_every_relation_has_a_case():
+    assert tuple(_BY_RELATION) == RELATIONS
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_check_is_the_named_solver(rel):
+    solver, calc, labels, s1, s2 = _BY_RELATION[rel]
+    p, q = parse_term(s1, calc), parse_term(s2, calc)
+    r = check(rel, p, q, labels=labels)
+    named = solver(p, q) if labels is None else solver(p, q, labels)
+    assert r.to_dict() == named.to_dict()
+    assert r.verdict is False and r.witness
+    assert verify_witness(p, q, r, rel, labels=labels) is True
+    assert check(rel, p, p, labels=labels).verdict is True
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_check_refuses_what_a_relation_does_not_take(rel):
+    _, calc, labels, s1, s2 = _BY_RELATION[rel]
+    p, q = parse_term(s1, calc), parse_term(s2, calc)
+    r = check(rel, p, q, labels=labels)
+    if rel == "l-bisim":
+        misuses = [{}]                         # no label set
+    else:
+        misuses = [{"labels": ALL}]
+    if rel in ("strong", "async"):
+        misuses.append({"pool": [parse_term("0", calc)]})
+    else:
+        misuses.append({"labels": labels, "pool": []})
+    for kw in misuses:
+        with pytest.raises(LbisimError):
+            check(rel, p, q, **kw)
+        with pytest.raises(LbisimError):
+            verify_witness(p, q, r, rel, **kw)
+
+
+def test_empty_pool_is_refused():
+    # with no pool term, no move with a label variable has an instance:
+    # a.0 would have no move, and so would seem equivalent to 0
+    p, q = parse_term("a.0", CCS), parse_term("0", CCS)
+    assert ipo_bisim(p, q).verdict is False
+    for rel in ("ipo", "semi-sat", "barbed-semi-sat"):
+        with pytest.raises(MalformedTermError, match="pool is empty"):
+            check(rel, p, q, pool=[])
+    with pytest.raises(MalformedTermError, match="pool is empty"):
+        l_bisim(p, q, LCCS, pool=())
+
+
+def test_barbed_l_bisim_is_barbed_semi_sat():
+    p, q = parse_term("n[0]", MA), parse_term("0", MA)
+    assert l_bisim(p, q, EMPTY, barbed=True).to_dict() \
+        == barbed_semi_saturated_bisim(p, q).to_dict()
+    with pytest.raises(LbisimError, match="EMPTY"):
+        l_bisim(p, q, LM, barbed=True)

@@ -12,14 +12,14 @@ import gc
 import pytest
 
 from lbisim import (
-    ALL, EMPTY, LA, LCCS, LM, Amb, Calculus, DivergenceBudgetExceededError,
+    ALL, EMPTY, LCCS, LM, Amb, Calculus, DivergenceBudgetExceededError,
     Term, barbs, canonical_term, enumerate_terms, its_transitions, l_bisim,
     parse_label, parse_term, pattern_label_set, print_term, reduct_terms,
     strong_bisim, term_pairs, verify_witness,
 )
 from lbisim.equivalence import (
-    _AsyncGame, _inert, _no_residual, _OrdinaryGame, _solve,
-    _strip_context, _SymbolicGame, _its_game,
+    OWN_LABEL_SETS, _AsyncGame, _game, _inert, _no_residual, _OrdinaryGame,
+    _solve, _strip_context, _SymbolicGame,
 )
 from lbisim.terms import par
 
@@ -154,7 +154,6 @@ class _PlainAsync(_AsyncGame):
     residual = _no_residual
 
 
-_LABELS = {CCS: LCCS, ACCS: LA, MA: LM}
 _SIZES = {CCS: 500, ACCS: 500, MA: 200}
 # A deterministic share of each criterion pair set keeps this test to a
 # few seconds: MA games in contexts often run to the budget.
@@ -167,7 +166,7 @@ def _games(calc):
     out = [(ls.name, lambda ls=ls: _PlainSymbolic(calc, ls, False),
             lambda ls=ls: _SymbolicGame(calc, ls, False),
             ("l-bisim", ls))
-           for ls in (ALL, _LABELS[calc], EMPTY)]
+           for ls in (ALL, OWN_LABEL_SETS[calc], EMPTY)]
     if calc is not MA:
         out.append(("strong", lambda: _PlainOrdinary(calc),
                     lambda: _OrdinaryGame(calc), ("strong", None)))
@@ -204,8 +203,8 @@ def test_residual_is_the_pair_without_a_stated_argument():
     onlya = pattern_label_set("onlya", [parse_label("- | a.@X1", CCS)])
     for game in (_SymbolicGame(CCS, onlya, False),
                  _SymbolicGame(CCS, LM, False),
-                 _its_game(CCS, p, q, EMPTY, False,
-                           [parse_term("0", CCS)])):
+                 _game("semi-sat", CCS, p, q, None,
+                       [parse_term("0", CCS)])):
         assert game.residual(p, q) == (p, q)
     stripped = tuple(canonical_term(parse_term(s, CCS))
                      for s in ("b.0", "b.0 + b.0"))
