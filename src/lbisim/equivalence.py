@@ -27,40 +27,49 @@ RELATIONS; `_game` is the one place that maps a name to its game, which
     contexts instead is refused).  With a pool, the same game closes
     label variables over the pool instead of playing them symbolically.
 
-Symbolic moves carry the canonical label variables X1, X2, x, and the
-engine keeps them: the attacker's and the defender's residuals share
-them because both sides take them from the same label.  A label may
-also name a variable of the state it leaves (the ambient ?p10 of
-`- | open ?p10.@X1`): the defender is plugged into the same context.
-The game asks for moves only of its stored pairs, whose variables all
-carry class names (below), and a witness replay only of states whose
-variables are W1, w2, ...; neither is ever X1, X2 or x, so a label
-variable never clashes with a variable of the state it leaves.
+Game states hold no process variables.  Symbolic moves carry the
+canonical label variables X1, X2 and x.  A process variable @X1 or @X2
+stands for a process the environment supplies and the state never looks
+at: it has no move, no reduction and no barb, and no label can name it
+(a label names only its own variables and the state's name variables).
+So erasing it, replacing it by 0, commutes with every ITS move, with
+plugging into a label and with reduction, and {(t, t with its process
+variables erased)} is an L-bisimulation for every L, barbed or not: a
+pair is related exactly when its erased pair is.  The game plays the
+erased game: `_SymbolicGame.attacks` and `answers` hand back each target
+and answer erased and canonical again (`_erased`), so every state stays
+as small as its own processes, and no game state holds a process
+variable.  The name variable x stays, since a later label may name the
+ambient ?x it stands for (the ambient ?p10 of `- | open ?p10.@X1`): the
+defender is then plugged into the same context.  The game asks for moves
+only of its stored pairs, whose name variables carry class names
+(below), and a witness replay only of states whose name variables are
+w1, w2, ...; neither is ever x, so a label's x never clashes with a
+variable of the state it leaves.
 
-Pairs up to renaming.  Label variables are inert (a process @X1 has no
-move, a name ?x is never restricted), so renaming a pair's variables
-injectively renames its moves and changes nothing else.  So the game
-keeps one pair per renaming class: `_solve` renames a pair's process
-variables jointly, in sorted order, to P10, P11, ... and its name
-variables to p10, p11, ... (the class names: a number spelt as its
-digit count and then its digits, so P19 < P210 as strings), and stores
-the pair under them.  This is the only renaming of game variables.
-Canonical forms compare a variable only with variables of its own kind,
-by name, and normalisation never looks at variables; so a renaming that
-keeps the order of a canonical state's process variables and of its name
-variables leaves it canonical, and the stored states are canonical as
-they stand.  Class names sort below X1, X2 and x, so class-naming a
-successor numbers the variables it keeps from its parent first, in their
-order, and its label variables after them.  Each answer links its
-successor's key with the inverse renaming, from the successor's class
-names back to the names of the pair that played it.  Witnesses follow
-those links: they number the label variables W1, W2, ... (w1 ... for
-name variables) step by step, in states and in labels alike, carry that
-numbering to the next pair through the inverse renaming and print each
-answer as it was played; `verify_witness` replays a witness through the
-attacks and answers of the game that produced it.  The solver computes
-answers only for the attacks it reaches: a pair that dies on its first
-attack computes none for the rest.
+Pairs up to renaming.  A name variable is never restricted, so renaming
+a pair's name variables injectively renames its moves and changes
+nothing else.  So the game keeps one pair per renaming class: `_solve`
+renames a pair's name variables jointly, in sorted order, to p10, p11,
+... (the class names: a number spelt as its digit count and then its
+digits, so p19 < p210 as strings), and stores the pair under them.  This
+is the only renaming of game variables.  Canonical forms compare a
+variable only with variables of its own kind, by name, and normalisation
+never looks at variables; so a renaming that keeps the order of a
+canonical state's name variables leaves it canonical, and the stored
+states are canonical as they stand.  Class names sort below x, so
+class-naming a successor numbers the variables it keeps from its parent
+first, in their order, and the label's x after them.  Each answer links
+its successor's key with the inverse renaming, from the successor's
+class names back to the names of the pair that played it.  Witnesses
+follow those links: they number the x of each move w1, w2, ... step by
+step, in states and in labels alike, carry that numbering to the next
+pair through the inverse renaming and print each answer as it was
+played; a label's @X1 and @X2 print as they are.  `verify_witness`
+replays a witness through the attacks and answers of the game that
+produced it, so it replays the erased game too.  The solver erases and
+answers only the attacks it reaches: a pair that dies on its first
+attack erases and answers none of the rest.
 
 Pairs up to context.  A game's `residual` strips the largest common
 evaluation context of a pair's two canonical states: repeatedly, the
@@ -68,28 +77,24 @@ parallel components both share that mention no bound name, then a top
 ambient n[-] (or ?v[-]) that each side is, n free, the binders moving
 inside it; nothing under a prefix or a binder.  So p = C[p'] and
 q = C[q'] for C built from `- | R` and `n[-]`, and (p', q') is the
-residual, itself its own residual.  A pair that shares nothing but
-process variables is its own residual: it plays the residual's moves
-with those inert components alongside, and its copies that differ only
-in the names of those variables are one pair already.  A residual
-whose two sides are inert (process variables and ambients of restricted
-names holding no capability: no move, no reduction, no barb) is alive
-as it stands, so `_solve` settles its pair at once, without playing a
-move; the MA firewall law (nu k) k[0] = 0 ends there in every context.
-Any other pair is played as before: barbs, then its attacks and
-answers, and an attack without answer kills it at once.  Then, when
-its residual differs and is not dead (it is played at once if new), the
-pair holds its successors back and depends on the residual alone; it
-interns and plays them only when the residual dies.  A pair dies only
-through its own attacks, so witnesses and `verify_witness` stay in the
-plain game, and cancelling a context is never taken as a refutation.
-When no pair the root depends on is left to expand, the verdict is
-`True`: a pair still holding back is alive because its residual is.  A
-dead residual still guides the search for the pair's own refutation:
-the new successors of the pair's attacks that repeat the residual's
-failing attack (or, if none does, of those that open an ambient,
-peeling a context off) are expanded first, the others a round later.
-That changes the order of expansion only.
+residual, itself its own residual.  A residual whose two sides are inert
+(ambients of restricted names holding no capability: no move, no
+reduction, no barb) is alive as it stands, so `_solve` settles its pair
+at once, without playing a move; the MA firewall law (nu k) k[0] = 0
+ends there in every context.  Any other pair is played as before: barbs,
+then its attacks and answers, and an attack without answer kills it at
+once.  Then, when its residual differs and is not dead (it is played at
+once if new), the pair holds its successors back and depends on the
+residual alone; it interns and plays them only when the residual dies.
+A pair dies only through its own attacks, so witnesses and
+`verify_witness` stay in the plain game, and cancelling a context is
+never taken as a refutation.  When no pair the root depends on is left
+to expand, the verdict is `True`: a pair still holding back is alive
+because its residual is.  A dead residual still guides the search for
+the pair's own refutation: the new successors of the pair's attacks that
+repeat the residual's failing attack (or, if none does, of those that
+open an ambient, peeling a context off) are expanded first, the others a
+round later.  That changes the order of expansion only.
 
 Why that is sound.  Let S hold the live pairs that play their own
 successors, the pairs of equal states and the inert residuals (which
@@ -107,9 +112,9 @@ into a move of p under a larger label, answered by q and recomposed
 (Leifer & Milner, CONCUR 2000, for labels that are minimal contexts).
 Each answer leaves a pair C'[p''], C'[q''] with (p'', q'') related.
 R never names a binder of either side, so (nu A)(R | P) = R | (nu A)P,
-and n[(nu A)P] = (nu A)n[P] for n not in A.  Game variables are inert
-(a process @P10 has no move, a name ?p10 is never restricted), so the
-argument holds for states that contain them.  Per relation:
+and n[(nu A)P] = (nu A)n[P] for n not in A.  A name variable ?p10 is
+never restricted, so the argument holds for states that contain one.
+Per relation:
 
   * strong (CCS, ACCS) and async (ACCS): the decomposition is the rule
     for parallel composition; in the async game, an input of p answered
@@ -145,11 +150,12 @@ from .errors import (
 )
 from .lts import instantiate, its_transitions, ordinary_transitions
 from .reduction import barbs, reduct_terms
+from .syntax import is_name, print_label, print_node, print_term
 from .terms import (
-    Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    ProcVar, Recv, Restrict, Send, Substitution, Sum, Term,
-    free_names, fresh_name, par, plug, rename_vars,
-    restricts, same_calculus,
+    NIL, Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par,
+    Prefix, ProcVar, Recv, Restrict, Send, Substitution, Sum, Term,
+    _subst, free_names, fresh_name, par, plug, rename_vars, restricts,
+    same_calculus,
 )
 
 DEFAULT_MAX_PAIRS = 50_000
@@ -316,14 +322,13 @@ class _Attack:
     label: "Label | None"          # ITS games: the label
     target: Term
 
-    def text(self, procs: dict, names: dict) -> str:
+    def text(self, names: dict) -> str:
         """The move as a witness prints it: the action, or the label with
-        the state's variables renamed."""
+        the state's name variables renamed."""
         if self.label is None:
             return self.action
-        from .syntax import print_label
         label = self.label
-        body = rename_vars(label.body, procs, names)
+        body = rename_vars(label.body, {}, names)
         if body is not label.body:
             label = canonical_label(Label(label.calculus, body))
         return print_label(label)
@@ -395,7 +400,7 @@ class GameResult:
         }
 
 
-_NO_VARS = ({}, {})                # the renaming of a pair without variables
+_NO_VARS: dict = {}                # the renaming of a pair without variables
 
 
 def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
@@ -572,7 +577,6 @@ def _budget_exceeded(pairs: dict, max_pairs: int):
     """The error of a game whose budget is full, naming how many open
     pairs were never expanded and how long the largest stored state,
     the one of most syntax nodes, prints."""
-    from .syntax import print_node
     sizes: dict = {}               # node -> syntax nodes in its tree
 
     def size(node):
@@ -598,18 +602,16 @@ def _budget_exceeded(pairs: dict, max_pairs: int):
 
 
 def _class_named(p: Term, q: Term):
-    """A pair of canonical states with its process variables renamed
-    jointly, in sorted order, to P10, P11, ... and its name variables to
-    p10, p11, ..., and the renaming back; see the module docstring."""
+    """A pair of canonical states with its name variables renamed
+    jointly, in sorted order, to p10, p11, ..., and the renaming back;
+    see the module docstring."""
     if not (p.node.vars or q.node.vars):
         return p, q, _NO_VARS
-    pvars, nvars = _variables(p.node, q.node)
-    procs = {v: "P" + _spell(i) for i, v in enumerate(sorted(pvars))}
+    nvars = {v for kind, v in (*p.node.vars, *q.node.vars) if kind == "name"}
     names = {v: "p" + _spell(i) for i, v in enumerate(sorted(nvars))}
-    return (Term(p.calculus, rename_vars(p.node, procs, names)),
-            Term(q.calculus, rename_vars(q.node, procs, names)),
-            ({c: v for v, c in procs.items()},
-             {c: v for v, c in names.items()}))
+    return (Term(p.calculus, rename_vars(p.node, {}, names)),
+            Term(q.calculus, rename_vars(q.node, {}, names)),
+            {c: v for v, c in names.items()})
 
 
 def _following(moves, dead_residual, back) -> "set | range":
@@ -634,27 +636,25 @@ def _move_key(attack: _Attack, back=_NO_VARS):
     """The attack's side and action or label, the label's variables
     renamed by `back`."""
     return (attack.side, attack.action,
-            attack.label and rename_vars(attack.label.body, *back))
+            attack.label and rename_vars(attack.label.body, {}, back))
 
 
-def _show(term: Term, procs: dict, names: dict) -> str:
-    """Print a game state with its internal variables renamed."""
-    from .syntax import print_term
+def _show(term: Term, names: dict) -> str:
+    """Print a game state with its name variables renamed."""
     return print_term(canonical_term(
-        Term(term.calculus, rename_vars(term.node, procs, names))))
+        Term(term.calculus, rename_vars(term.node, {}, names))))
 
 
 def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
     """The refutation of the root, whose variables the witness calls by
     the names `root_back` gives its class names."""
     moves: list[WitnessMove] = []
-    ren_p = dict(root_back[0])     # the pair's proc var -> witness name
-    ren_n = dict(root_back[1])     # the pair's name var -> witness name
+    ren = dict(root_back)          # the pair's name var -> witness name
     counter = 0
     key = root
     while True:
         node = pairs[key]
-        pair_text = (_show(node.p, ren_p, ren_n), _show(node.q, ren_p, ren_n))
+        pair_text = (_show(node.p, ren), _show(node.q, ren))
         kind, *info = node.fail
         if kind == "barb":
             side, name = info
@@ -663,14 +663,10 @@ def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
                                      "barb unmatched"))
             return moves
         attack, answers = node.attacks[info[0]]
-        att_text = _show(attack.target, ren_p, ren_n)
-        move = attack.text(ren_p, ren_n)
-        procs, names = _label_variables(attack)
+        att_text = _show(attack.target, ren)
+        move = attack.text(ren)
         intro = {}
-        for var in procs:
-            counter += 1
-            intro[var] = f"W{counter}"
-        for var in names:
+        for var in _label_variables(attack):
             counter += 1
             intro[var] = f"w{counter}"
         side_text = "left" if attack.side == 0 else "right"
@@ -678,15 +674,12 @@ def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
             moves.append(WitnessMove(pair_text, side_text, "move", move,
                                      att_text, None, intro, "no answer"))
             return moves
-        answer, key, (inv_p, inv_n) = min(
+        answer, key, inv = min(
             answers, key=lambda a: (pairs[a[1]].rank, node_key(a[0].node)))
         moves.append(WitnessMove(pair_text, side_text, "move", move,
-                                 att_text, _show(answer, ren_p, ren_n),
-                                 intro, None))
-        ren_p |= {v: intro[v] for v in procs}
-        ren_n |= {v: intro[v] for v in names}
-        ren_p = {c: ren_p[v] for c, v in inv_p.items()}
-        ren_n = {c: ren_n[v] for c, v in inv_n.items()}
+                                 att_text, _show(answer, ren), intro, None))
+        ren |= intro
+        ren = {c: ren[v] for c, v in inv.items()}
 
 
 # --- residuals: pairs up to their common context ----------------------------
@@ -718,8 +711,7 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
     Repeats until nothing changes: drop the parallel components the two
     sides share that mention no bound name, then, if each side is one
     ambient of the same free name, strip it (the binders move inward).
-    Nothing under a prefix or a binder is touched, and a pair that shares
-    nothing but process variables is its own residual.  The residual is
+    Nothing under a prefix or a binder is touched.  The residual is
     canonical as built: the binders keep their names and the kept
     components their order, unless a dropped free name is one the
     binders may now take, which costs one canonicalisation."""
@@ -745,11 +737,7 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
                         del common[c]
             if common:
                 cp, cq = _without(cp, common), _without(cq, common)
-                # Shared game variables alone are no context worth
-                # stripping: the pair plays the residual's moves with
-                # them alongside, as one pair for all their names.
-                stripped = stripped or not all(isinstance(c, ProcVar)
-                                               for c in common)
+                stripped = True
         if len(cp) == 1 == len(cq) and isinstance(cp[0], Amb) \
                 and isinstance(cq[0], Amb) and cp[0].name == cq[0].name \
                 and cp[0].name not in bound:
@@ -767,18 +755,16 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
 
 def _inert(node: Node) -> bool:
     """Has a canonical state no move, no reduction and no barb?  So it is
-    when its components are process variables (inert game variables) and
-    ambients of restricted names that hold no capability."""
+    when its components are ambients of restricted names that hold no
+    capability."""
     binders, core = strip_restricts(node)
-    return all(isinstance(c, ProcVar)
-               or (isinstance(c, Amb) and c.name in binders
-                   and _capless(c.body))
+    return all(isinstance(c, Amb) and c.name in binders and _capless(c.body)
                for c in components(core))
 
 
 def _capless(node: Node) -> bool:
     match node:
-        case Nil() | ProcVar():
+        case Nil():
             return True
         case Amb(body=b):
             return _capless(b)
@@ -837,11 +823,6 @@ class _AsyncGame(_OrdinaryGame):
         return exact + extra
 
 
-# The canonical label variables of the ITS; every other variable of a
-# label is a variable of the state it leaves.
-_LABEL_VARS = frozenset({("proc", "X1"), ("proc", "X2"), ("name", "x")})
-
-
 def _spell(n: int) -> str:
     """n as its digit count followed by its digits: spelt numbers sort
     as strings in numeric order."""
@@ -849,24 +830,23 @@ def _spell(n: int) -> str:
     return f"{len(digits)}{digits}"
 
 
-def _variables(*nodes) -> tuple[set, set]:
-    """The process and the name variables of some game states."""
-    pvars, nvars = set(), set()
-    for node in nodes:
-        for kind, name in node.vars:
-            (pvars if kind == "proc" else nvars).add(name)
-    return pvars, nvars
+def _label_variables(attack: _Attack) -> list:
+    """The variables a move introduces into the states: the label's name
+    variable x, if it has one (its process variables are erased, and its
+    other name variables are the state's own)."""
+    if attack.label is not None and ("name", "x") in attack.label.body.vars:
+        return ["x"]
+    return []
 
 
-def _label_variables(attack: _Attack) -> tuple[list, list]:
-    """The label variables a move introduces, X1 and X2 then x, each kind
-    in the order of first use in its label."""
-    if attack.label is None:
-        return [], []
-    used = [v for v in dict.fromkeys(attack.label.body.vars)
-            if v in _LABEL_VARS]
-    return ([name for kind, name in used if kind == "proc"],
-            [name for kind, name in used if kind == "name"])
+def _erased(term: Term) -> Term:
+    """The state with its process variables replaced by 0, canonical
+    again: the state the game plays (see the module docstring)."""
+    procs = {v: NIL for kind, v in term.node.vars if kind == "proc"}
+    if not procs:
+        return term
+    return canonical_term(Term(term.calculus, _subst(
+        term.node, procs, {}, None, frozenset(), frozenset())))
 
 
 class _SymbolicGame:
@@ -904,16 +884,17 @@ class _SymbolicGame:
         return its_transitions(state)
 
     def attacks(self, p, q):
-        return [_Attack(side, None, tr.label, tr.target)
-                for side, state in ((0, p), (1, q))
-                for tr in self.moves(state)]
+        """The states' ITS moves, each target erased as it is reached."""
+        for side, state in ((0, p), (1, q)):
+            for tr in self.moves(state):
+                yield _Attack(side, None, tr.label, _erased(tr.target))
 
     def answers(self, attack, defender):
         if self.labels.contains(attack.label):
             # the defender's moves with the attack's label
-            return [tr.target for tr in self.moves(defender)
+            return [_erased(tr.target) for tr in self.moves(defender)
                     if tr.label.body == attack.label.body]
-        return list(reduct_terms(plug(attack.label, defender)))
+        return [_erased(t) for t in reduct_terms(plug(attack.label, defender))]
 
 
 class _InstantiatedGame(_SymbolicGame):
@@ -1086,7 +1067,6 @@ def barbed_semi_saturated_bisim(p: Term, q: Term, *,
 def _marker(p: Term, name: str, t1: Term) -> str:
     """A marker name fresh for p, T1 and `name`, the name the label's
     prefix acts on, which must be one the grammar can write."""
-    from .syntax import is_name
     if not is_name(name):
         raise LbisimError(f"{name!r} is not a name")
     return fresh_name(free_names(p.node) | free_names(t1.node) | {name})
@@ -1199,7 +1179,6 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
         -> CapturingReport:
     """Check, over a corpus, that every barb is equivalent to having a
     transition with some fixed label of the set."""
-    from .syntax import print_label, print_term
     corpus = [canonical_term(t) for t in corpus]
     # The barbs a term of the corpus could show: its own, and each free
     # name n as the barb n (MA, and CCS input) and 'n (CCS and ACCS
@@ -1246,14 +1225,14 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
     Every step's attacker move must be one of the game's attacks, every
     recorded defender answer one of the game's answers to it, and the
     last step a genuine dead end (no answer, or an unmatched barb).
-    Witness states rename the variables introduced along the trace to
-    W1, W2, ... (w1 ... for name variables); `intro_vars` of each step
-    records that renaming, and the replay applies it to the next pair.
+    Witness states rename the name variable x each move introduces to
+    w1, w2, ...; `intro_vars` of each step records that renaming, and the
+    replay applies it to the next pair.  Like `check`, it takes pure
+    terms only.
     """
-    from .syntax import print_term
     if result.verdict or not result.witness:
         raise LbisimError("only inequivalence results carry a witness")
-    calc = same_calculus(p, q)
+    calc = _entry(p, q)
     game = _game(relation, calc, p, q, labels, pool)
     cur_p, cur_q = canonical_term(p), canonical_term(q)
     for step in result.witness:
@@ -1264,8 +1243,8 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
             return game.pair_barb_fail(cur_p, cur_q) == ("barb", side,
                                                          step.move)
         for attack in game.attacks(cur_p, cur_q):
-            if attack.side == side and attack.text({}, {}) == step.move \
-                    and _show(attack.target, {}, {}) == step.attacker_target:
+            if attack.side == side and attack.text({}) == step.move \
+                    and _show(attack.target, {}) == step.attacker_target:
                 break
         else:
             return False
@@ -1273,16 +1252,14 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
         if step.defender_target is None:
             return not answers and step.reason == "no answer"
         chosen = next((a for a in answers
-                       if _show(a, {}, {}) == step.defender_target), None)
-        procs, names = _label_variables(attack)
-        if chosen is None or set(step.intro_vars) != {*procs, *names}:
+                       if _show(a, {}) == step.defender_target), None)
+        ren = step.intro_vars
+        if chosen is None or set(ren) != set(_label_variables(attack)):
             return False
-        ren_p = {v: step.intro_vars[v] for v in procs}
-        ren_n = {v: step.intro_vars[v] for v in names}
         nxt_att = canonical_term(
-            Term(calc, rename_vars(attack.target.node, ren_p, ren_n)))
+            Term(calc, rename_vars(attack.target.node, {}, ren)))
         nxt_def = canonical_term(
-            Term(calc, rename_vars(chosen.node, ren_p, ren_n)))
+            Term(calc, rename_vars(chosen.node, {}, ren)))
         cur_p, cur_q = ((nxt_att, nxt_def) if side == 0
                         else (nxt_def, nxt_att))
     return False

@@ -35,6 +35,7 @@ from .congruence import (
 )
 from .errors import DivergenceBudgetExceededError, MAUnsupportedError
 from .reduction import reducts
+from .syntax import print_label, print_term
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Prefix, ProcVar, Recv,
     Send, Substitution, Term, apply_subst, close_label, par, restricts,
@@ -231,14 +232,12 @@ def reachable(term: Term, kind: str = "its", max_states: int = 2000):
 
 
 def _label_text(tr) -> str:
-    from .syntax import print_label
     if isinstance(tr, OrdinaryTransition):
         return tr.action
     return print_label(tr.label)
 
 
 def lts_to_json(states, edges) -> dict:
-    from .syntax import print_term
     texts = [print_term(s) for s in states]
     return {
         "states": texts,
@@ -259,7 +258,6 @@ def _gvquote(s: str) -> str:
 
 
 def lts_to_dot(states, edges) -> str:
-    from .syntax import print_term
     lines = ["digraph lts {"]
     for s in states:
         lines.append(f"  {_gvquote(print_term(s))};")

@@ -104,13 +104,13 @@ def test_budget_flag_exits_three(capsys):
 
 def test_budget_exit_says_what_grew(capsys):
     # the game on two capability chains that differ only at their ends
-    # grows past 200 pairs before it refutes them
+    # grows past 50 pairs before it refutes them
     code, out, err = run(capsys, "check", "--format", "json", "--calculus",
-                         "ma", "--rel", "semi-sat", "--max-pairs", "200",
-                         "in a." * 8 + "0", "in a." * 7 + "in b.0")
+                         "ma", "--rel", "semi-sat", "--max-pairs", "50",
+                         "in a." * 25 + "0", "in a." * 24 + "in b.0")
     assert code == 3, err
     error = json.loads(out)["error"]
-    assert "exceeded the budget of 200 (reached 201)" in error
+    assert "exceeded the budget of 50 (reached 51)" in error
     assert re.search(r"with [1-9]\d* pairs not yet expanded and a largest "
                      r"state of [1-9]\d* characters", error)
 

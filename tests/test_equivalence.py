@@ -49,9 +49,9 @@ from lbisim import (
 )
 from lbisim.equivalence import (
     _class_named, _game, _label_variables, _no_residual, _solve,
-    _SymbolicGame, _variables,
+    _SymbolicGame,
 )
-from lbisim import syntax
+from lbisim import equivalence, syntax
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -263,6 +263,7 @@ def _printed_labels_parse_back(monkeypatch):
         return print_label(label)
 
     monkeypatch.setattr(syntax, "print_label", record)
+    monkeypatch.setattr(equivalence, "print_label", record)
     yield
     for label in printed:
         text = print_label(label)
@@ -298,17 +299,43 @@ def test_witness_replay_across_relations():
 
 
 def test_witness_with_more_than_ten_game_variables():
-    # each move leaves @X1 behind, so the class names of the later pairs
-    # run past P19 to P210, and the witness numbers twelve of them
+    # each move's label brings @X1, which the game erases: after twelve
+    # moves the states hold none of them, and the witness numbers none
     p = parse_term("a." * 12 + "0", CCS)
     q = parse_term("a." * 12 + "b.0", CCS)
     r = semi_saturated_bisim(p, q)
     assert (r.verdict, r.pairs_explored, r.rounds, len(r.witness)) \
         == (False, 13, 25, 13)
-    consts = " | ".join(sorted(f"@W{i}" for i in range(1, 13)))
-    assert r.witness[-1].pair == (consts, consts + " | b.0")
-    assert r.witness[-1].intro_vars == {"X1": "W13"}
+    assert r.witness[-1].pair == ("0", "b.0")
+    assert r.witness[-1].move == "- | 'b.@X1"
+    assert all(step.intro_vars == {} for step in r.witness)
     assert verify_witness(p, q, r, "semi-sat") is True
+
+
+_MA_CHAIN = ("in a." * 25 + "0", "in a." * 24 + "in b.0")
+
+
+@pytest.mark.parametrize("rel,labels", [("ipo", None), ("semi-sat", None),
+                                        ("barbed-semi-sat", None),
+                                        ("l-bisim", LM)])
+def test_capability_chains_grow_no_inert_constants(rel, labels):
+    # were each move's @X1 kept, both states would grow by one component
+    # a move, pairs would grow about 3x a level and 25 levels would
+    # exhaust 50,000 pairs; erased, the game refutes them in 120
+    p, q = (parse_term(s, MA) for s in _MA_CHAIN)
+    r = check(rel, p, q, labels=labels)
+    assert (r.verdict, r.pairs_explored) == (False, 120)
+    assert verify_witness(p, q, r, rel, labels=labels) is True
+
+
+def test_witness_replay_refuses_terms_with_variables():
+    p, q = parse_term("a.0", CCS), parse_term("0", CCS)
+    r = semi_saturated_bisim(p, q)
+    impure = parse_term("@Y | a.0", CCS)
+    with pytest.raises(MalformedTermError):
+        check("semi-sat", impure, q)
+    with pytest.raises(MalformedTermError):
+        verify_witness(impure, q, r, "semi-sat")
 
 
 _CCS_DIFF = ("c.0 | 'd.0 | a.0", "c.0 | 'd.0 | b.0")
@@ -334,18 +361,18 @@ _REPLAYED = (
        for pair in _MA_DIFFS.values() for rel, labels in _MA_RELS])
 
 
-def _state_vars(text: str, calc) -> set:
-    return set().union(*_variables(parse_term(text, calc).node))
-
-
 def _assert_intro_vars_fresh(r, calc):
-    """Each witness step introduces only label variables, under names no
-    variable of its pair has."""
+    """Each witness step introduces only the label variable x, under a
+    name no variable of its pair has, and no state it prints holds a
+    process variable."""
     for step in r.witness:
-        assert set(step.intro_vars) <= {"X1", "X2", "x"}, step
-        taken = _state_vars(step.pair[0], calc) | _state_vars(step.pair[1],
-                                                                calc)
+        assert set(step.intro_vars) <= {"x"}, step
+        states = [parse_term(text, calc).node.vars
+                  for text in (*step.pair, step.attacker_target,
+                               step.defender_target) if text is not None]
+        taken = {name for vs in states for _, name in vs}
         assert not set(step.intro_vars.values()) & taken, step
+        assert all(kind == "name" for vs in states for kind, _ in vs), step
 
 
 @pytest.mark.parametrize(
@@ -366,7 +393,7 @@ def test_witness_labels_name_witness_variables():
     p, q = parse_term("out m.a[0]", MA), parse_term("out m.b[0]", MA)
     r = semi_saturated_bisim(p, q)
     moves = [step.move for step in r.witness]
-    assert "- | open ?w3.@X1" in moves, moves
+    assert "- | open ?w1.@X1" in moves, moves
 
 
 # --- pairs merged up to renaming ---------------------------------------------
@@ -416,14 +443,16 @@ def _play_game(cls, calc, rel, labels, p, q):
 # The game of each query as played before pairs were merged up to
 # renaming, when a memo replayed the moves of pairs that differ only in
 # the names of their variables: (verdict, rounds, expansions not
-# replayed, pairs, sha256 of the witness JSON, first 12 digits).
+# replayed, pairs, sha256 of the witness JSON, first 12 digits).  The
+# witness digests are those of the game on states with their process
+# variables erased, which plays the same rounds and pairs.
 _UNMERGED = {
-    "ccs-ipo-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
-    "ccs-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-ipo-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
+    "ccs-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
     "ccs-barbed-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "6976d3a3569c"),
-    "ccs-l-bisim-LCCS-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
-    "ccs-l-bisim-ALL-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
-    "ccs-l-bisim-EMPTY-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "2b219722de49"),
+    "ccs-l-bisim-LCCS-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
+    "ccs-l-bisim-ALL-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
+    "ccs-l-bisim-EMPTY-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
     "ccs-ipo-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
     "ccs-semi-sat-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
     "ccs-barbed-semi-sat-b.0 | 'c.0 | a.0 + a.0": (True, 1, 2, 4, None),
@@ -442,42 +471,42 @@ _UNMERGED = {
     "accs-l-bisim-LA-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
     "accs-l-bisim-ALL-a.'a + tau.0 | 'b": (False, 1, 1, 1, "c9930e9382da"),
     "accs-l-bisim-EMPTY-a.'a + tau.0 | 'b": (True, 1, 2, 4, None),
-    "accs-ipo-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
-    "accs-semi-sat-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-ipo-'a | 'b": (False, 1, 1, 1, "67073beab6e1"),
+    "accs-semi-sat-'a | 'b": (False, 1, 1, 1, "67073beab6e1"),
     "accs-barbed-semi-sat-'a | 'b": (False, 1, 1, 1, "6968ecbc80e6"),
-    "accs-l-bisim-LA-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
-    "accs-l-bisim-ALL-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
-    "accs-l-bisim-EMPTY-'a | 'b": (False, 1, 1, 1, "1aed85102ab5"),
+    "accs-l-bisim-LA-'a | 'b": (False, 1, 1, 1, "67073beab6e1"),
+    "accs-l-bisim-ALL-'a | 'b": (False, 1, 1, 1, "67073beab6e1"),
+    "accs-l-bisim-EMPTY-'a | 'b": (False, 1, 1, 1, "67073beab6e1"),
     "accs-ipo-'a | b.0": (True, 1, 2, 3, None),
     "accs-semi-sat-'a | b.0": (True, 1, 2, 3, None),
     "accs-barbed-semi-sat-'a | b.0": (True, 1, 2, 3, None),
     "accs-l-bisim-LA-'a | b.0": (True, 1, 2, 3, None),
     "accs-l-bisim-ALL-'a | b.0": (True, 1, 2, 3, None),
     "accs-l-bisim-EMPTY-'a | b.0": (True, 1, 2, 3, None),
-    "ma-ipo-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
-    "ma-semi-sat-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
+    "ma-ipo-j[0] | n[k[0]]": (False, 1, 1, 1, "f67527c1da03"),
+    "ma-semi-sat-j[0] | n[k[0]]": (False, 1, 1, 1, "f67527c1da03"),
     "ma-barbed-semi-sat-j[0] | n[k[0]]": (False, 1, 1, 1, "cd52f9179781"),
-    "ma-l-bisim-LM-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
-    "ma-l-bisim-ALL-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
-    "ma-l-bisim-EMPTY-j[0] | n[k[0]]": (False, 1, 1, 1, "8db15fba565f"),
-    "ma-ipo-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-barbed-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-l-bisim-LM-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-l-bisim-ALL-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-l-bisim-EMPTY-n[in m.0] | j[0]": (False, 1, 1, 1, "3f8bfefa621c"),
-    "ma-ipo-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-semi-sat-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-barbed-semi-sat-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-l-bisim-LM-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-l-bisim-ALL-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-l-bisim-EMPTY-open a.open m.0": (False, 3, 2, 3, "f9341b6ca404"),
-    "ma-ipo-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
-    "ma-semi-sat-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
-    "ma-barbed-semi-sat-out m.a[0]": (False, 5, 10, 100, "f94caf19975b"),
-    "ma-l-bisim-LM-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
-    "ma-l-bisim-ALL-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
-    "ma-l-bisim-EMPTY-out m.a[0]": (False, 5, 5, 36, "f4239e9d70b3"),
+    "ma-l-bisim-LM-j[0] | n[k[0]]": (False, 1, 1, 1, "f67527c1da03"),
+    "ma-l-bisim-ALL-j[0] | n[k[0]]": (False, 1, 1, 1, "f67527c1da03"),
+    "ma-l-bisim-EMPTY-j[0] | n[k[0]]": (False, 1, 1, 1, "f67527c1da03"),
+    "ma-ipo-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-barbed-semi-sat-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-l-bisim-LM-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-l-bisim-ALL-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-l-bisim-EMPTY-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
+    "ma-ipo-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-semi-sat-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-barbed-semi-sat-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-l-bisim-LM-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-l-bisim-ALL-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-l-bisim-EMPTY-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
+    "ma-ipo-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
+    "ma-semi-sat-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
+    "ma-barbed-semi-sat-out m.a[0]": (False, 5, 10, 100, "cc13c9f6bc90"),
+    "ma-l-bisim-LM-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
+    "ma-l-bisim-ALL-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
+    "ma-l-bisim-EMPTY-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
     "ma-ipo-m[(nu k) k[0]]": (True, 1, 0, 1, None),
     "ma-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
     "ma-barbed-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
@@ -588,8 +617,8 @@ def test_dead_first_attack_computes_no_later_answers():
         p, q = parse_term(s1, CCS), parse_term(s2, CCS)
         for labels in (ALL, EMPTY):
             game = _CountingAnswers(CCS, labels, False)
-            assert len(game.attacks(canonical_term(p),
-                                    canonical_term(q))) == 3
+            assert len(list(game.attacks(canonical_term(p),
+                                         canonical_term(q)))) == 3
             r = _solve(game, p, q, 100)
             assert r.verdict is False and r.expanded == 1
             assert game.asked == 1, (s1, labels.name)
@@ -632,9 +661,10 @@ def _successors(game, pairs) -> list:
 
 
 def test_moves_of_class_named_states_are_canonical():
-    # a move of a class-named state leaves its label variables as they
-    # are: the targets and answers are canonical, and so are the
-    # class-named successors, with no renaming in between
+    # a move of a class-named state leaves its label's name variable as
+    # it is: the targets and answers are canonical, and so are the
+    # class-named successors, with no renaming in between.  Process
+    # variables are erased, so only MA states, which keep ?x, hold any
     for calc in (CCS, ACCS, MA):
         corpus = enumerate_terms(calc, ("a", "b"), count=160, max_depth=3)
         firsts = [(canonical_term(p), canonical_term(q))
@@ -642,24 +672,26 @@ def test_moves_of_class_named_states_are_canonical():
         for labels in (ALL, EMPTY):
             game = _SymbolicGame(calc, labels, False)
             seconds = _successors(game, firsts)
-            assert seconds, (calc, labels.name)
+            assert bool(seconds) is (calc is MA), (calc, labels.name)
             _successors(game, seconds)
 
 
 def test_moves_keep_the_state_variables():
     # - | open ?p10.@X1 and - | ?x[in ?p10.@X1 | @X2] name the state's own
-    # ambient ?p10: a move introduces only X1, X2 and x
-    state = canonical_term(parse_term("?p10[0] | ?p11[a[0]] | @P10", MA))
-    own = set().union(*_variables(state.node))
+    # ambient ?p10: a move introduces only x into the states, and erases
+    # the label's process variables from its target and answers
+    state = canonical_term(parse_term("?p10[0] | ?p11[a[0]]", MA))
+    own = set(state.node.vars)
     game = _SymbolicGame(MA, EMPTY, False)
     named = 0
     for attack in game.attacks(state, state):
-        procs, names = _label_variables(attack)
-        used = set().union(*_variables(attack.label.body, attack.target.node))
-        assert used - own <= {"X1", "X2", "x"}
-        assert {*procs, *names} == used - own
+        states = (attack.target, *game.answers(attack, state))
+        assert all(kind == "name" for t in states for kind, _ in t.node.vars)
+        new = {name for t in states for _, name in t.node.vars
+               if ("name", name) not in own}
+        assert new == set(_label_variables(attack)) <= {"x"}
         assert attack.target == canonical_term(attack.target)
-        named += "p10" in set().union(*_variables(attack.label.body))
+        named += ("name", "p10") in attack.label.body.vars
     assert named == 2 * 2           # each label, from either side
 
 

@@ -59,8 +59,8 @@ def _canonical(calc, s):
      ("(nu f0) (a[f0[0]] | f0[0])", "(nu f0) (b[f0[0]] | f0[0])")),
     (MA, "(nu k) (k[0] | c[0] | a[0])", "(nu k) (k[0] | c[0] | b[0])",
      ("(nu f0) (a[0] | f0[0])", "(nu f0) (b[0] | f0[0])")),
-    # shared process variables alone are no context
-    (CCS, "a.0 | @V1", "b.0 | @V1", ("a.0 | @V1", "b.0 | @V1")),
+    # a shared process variable is a component like any other
+    (CCS, "a.0 | @V1", "b.0 | @V1", ("a.0", "b.0")),
     (MA, "@V1 | m[a[0] | @V2]", "@V1 | m[b[0] | @V2]", ("a[0]", "b[0]")),
     # only one side has the ambient, or the ambients' names differ
     (MA, "m[a[0]]", "m[a[0]] | b[0]", ("0", "b[0]")),
@@ -76,11 +76,11 @@ def test_residual_strips_the_common_context(calc, s1, s2, want):
 
 
 @pytest.mark.parametrize("calc,text,inert", [
-    (MA, "(nu k) k[0]", True), (MA, "(nu k) k[a[@V1] | @V2]", True),
-    (MA, "0", True), (MA, "@V1 | (nu k) (k[0] | k[0])", True),
+    (MA, "(nu k) k[0]", True), (MA, "(nu k) k[a[0]]", True),
+    (MA, "0", True), (MA, "(nu k) (k[0] | k[0])", True),
     (MA, "(nu k) k[in n.0]", False), (MA, "(nu k) k[open k.0]", False),
     (MA, "n[0]", False), (MA, "?v1[0]", False), (MA, "@V1 | in n.0", False),
-    (CCS, "@V1 | @V2", True), (CCS, "(nu a) a.0", False),
+    (CCS, "(nu a) a.0", False),
     (ACCS, "'a", False),
 ])
 def test_inert_states(calc, text, inert):
@@ -234,10 +234,12 @@ def test_dead_residual_guides_the_pair_by_its_own_names():
     q = parse_term("?v1[0] | ?v2[b[0]] | (nu k) k[0]", MA)
     r = _solve(_SymbolicGame(MA, EMPTY, False), p, q, 100)
     assert r.verdict is False
-    assert (r.pairs_explored, r.expanded, r.rounds) == (10, 5, 6)
-    # the witness calls the root's variables by the names they were given
+    assert (r.pairs_explored, r.expanded, r.rounds) == (8, 4, 5)
+    # the witness calls the root's variables by the names they were
+    # given; opening ?v1 leads to the residual itself, erased
     assert [step.move for step in r.witness] \
-        == ["- | open ?v2.@X1", "- | open a.@X1"]
+        == ["- | open ?v1.@X1", "- | open ?v2.@X1", "- | open a.@X1"]
+    assert r.witness[1].pair == ("?v2[a[0]]", "(nu f0) (f0[0] | ?v2[b[0]])")
 
 
 def test_games_leave_no_reference_cycles():
