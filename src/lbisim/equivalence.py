@@ -67,9 +67,13 @@ step, in states and in labels alike, carry that numbering to the next
 pair through the inverse renaming and print each answer as it was
 played; a label's @X1 and @X2 print as they are.  `verify_witness`
 replays a witness through the attacks and answers of the game that
-produced it, so it replays the erased game too.  The solver erases and
-answers only the attacks it reaches: a pair that dies on its first
-attack erases and answers none of the rest.
+produced it, so it replays the erased game too.  `_erased` caches each
+target it erases, so a target that many pairs or games reach is erased
+once.  The cache holds targets, not a state's moves: `attacks` stays a
+generator, and the solver erases and answers only the attacks it
+reaches, so a pair that dies on its first attack erases and answers
+none of the rest.  A refutation is printed as a witness only when the
+result's `.witness` is first read.
 
 Pairs up to context.  A game's `residual` strips the largest common
 evaluation context of a pair's two canonical states: repeatedly, the
@@ -137,7 +141,9 @@ itself, as the oracle of the game up to context.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 
 from .congruence import (
@@ -380,14 +386,43 @@ class WitnessMove:
         }
 
 
-@dataclass
 class GameResult:
-    verdict: bool
-    witness: "list[WitnessMove] | None"
-    pairs_explored: int
-    rounds: int
-    expanded: int                  # pairs whose moves were played
-    residuals: int                 # pairs left alive through their residual
+    """A game's verdict, the refutation of its root when the verdict is
+    False, and its counts.  `witness` is given as the list of moves, as
+    None, or as a function that builds the list: the refutation is then
+    built when `.witness` is first read, and kept, so a caller that reads
+    only the verdict never builds it."""
+
+    _FIELDS = ("verdict", "witness", "pairs_explored", "rounds", "expanded",
+               "residuals")
+
+    def __init__(self, verdict: bool,
+                 witness: "list[WitnessMove] | Callable[[], list] | None",
+                 pairs_explored: int, rounds: int, expanded: int,
+                 residuals: int):
+        self.verdict = verdict
+        self._witness = witness
+        self.pairs_explored = pairs_explored
+        self.rounds = rounds
+        self.expanded = expanded       # pairs whose moves were played
+        self.residuals = residuals     # pairs left alive through their
+                                       # residual
+
+    @property
+    def witness(self) -> "list[WitnessMove] | None":
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def to_dict(self) -> dict:
         return {
@@ -570,7 +605,10 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
             if not dead:
                 break
         if pairs[root].status == "dead":
-            return result(False, _build_witness(pairs, root, root_back))
+            # built on first read; the module-level name is looked up
+            # then, so a wrapper installed on it meanwhile sees the call
+            return result(False,
+                          lambda: _build_witness(pairs, root, root_back))
 
 
 def _budget_exceeded(pairs: dict, max_pairs: int):
@@ -839,9 +877,11 @@ def _label_variables(attack: _Attack) -> list:
     return []
 
 
+@lru_cache(maxsize=1 << 16)
 def _erased(term: Term) -> Term:
     """The state with its process variables replaced by 0, canonical
-    again: the state the game plays (see the module docstring)."""
+    again: the state the game plays (see the module docstring).  Cached
+    by target, which the ITS cache hands every game that reaches it."""
     procs = {v: NIL for kind, v in term.node.vars if kind == "proc"}
     if not procs:
         return term
@@ -908,10 +948,17 @@ class _InstantiatedGame(_SymbolicGame):
         super().__init__(calculus, labels, barbed)
         self.pool = pool
         self.names = names
+        self._moves: dict = {}         # state -> its closed moves
 
     def moves(self, state):
         """Every closure of each ITS transition over the pool, each
-        (label, target) once, in first-seen order."""
+        (label, target) once, in first-seen order; built once a state."""
+        found = self._moves.get(state)
+        if found is None:
+            found = self._moves[state] = self._closed_moves(state)
+        return found
+
+    def _closed_moves(self, state):
         out = {}
         for tr in its_transitions(state):
             label_vars = dict.fromkeys(tr.label.body.vars)

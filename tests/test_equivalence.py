@@ -7,6 +7,7 @@ as a golden, and inequivalence witnesses are replayed move by move.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from lbisim import (
     enumerate_terms,
     ipo_bisim,
     is_capturing,
+    its_transitions,
     l_bisim,
     node_key,
     ordinary_transitions,
@@ -52,6 +54,7 @@ from lbisim.equivalence import (
     _SymbolicGame,
 )
 from lbisim import equivalence, syntax
+from lbisim.corpus import check_endpoints, find_equivalent_pairs
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -813,3 +816,118 @@ def test_barbed_l_bisim_is_barbed_semi_sat():
         == barbed_semi_saturated_bisim(p, q).to_dict()
     with pytest.raises(LbisimError, match="EMPTY"):
         l_bisim(p, q, LM, barbed=True)
+
+
+# --- work done only when the answer needs it ---------------------------------
+
+def _count_witnesses(monkeypatch) -> list:
+    """Record each call of `_build_witness` from now on."""
+    calls = []
+    build = equivalence._build_witness
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(equivalence, "_build_witness", counting)
+    return calls
+
+
+def test_witness_is_built_on_first_read(monkeypatch):
+    calls = _count_witnesses(monkeypatch)
+    p = parse_term("a.'a + tau.0", ACCS)
+    q = parse_term("tau.0", ACCS)
+    assert check("ipo", p, q).verdict is False
+    assert calls == []
+    r = check("ipo", p, q)
+    first = r.witness
+    assert first and r.witness is first and len(calls) == 1
+    assert verify_witness(p, q, r, "ipo") is True
+    assert len(calls) == 1
+
+
+def test_lazy_witness_is_the_eager_one(monkeypatch):
+    """A witness read after other games have run prints as the one read
+    while its game returns."""
+    class Eager(equivalence.GameResult):
+        """Reads its witness as `_solve` makes it."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.witness
+
+    queries = [(rel, calc, labels, s1, s2)
+               for rel, (_, calc, labels, s1, s2) in _BY_RELATION.items()]
+    lazy = [check(rel, parse_term(s1, calc), parse_term(s2, calc),
+                  labels=labels) for rel, calc, labels, s1, s2 in queries]
+    for rel, calc, labels, s1, s2 in queries:       # other games between
+        check(rel, parse_term(s2, calc), parse_term(s2, calc), labels=labels)
+    monkeypatch.setattr(equivalence, "GameResult", Eager)
+    for r, (rel, calc, labels, s1, s2) in zip(lazy, queries):
+        eager = check(rel, parse_term(s1, calc), parse_term(s2, calc),
+                      labels=labels)
+        assert type(eager) is Eager and eager.verdict is False
+        assert r.to_dict() == eager.to_dict(), rel
+        assert repr(r).partition("(")[2] == repr(eager).partition("(")[2]
+
+
+def test_corpus_checks_build_no_witness(monkeypatch):
+    calls = _count_witnesses(monkeypatch)
+    corpus = enumerate_terms(CCS, ("a", "b"), count=12)
+    refuted = 0
+
+    def rel(p, q, **kw):
+        nonlocal refuted
+        r = l_bisim(p, q, LCCS, **kw)
+        refuted += not r.verdict
+        return r
+
+    pairs = find_equivalent_pairs(CCS, corpus, rel, 16, random.Random(0))
+    assert pairs and refuted > 0
+    outcome = check_endpoints(CCS, term_pairs(corpus, 30))
+    assert outcome.total == 30 and not outcome.failures
+    assert calls == []
+
+
+def test_attacks_stay_lazy_under_the_erase_cache(monkeypatch):
+    """A pair that dies on its first attack erases only that attack's
+    target: its answers are none, and the other attacks are never
+    reached, cached erasure or not."""
+    p = parse_term("n[out m.0] | j[0]", MA)
+    q = parse_term("n[in m.0] | j[0]", MA)
+    moves = its_transitions(canonical_term(p))
+    assert len(moves) + len(its_transitions(canonical_term(q))) == 10
+    erased = []
+    erase = equivalence._erased
+    erase.cache_clear()
+
+    def recording(term):
+        erased.append(term)
+        return erase(term)
+
+    monkeypatch.setattr(equivalence, "_erased", recording)
+    r = check("ipo", p, q)
+    assert (r.verdict, r.pairs_explored, r.expanded) == (False, 1, 1)
+    assert [(step.move, step.reason) for step in r.witness] \
+        == [("m[- | @X1]", "no answer")]
+    assert erased == [moves[0].target]
+    assert erase.cache_info().misses == 1
+    # a second game reaching the same target erases it from the cache
+    check("ipo", p, q)
+    assert erase.cache_info()[:2] == (1, 1)
+
+
+def test_pool_game_closes_each_state_once(monkeypatch):
+    seen = []
+    its = equivalence.its_transitions
+
+    def recording(state):
+        seen.append(state)
+        return its(state)
+
+    monkeypatch.setattr(equivalence, "its_transitions", recording)
+    p = parse_term("a.'a + tau.0 | 'b", ACCS)
+    q = parse_term("tau.0 | 'b", ACCS)
+    pool = [parse_term("0", ACCS), parse_term("'c", ACCS)]
+    assert l_bisim(p, q, LA, pool=pool).verdict is True
+    assert len(seen) == len(set(seen)) == 6
