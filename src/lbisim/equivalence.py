@@ -67,13 +67,10 @@ step, in states and in labels alike, carry that numbering to the next
 pair through the inverse renaming and print each answer as it was
 played; a label's @X1 and @X2 print as they are.  `verify_witness`
 replays a witness through the attacks and answers of the game that
-produced it, so it replays the erased game too.  `_erased` caches each
-target it erases, so a target that many pairs or games reach is erased
-once.  The cache holds targets, not a state's moves: `attacks` stays a
-generator, and the solver erases and answers only the attacks it
-reaches, so a pair that dies on its first attack erases and answers
-none of the rest.  A refutation is printed as a witness only when the
-result's `.witness` is first read.
+produced it, so it replays the erased game too.  The solver erases and
+answers only the attacks it reaches: a pair that dies on its first
+attack erases and answers none of the rest.  A refutation is printed
+as a witness only when the result's `.witness` is first read.
 
 Pairs up to context.  A game's `residual` strips the largest common
 evaluation context of a pair's two canonical states: repeatedly, the
@@ -143,7 +140,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations, product
 
 from .congruence import (
@@ -391,7 +387,9 @@ class GameResult:
     False, and its counts.  `witness` is given as the list of moves, as
     None, or as a function that builds the list: the refutation is then
     built when `.witness` is first read, and kept, so a caller that reads
-    only the verdict never builds it."""
+    only the verdict never builds it.  Until then the result holds its
+    game's pair table.  A plain class, not a dataclass: `==`, `repr` and
+    `to_dict()` cover its six fields."""
 
     _FIELDS = ("verdict", "witness", "pairs_explored", "rounds", "expanded",
                "residuals")
@@ -877,11 +875,9 @@ def _label_variables(attack: _Attack) -> list:
     return []
 
 
-@lru_cache(maxsize=1 << 16)
 def _erased(term: Term) -> Term:
     """The state with its process variables replaced by 0, canonical
-    again: the state the game plays (see the module docstring).  Cached
-    by target, which the ITS cache hands every game that reaches it."""
+    again: the state the game plays (see the module docstring)."""
     procs = {v: NIL for kind, v in term.node.vars if kind == "proc"}
     if not procs:
         return term
@@ -948,17 +944,10 @@ class _InstantiatedGame(_SymbolicGame):
         super().__init__(calculus, labels, barbed)
         self.pool = pool
         self.names = names
-        self._moves: dict = {}         # state -> its closed moves
 
     def moves(self, state):
         """Every closure of each ITS transition over the pool, each
-        (label, target) once, in first-seen order; built once a state."""
-        found = self._moves.get(state)
-        if found is None:
-            found = self._moves[state] = self._closed_moves(state)
-        return found
-
-    def _closed_moves(self, state):
+        (label, target) once, in first-seen order."""
         out = {}
         for tr in its_transitions(state):
             label_vars = dict.fromkeys(tr.label.body.vars)

@@ -889,17 +889,16 @@ def test_corpus_checks_build_no_witness(monkeypatch):
     assert calls == []
 
 
-def test_attacks_stay_lazy_under_the_erase_cache(monkeypatch):
+def test_dead_first_attack_erases_only_its_target(monkeypatch):
     """A pair that dies on its first attack erases only that attack's
     target: its answers are none, and the other attacks are never
-    reached, cached erasure or not."""
+    reached."""
     p = parse_term("n[out m.0] | j[0]", MA)
     q = parse_term("n[in m.0] | j[0]", MA)
     moves = its_transitions(canonical_term(p))
     assert len(moves) + len(its_transitions(canonical_term(q))) == 10
     erased = []
     erase = equivalence._erased
-    erase.cache_clear()
 
     def recording(term):
         erased.append(term)
@@ -911,23 +910,3 @@ def test_attacks_stay_lazy_under_the_erase_cache(monkeypatch):
     assert [(step.move, step.reason) for step in r.witness] \
         == [("m[- | @X1]", "no answer")]
     assert erased == [moves[0].target]
-    assert erase.cache_info().misses == 1
-    # a second game reaching the same target erases it from the cache
-    check("ipo", p, q)
-    assert erase.cache_info()[:2] == (1, 1)
-
-
-def test_pool_game_closes_each_state_once(monkeypatch):
-    seen = []
-    its = equivalence.its_transitions
-
-    def recording(state):
-        seen.append(state)
-        return its(state)
-
-    monkeypatch.setattr(equivalence, "its_transitions", recording)
-    p = parse_term("a.'a + tau.0 | 'b", ACCS)
-    q = parse_term("tau.0 | 'b", ACCS)
-    pool = [parse_term("0", ACCS), parse_term("'c", ACCS)]
-    assert l_bisim(p, q, LA, pool=pool).verdict is True
-    assert len(seen) == len(set(seen)) == 6
