@@ -14,16 +14,13 @@ from .corpus import (CheckOutcome, axiom_closure, bounded_closure,
                      run_suite, term_pairs)
 from .equivalence import (ALL, BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, EMPTY,
                           LA, LCCS, LM, RELATIONS, CapturingReport,
-                          GameResult, LabelSet, WitnessMove, async_bisim,
-                          barbed_semi_saturated_bisim, ccs_targets, check,
-                          ipo_bisim,
-                          is_capturing, l_bisim, open_targets,
+                          GameResult, LabelSet, WitnessMove, ccs_targets,
+                          check, is_capturing, open_targets,
                           pattern_label_set, pred_ccs, pred_open,
-                          semi_saturated_bisim, strong_bisim, verify_witness)
+                          verify_witness)
 from .errors import (CrossCalculusError, DivergenceBudgetExceededError,
                      IncompleteSubstitutionError, LbisimError,
-                     MalformedTermError, MAUnsupportedError, ParseError,
-                     UnsupportedQuantificationError)
+                     MalformedTermError, MAUnsupportedError, ParseError)
 from .lts import (ItsTransition, OrdinaryTransition, instantiate,
                   its_transitions, lts_to_dot, lts_to_json,
                   ordinary_transitions, reachable)

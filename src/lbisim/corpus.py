@@ -23,8 +23,8 @@ from .congruence import (
     canonical_label, canonical_term, components, equiv, node_key,
 )
 from .equivalence import (
-    ALL, EMPTY, LM, OWN_LABEL_SETS, LabelSet, ccs_targets, check,
-    is_capturing, l_bisim, open_targets, pred_ccs, pred_open,
+    ALL, EMPTY, LM, OWN_LABEL_SETS, ccs_targets, check, is_capturing,
+    open_targets, pred_ccs, pred_open,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
@@ -34,7 +34,8 @@ from .terms import (
     ProcVar, Recv, Restrict, Send, Substitution, Sum, Tau, Term,
     free_names, par, plug, rename_free,
 )
-from .syntax import parse_label, parse_term, print_label, print_term
+from .syntax import (is_name, parse_label, parse_term, print_label,
+                     print_term)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -97,14 +98,18 @@ def depth(node: Node) -> int:
     raise TypeError(f"not a node: {node!r}")
 
 
+_MAX_SIZE = 7          # the largest term `enumerate_terms` lists
+
+
 def enumerate_terms(calc: Calculus, names, *, count: int,
-                    max_depth: int = 3, max_size: int = 7) -> list[Term]:
+                    max_depth: int = 3) -> list[Term]:
     """The first `count` closed terms in (size, canonical-order) order,
-    deduplicated up to congruence and capped at `max_depth`."""
+    deduplicated up to congruence and capped at `max_depth` and at
+    `_MAX_SIZE` constructors."""
     names = tuple(names)
     seen = set()
     out: list[Term] = []
-    for size in range(1, max_size + 1):
+    for size in range(1, _MAX_SIZE + 1):
         batch = []
         for raw in _terms_of_size(calc, names, size, max_depth):
             t = canonical_term(Term(calc, raw))
@@ -132,11 +137,9 @@ def term_pairs(terms, count: int):
 # --- random terms ----------------------------------------------------------
 
 def random_term(calc: Calculus, names, rng: random.Random, *,
-                max_depth: int = 4, allow_vars: bool = False,
-                _vars=None) -> Term:
-    if _vars is None:
-        _vars = itertools.count(1)
-    node = _random_node(calc, tuple(names), rng, max_depth, allow_vars, _vars)
+                max_depth: int = 4, allow_vars: bool = False) -> Term:
+    node = _random_node(calc, tuple(names), rng, max_depth, allow_vars,
+                        itertools.count(1))
     return Term(calc, node)
 
 
@@ -192,13 +195,12 @@ def _random_node(calc, names, rng, fuel, allow_vars, var_ids) -> Node:
 _POOL = tuple(f"g{i}" for i in range(8))
 
 
-def congruent_shuffle(term: Term, rng: random.Random, *, strength: int = 3) \
-        -> Term:
+def congruent_shuffle(term: Term, rng: random.Random) -> Term:
     """A provably congruent variant: applies literal congruence axioms
     (commutativity, associativity, units, alpha, scope mobility, vacuous
-    restriction) at random positions."""
+    restriction) at random positions, in three passes."""
     node = term.node
-    for _ in range(strength):
+    for _ in range(3):
         node = _shuffle(node, rng, term.calculus)
     return Term(term.calculus, node)
 
@@ -423,14 +425,14 @@ def bounded_closure(t: Term, max_terms: int) -> set:
 
 
 def check_axiom_soundness(calc: Calculus, count: int, rng: random.Random,
-                          names=("a", "b", "c"), *,
-                          per_term: int = 300) -> CheckOutcome:
-    """Every literal axiom step must be invisible to `canonical_term`."""
+                          names=("a", "b", "c")) -> CheckOutcome:
+    """Every literal axiom step must be invisible to `canonical_term`:
+    each random term is compared with up to 300 trees of its closure."""
     fails = []
     for _ in range(count):
         t = random_term(calc, names, rng, max_depth=3)
         want = canonical_term(t).node
-        for n in bounded_closure(t, per_term):
+        for n in bounded_closure(t, 300):
             if canonical_term(Term(calc, n)).node != want:
                 fails.append(print_term(t))
                 break
@@ -658,7 +660,8 @@ def check_endpoints(calc: Calculus, pairs, *, max_pairs=2000) -> CheckOutcome:
     fails = []
     for p, q in pairs:
         try:
-            verdicts = [l_bisim(p, q, labels, max_pairs=max_pairs).verdict
+            verdicts = [check("l-bisim", p, q, labels=labels,
+                              max_pairs=max_pairs).verdict
                         for labels in chain]
         except DivergenceBudgetExceededError:
             continue
@@ -680,10 +683,12 @@ _CONTEXTS = {
 }
 
 
-def find_equivalent_pairs(calc: Calculus, corpus, rel, count: int,
+def find_equivalent_pairs(calc: Calculus, corpus, count: int,
                           rng: random.Random, *, max_pairs=3000):
-    """Equivalent pairs: congruent shuffles plus corpus pairs the solver
-    itself accepts (skipping any that exhaust the game budget)."""
+    """Equivalent pairs: congruent shuffles plus corpus pairs that
+    l-bisim on the calculus's own label set accepts (skipping any that
+    exhaust the game budget)."""
+    labels = OWN_LABEL_SETS[calc]
     out = []
     for t in corpus[:count]:
         out.append((t, congruent_shuffle(t, rng)))
@@ -693,16 +698,19 @@ def find_equivalent_pairs(calc: Calculus, corpus, rel, count: int,
         if len(out) >= count:
             break
         try:
-            if rel(p, q, max_pairs=max_pairs).verdict:
+            if check("l-bisim", p, q, labels=labels,
+                     max_pairs=max_pairs).verdict:
                 out.append((p, q))
         except DivergenceBudgetExceededError:
             continue
     return out[:count]
 
 
-def check_congruence(calc: Calculus, labels: LabelSet, base_pairs, count: int,
-                     rng: random.Random, *, max_pairs=4000) -> CheckOutcome:
-    """l_bisim(labels) survives plugging into unary contexts."""
+def check_congruence(calc: Calculus, base_pairs, count: int, *,
+                     max_pairs=4000) -> CheckOutcome:
+    """l-bisim on the calculus's own label set survives plugging into
+    unary contexts."""
+    labels = OWN_LABEL_SETS[calc]
     contexts = [parse_label(c, calc) for c in _CONTEXTS[calc]]
     fails = []
     done = 0
@@ -713,7 +721,8 @@ def check_congruence(calc: Calculus, labels: LabelSet, base_pairs, count: int,
         i += 1
         cp, cq = plug(ctx, p), plug(ctx, q)
         try:
-            if not l_bisim(cp, cq, labels, max_pairs=max_pairs).verdict:
+            if not check("l-bisim", cp, cq, labels=labels,
+                         max_pairs=max_pairs).verdict:
                 fails.append(f"{print_term(p)} ~ {print_term(q)} "
                              f"under {print_label(ctx)}")
         except DivergenceBudgetExceededError:
@@ -770,6 +779,10 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
     except (KeyError, ValueError) as exc:
         raise LbisimError(f"corpus spec needs a valid calculus: {exc}")
     names = _spec_strings(spec, "names", _DEFAULT_NAMES[calc])
+    bad = [n for n in names if not is_name(n)]
+    if bad:
+        raise LbisimError(f"corpus spec names must be names the grammar "
+                          f"can write, got {', '.join(map(repr, bad))}")
     count = _spec_int(spec, "count", 300)
     seed = _spec_int(spec, "seed", 0, least=None)
     max_pairs = _spec_int(spec, "max_pairs", 4000, least=1)
@@ -829,10 +842,8 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
             else:
                 out.append(check_pred_ccs(corpus, t1_pool))
         elif name == "congruence":
-            labels = OWN_LABEL_SETS[calc]
-            base = find_equivalent_pairs(
-                calc, corpus, lambda p, q, **kw: l_bisim(p, q, labels, **kw),
-                30, rng, max_pairs=max_pairs)
-            out.append(check_congruence(calc, labels, base, triples, rng,
+            base = find_equivalent_pairs(calc, corpus, 30, rng,
+                                         max_pairs=max_pairs)
+            out.append(check_congruence(calc, base, triples,
                                         max_pairs=max_pairs))
     return out

@@ -11,7 +11,7 @@ raises DivergenceBudgetExceededError.
 
 The relations.  `check(relation, p, q, ...)` decides each name of
 RELATIONS; `_game` is the one place that maps a name to its game, which
-`verify_witness` replays, and each named solver is one `check` call.
+`verify_witness` replays.
 
   * strong and async play on the ordinary labelled semantics (async uses
     the asynchronous input clause: an input may also be answered by an
@@ -22,10 +22,10 @@ RELATIONS; `_game` is the one place that maps a name to its game, which
     label; any other attack C[-] is answered by one reduction step of
     C[defender].  The endpoints are this game with a fixed L: ipo is
     L = ALL, semi-sat is L = EMPTY, and barbed-semi-sat is L = EMPTY
-    that additionally requires equal barbs at every pair (deciding barbs
-    via the capturing labels of the calculus; quantifying over all
-    contexts instead is refused).  With a pool, the same game closes
-    label variables over the pool instead of playing them symbolically.
+    that additionally requires equal barbs at every pair: the two
+    states' barbs, as `reduction.barbs` reads them, must be the same
+    set.  With a pool, the same game closes label variables over the
+    pool instead of playing them symbolically.
 
 Game states hold no process variables.  Symbolic moves carry the
 canonical label variables X1, X2 and x.  A process variable @X1 or @X2
@@ -121,11 +121,11 @@ Per relation:
     for parallel composition; in the async game, an input of p answered
     by a tau of q that leaves 'a answers C[p] by C[q] the same way, to
     C[p''] against C[q'' | 'a].
-  * l_bisim(ALL) and l_bisim(EMPTY), barbed or not, in all three
+  * l-bisim(ALL) and l-bisim(EMPTY), barbed or not, in all three
     calculi: IPO bisimilarity and (barbed) semi-saturated bisimilarity
     are congruences of the reactive system, by the decomposition above;
     the barbs of R | p are those of R and of p, and those of n[p] are n.
-  * l_bisim(LCCS) on CCS, l_bisim(LA) on ACCS and l_bisim(LM) on MA: the
+  * l-bisim(LCCS) on CCS, l-bisim(LA) on ACCS and l-bisim(LM) on MA: the
     paper's instances, whose L meets its conditions for L-bisimilarity
     to be a congruence.
 
@@ -148,7 +148,7 @@ from .congruence import (
 )
 from .errors import (
     DivergenceBudgetExceededError, LbisimError, MalformedTermError,
-    MAUnsupportedError, UnsupportedQuantificationError,
+    MAUnsupportedError,
 )
 from .lts import instantiate, its_transitions, ordinary_transitions
 from .reduction import barbs, reduct_terms
@@ -886,7 +886,7 @@ def _erased(term: Term) -> Term:
 
 
 class _SymbolicGame:
-    """l_bisim(L) on the symbolic ITS: an attack whose label lies in L is
+    """l-bisim(L) on the symbolic ITS: an attack whose label lies in L is
     answered by the same label, any other attack C[-] by one reduction of
     C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
     semi-saturated bisimilarity."""
@@ -934,7 +934,7 @@ class _SymbolicGame:
 
 
 class _InstantiatedGame(_SymbolicGame):
-    """l_bisim(L) with label variables closed over a finite pool, so
+    """l-bisim(L) with label variables closed over a finite pool, so
     every move carries a closed label and no state has variables."""
 
     residual = _no_residual
@@ -973,7 +973,7 @@ def _pool_names(p, q, pool) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-# --- public solvers --------------------------------------------------------
+# --- the relations and their entry point -----------------------------------
 
 # The label set of each relation decided by a game on the ITS with a fixed
 # L; l-bisim takes its L from the caller.
@@ -1049,53 +1049,6 @@ def check(relation: str, p: Term, q: Term, *,
     calc = _entry(p, q)
     return _solve(_game(relation, calc, p, q, labels, pool), p, q,
                   max_pairs)
-
-
-def strong_bisim(p: Term, q: Term, *, max_pairs: int = DEFAULT_MAX_PAIRS) \
-        -> GameResult:
-    return check("strong", p, q, max_pairs=max_pairs)
-
-
-def async_bisim(p: Term, q: Term, *, max_pairs: int = DEFAULT_MAX_PAIRS) \
-        -> GameResult:
-    return check("async", p, q, max_pairs=max_pairs)
-
-
-def l_bisim(p: Term, q: Term, labels: LabelSet, *,
-            barbed: bool = False,
-            pool=None,
-            max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    """L-bisimilarity.  `barbed=True` matches barbs too: that is
-    barbed-semi-sat, so it takes L = EMPTY only."""
-    if not barbed:
-        return check("l-bisim", p, q, labels=labels, pool=pool,
-                     max_pairs=max_pairs)
-    if labels.kind != "empty":
-        raise LbisimError("barbs are matched under EMPTY only "
-                          "(barbed-semi-sat)")
-    return check("barbed-semi-sat", p, q, pool=pool, max_pairs=max_pairs)
-
-
-def ipo_bisim(p: Term, q: Term, *, pool=None,
-              max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    return check("ipo", p, q, pool=pool, max_pairs=max_pairs)
-
-
-def semi_saturated_bisim(p: Term, q: Term, *, pool=None,
-                         max_pairs: int = DEFAULT_MAX_PAIRS) -> GameResult:
-    return check("semi-sat", p, q, pool=pool, max_pairs=max_pairs)
-
-
-def barbed_semi_saturated_bisim(p: Term, q: Term, *,
-                                contextual_barbs: bool = True,
-                                pool=None,
-                                max_pairs: int = DEFAULT_MAX_PAIRS) \
-        -> GameResult:
-    if not contextual_barbs:
-        raise UnsupportedQuantificationError(
-            "deciding barbs by quantification over all contexts is not "
-            "supported; use the contextual-barb mode")
-    return check("barbed-semi-sat", p, q, pool=pool, max_pairs=max_pairs)
 
 
 # --- reduction predicates behind the non-capturable labels -----------------

@@ -52,7 +52,3 @@ class DivergenceBudgetExceededError(LbisimError):
         self.unexpanded = unexpanded
         self.largest_state = largest_state
 
-
-class UnsupportedQuantificationError(LbisimError):
-    """A barbed query was asked in a mode requiring quantification over
-    infinitely many contexts."""

@@ -13,10 +13,8 @@ import pytest
 
 from lbisim import (
     Calculus,
-    async_bisim,
     canonical_term,
-    ipo_bisim,
-    l_bisim,
+    check,
     parse_label,
     parse_term,
     plug,
@@ -43,7 +41,6 @@ from lbisim.corpus import (
     find_equivalent_pairs,
     term_pairs,
 )
-from lbisim.equivalence import OWN_LABEL_SETS
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -67,9 +64,9 @@ def test_criterion_01_flagship_async_pair_within_budget():
     p = parse_term("a.'a + tau.0", ACCS)
     q = parse_term("tau.0", ACCS)
     start = time.perf_counter()
-    assert async_bisim(p, q).verdict is True
-    assert l_bisim(p, q, LA).verdict is True
-    r = ipo_bisim(p, q)
+    assert check("async", p, q).verdict is True
+    assert check("l-bisim", p, q, labels=LA).verdict is True
+    r = check("ipo", p, q)
     elapsed = time.perf_counter() - start
     assert r.verdict is False
     assert any(m.kind == "move" and m.move == "- | 'a" for m in r.witness)
@@ -165,7 +162,7 @@ def test_criterion_08_endpoint_identities(pair_sets):
         assert r.total == len(pairs) and not r.failures, calc
     pairs = _separating_pairs()
     for p, q in pairs:
-        verdicts = tuple(l_bisim(p, q, labels).verdict
+        verdicts = tuple(check("l-bisim", p, q, labels=labels).verdict
                          for labels in (ALL, LA, EMPTY))
         assert verdicts == (False, True, True), print_term(p)
     r = check_endpoints(ACCS, pairs)
@@ -185,13 +182,9 @@ def test_criterion_08_fails_when_empty_plays_as_all(monkeypatch):
 def test_criterion_09_congruence_sampling():
     total = 0
     for calc, triples in ((MA, 67), (ACCS, 67), (CCS, 66)):
-        rng = random.Random(9)
-        labels = OWN_LABEL_SETS[calc]
         corpus = enumerate_terms(calc, ("a", "b"), count=320)
-        base = find_equivalent_pairs(
-            calc, corpus,
-            lambda p, q, **kw: l_bisim(p, q, labels, **kw), 30, rng)
-        r = check_congruence(calc, labels, base, triples, rng)
+        base = find_equivalent_pairs(calc, corpus, 30, random.Random(9))
+        r = check_congruence(calc, base, triples)
         assert r.total == triples and not r.failures, calc
         total += r.total
     assert total == 200

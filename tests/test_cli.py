@@ -377,6 +377,8 @@ def test_corpus_rejects_unknown_check(capsys):
     ({"pairs": "9"}, "pairs"),
     ({"triples": True}, "triples"),
     ({"seed": "7"}, "seed"),
+    ({"names": ["tau"]}, "names"),
+    ({"names": ["a b"]}, "names"),
 ])
 def test_corpus_spec_fields_are_validated(capsys, spec, field):
     if isinstance(spec, dict):

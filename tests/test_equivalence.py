@@ -25,16 +25,11 @@ from lbisim import (
     ProcVar,
     RELATIONS,
     Term,
-    UnsupportedQuantificationError,
-    async_bisim,
-    barbed_semi_saturated_bisim,
     canonical_term,
     check,
     enumerate_terms,
-    ipo_bisim,
     is_capturing,
     its_transitions,
-    l_bisim,
     node_key,
     ordinary_transitions,
     parse_label,
@@ -44,14 +39,12 @@ from lbisim import (
     pred_open,
     print_label,
     print_term,
-    semi_saturated_bisim,
-    strong_bisim,
     term_pairs,
     verify_witness,
 )
 from lbisim.equivalence import (
-    _class_named, _game, _label_variables, _no_residual, _solve,
-    _SymbolicGame,
+    DEFAULT_MAX_PAIRS, _class_named, _game, _label_variables, _no_residual,
+    _solve, _SymbolicGame,
 )
 from lbisim import equivalence, syntax
 from lbisim.corpus import check_endpoints, find_equivalent_pairs
@@ -98,7 +91,7 @@ def test_strong_bisim_matches_partition_refinement(calc, pairs):
     corpus = enumerate_terms(calc, ("a", "b"), count=40)
     block = _refine(_reachable(corpus))
     for p, q in term_pairs(corpus, pairs):
-        got = strong_bisim(p, q).verdict
+        got = check("strong", p, q).verdict
         want = block[canonical_term(p)] == block[canonical_term(q)]
         assert got is want, (print_term(p), print_term(q))
 
@@ -108,10 +101,10 @@ def test_strong_bisim_matches_partition_refinement(calc, pairs):
 def test_flagship_pair_relations():
     p = parse_term("a.'a + tau.0", ACCS)
     q = parse_term("tau.0", ACCS)
-    assert async_bisim(p, q).verdict is True
-    assert l_bisim(p, q, LA).verdict is True
-    assert strong_bisim(p, q).verdict is False
-    r = ipo_bisim(p, q)
+    assert check("async", p, q).verdict is True
+    assert check("l-bisim", p, q, labels=LA).verdict is True
+    assert check("strong", p, q).verdict is False
+    r = check("ipo", p, q)
     assert r.verdict is False
     assert any(m.kind == "move" and m.move == "- | 'a" for m in r.witness)
     assert verify_witness(p, q, r, "ipo") is True
@@ -137,9 +130,9 @@ def test_endpoint_identities_on_samples():
     ]
     for calc, s1, s2, want in table:
         p, q = parse_term(s1, calc), parse_term(s2, calc)
-        got = (ipo_bisim(p, q).verdict,
-               l_bisim(p, q, labels[calc]).verdict,
-               semi_saturated_bisim(p, q).verdict)
+        got = (check("ipo", p, q).verdict,
+               check("l-bisim", p, q, labels=labels[calc]).verdict,
+               check("semi-sat", p, q).verdict)
         assert got == want, (calc, s1, s2)
 
 
@@ -275,7 +268,7 @@ def _printed_labels_parse_back(monkeypatch):
 
 def test_witness_labels_with_capabilities_on_variables_parse_back():
     p, q = parse_term("out m.a[0]", MA), parse_term("out m.b[0]", MA)
-    for r in (semi_saturated_bisim(p, q), l_bisim(p, q, ALL)):
+    for r in (check("semi-sat", p, q), check("l-bisim", p, q, labels=ALL)):
         moves = [step.move for step in r.witness if step.kind == "move"]
         assert any("open ?" in m for m in moves), moves
         for text in moves:
@@ -306,7 +299,7 @@ def test_witness_with_more_than_ten_game_variables():
     # moves the states hold none of them, and the witness numbers none
     p = parse_term("a." * 12 + "0", CCS)
     q = parse_term("a." * 12 + "b.0", CCS)
-    r = semi_saturated_bisim(p, q)
+    r = check("semi-sat", p, q)
     assert (r.verdict, r.pairs_explored, r.rounds, len(r.witness)) \
         == (False, 13, 25, 13)
     assert r.witness[-1].pair == ("0", "b.0")
@@ -333,7 +326,7 @@ def test_capability_chains_grow_no_inert_constants(rel, labels):
 
 def test_witness_replay_refuses_terms_with_variables():
     p, q = parse_term("a.0", CCS), parse_term("0", CCS)
-    r = semi_saturated_bisim(p, q)
+    r = check("semi-sat", p, q)
     impure = parse_term("@Y | a.0", CCS)
     with pytest.raises(MalformedTermError):
         check("semi-sat", impure, q)
@@ -394,7 +387,7 @@ def test_witness_labels_name_witness_variables():
     # the move after `out m` opens the ambient that left m: its label
     # names that ambient as the witness does, not by an internal name
     p, q = parse_term("out m.a[0]", MA), parse_term("out m.b[0]", MA)
-    r = semi_saturated_bisim(p, q)
+    r = check("semi-sat", p, q)
     moves = [step.move for step in r.witness]
     assert "- | open ?w1.@X1" in moves, moves
 
@@ -561,14 +554,14 @@ def test_pairs_merge_up_to_renaming():
     # no common context: the two a-moves lead to pairs of one class
     p = parse_term("a.b.0 + a.c.0", CCS)
     q = parse_term("a.b.0 + a.c.0 + a.c.0", CCS)
-    stats = semi_saturated_bisim(p, q).to_dict()["stats"]
+    stats = check("semi-sat", p, q).to_dict()["stats"]
     assert stats == {"pairs": 5, "rounds": 2, "expanded": 3,
                      "residuals": 0}
     # the shared context a.b.0 | 'a.0 leaves the residual c.0 / c.0 + c.0,
     # whose game decides the pair
     p = parse_term("a.b.0 | 'a.0 | c.0", CCS)
     q = parse_term("'a.0 | a.b.0 | c.0 + c.0", CCS)
-    stats = semi_saturated_bisim(p, q).to_dict()["stats"]
+    stats = check("semi-sat", p, q).to_dict()["stats"]
     assert stats == {"pairs": 3, "rounds": 1, "expanded": 2,
                      "residuals": 1}
 
@@ -629,7 +622,7 @@ def test_dead_first_attack_computes_no_later_answers():
 
 def test_barbed_witness_replay():
     p, q = parse_term("n[0]", MA), parse_term("0", MA)
-    r = barbed_semi_saturated_bisim(p, q)
+    r = check("barbed-semi-sat", p, q)
     assert r.verdict is False
     assert any(m.kind == "barb" and m.move == "n" for m in r.witness)
     assert verify_witness(p, q, r, "barbed-semi-sat") is True
@@ -638,7 +631,7 @@ def test_barbed_witness_replay():
 def test_witness_only_on_inequivalence():
     p = parse_term("a.0", CCS)
     q = parse_term("a.0 + a.0", CCS)
-    r = strong_bisim(p, q)
+    r = check("strong", p, q)
     assert r.verdict is True and r.witness is None
     with pytest.raises(LbisimError):
         verify_witness(p, q, r, "strong")
@@ -705,8 +698,8 @@ def test_instantiated_pool_agrees_with_symbolic():
     cases = [("a.'a + tau.0", "tau.0"), ("'a", "0"), ("a.0", "a.0 + a.0")]
     for s1, s2 in cases:
         p, q = parse_term(s1, ACCS), parse_term(s2, ACCS)
-        assert l_bisim(p, q, LA).verdict \
-            == l_bisim(p, q, LA, pool=pool).verdict
+        assert check("l-bisim", p, q, labels=LA).verdict \
+            == check("l-bisim", p, q, labels=LA, pool=pool).verdict
     # pool games attack with closed labels, and their witnesses replay
     # through the same instantiated game
     witnessed = [("ipo", "a.'a + tau.0", "tau.0")] + [
@@ -719,7 +712,7 @@ def test_instantiated_pool_agrees_with_symbolic():
         assert verify_witness(p, q, r, rel, pool=pool) is True, (rel, s1)
         assert verify_witness(q, p, r, rel, pool=pool) is False, (rel, s1)
     with pytest.raises(MalformedTermError):
-        l_bisim(p, q, LA, pool=[parse_term("n[0]", MA)])
+        check("l-bisim", p, q, labels=LA, pool=[parse_term("n[0]", MA)])
 
 
 def test_budget_exceeded_raises_deterministically():
@@ -727,38 +720,35 @@ def test_budget_exceeded_raises_deterministically():
     q = parse_term("a.0", CCS)
     for _ in range(2):
         with pytest.raises(DivergenceBudgetExceededError):
-            strong_bisim(p, q, max_pairs=1)
-    assert strong_bisim(p, q).verdict is True
+            check("strong", p, q, max_pairs=1)
+    assert check("strong", p, q).verdict is True
 
 
 def test_relation_guards():
     p = parse_term("n[0]", MA)
     with pytest.raises(MAUnsupportedError):
-        strong_bisim(p, p)
+        check("strong", p, p)
     c = parse_term("a.0", CCS)
     for t in (c, p):
         with pytest.raises(LbisimError, match="ACCS"):
-            async_bisim(t, t)
+            check("async", t, t)
     with pytest.raises(LbisimError, match="unknown relation"):
         check("bisim", c, c)
-    with pytest.raises(UnsupportedQuantificationError):
-        barbed_semi_saturated_bisim(p, p, contextual_barbs=False)
     impure = Term(Calculus.CCS, ProcVar("X1"))
     with pytest.raises(MalformedTermError):
-        strong_bisim(impure, impure)
+        check("strong", impure, impure)
 
 
 # --- one relation table ------------------------------------------------------
 
-# Per relation: its named solver and an inequivalent pair (with the label
-# set l-bisim needs).
+# Per relation: an inequivalent pair (with the label set l-bisim needs).
 _BY_RELATION = {
-    "strong": (strong_bisim, CCS, None, "a.0", "b.0"),
-    "async": (async_bisim, ACCS, None, "'a", "0"),
-    "ipo": (ipo_bisim, ACCS, None, *_FLAGSHIP),
-    "semi-sat": (semi_saturated_bisim, ACCS, None, "'a | 'b", "'a"),
-    "barbed-semi-sat": (barbed_semi_saturated_bisim, MA, None, "n[0]", "0"),
-    "l-bisim": (l_bisim, MA, LM, "n[0]", "0"),
+    "strong": (CCS, None, "a.0", "b.0"),
+    "async": (ACCS, None, "'a", "0"),
+    "ipo": (ACCS, None, *_FLAGSHIP),
+    "semi-sat": (ACCS, None, "'a | 'b", "'a"),
+    "barbed-semi-sat": (MA, None, "n[0]", "0"),
+    "l-bisim": (MA, LM, "n[0]", "0"),
 }
 
 
@@ -768,10 +758,12 @@ def test_every_relation_has_a_case():
 
 @pytest.mark.parametrize("rel", RELATIONS)
 def test_check_is_the_named_solver(rel):
-    solver, calc, labels, s1, s2 = _BY_RELATION[rel]
+    # check plays the game that _game names for the relation
+    calc, labels, s1, s2 = _BY_RELATION[rel]
     p, q = parse_term(s1, calc), parse_term(s2, calc)
     r = check(rel, p, q, labels=labels)
-    named = solver(p, q) if labels is None else solver(p, q, labels)
+    named = _solve(_game(rel, calc, p, q, labels, None), p, q,
+                   DEFAULT_MAX_PAIRS)
     assert r.to_dict() == named.to_dict()
     assert r.verdict is False and r.witness
     assert verify_witness(p, q, r, rel, labels=labels) is True
@@ -780,7 +772,7 @@ def test_check_is_the_named_solver(rel):
 
 @pytest.mark.parametrize("rel", RELATIONS)
 def test_check_refuses_what_a_relation_does_not_take(rel):
-    _, calc, labels, s1, s2 = _BY_RELATION[rel]
+    calc, labels, s1, s2 = _BY_RELATION[rel]
     p, q = parse_term(s1, calc), parse_term(s2, calc)
     r = check(rel, p, q, labels=labels)
     if rel == "l-bisim":
@@ -802,20 +794,12 @@ def test_empty_pool_is_refused():
     # with no pool term, no move with a label variable has an instance:
     # a.0 would have no move, and so would seem equivalent to 0
     p, q = parse_term("a.0", CCS), parse_term("0", CCS)
-    assert ipo_bisim(p, q).verdict is False
+    assert check("ipo", p, q).verdict is False
     for rel in ("ipo", "semi-sat", "barbed-semi-sat"):
         with pytest.raises(MalformedTermError, match="pool is empty"):
             check(rel, p, q, pool=[])
     with pytest.raises(MalformedTermError, match="pool is empty"):
-        l_bisim(p, q, LCCS, pool=())
-
-
-def test_barbed_l_bisim_is_barbed_semi_sat():
-    p, q = parse_term("n[0]", MA), parse_term("0", MA)
-    assert l_bisim(p, q, EMPTY, barbed=True).to_dict() \
-        == barbed_semi_saturated_bisim(p, q).to_dict()
-    with pytest.raises(LbisimError, match="EMPTY"):
-        l_bisim(p, q, LM, barbed=True)
+        check("l-bisim", p, q, labels=LCCS, pool=())
 
 
 # --- work done only when the answer needs it ---------------------------------
@@ -857,7 +841,7 @@ def test_lazy_witness_is_the_eager_one(monkeypatch):
             self.witness
 
     queries = [(rel, calc, labels, s1, s2)
-               for rel, (_, calc, labels, s1, s2) in _BY_RELATION.items()]
+               for rel, (calc, labels, s1, s2) in _BY_RELATION.items()]
     lazy = [check(rel, parse_term(s1, calc), parse_term(s2, calc),
                   labels=labels) for rel, calc, labels, s1, s2 in queries]
     for rel, calc, labels, s1, s2 in queries:       # other games between
@@ -875,14 +859,16 @@ def test_corpus_checks_build_no_witness(monkeypatch):
     calls = _count_witnesses(monkeypatch)
     corpus = enumerate_terms(CCS, ("a", "b"), count=12)
     refuted = 0
+    solve = equivalence._solve
 
-    def rel(p, q, **kw):
+    def counting(*args):
         nonlocal refuted
-        r = l_bisim(p, q, LCCS, **kw)
+        r = solve(*args)
         refuted += not r.verdict
         return r
 
-    pairs = find_equivalent_pairs(CCS, corpus, rel, 16, random.Random(0))
+    monkeypatch.setattr(equivalence, "_solve", counting)
+    pairs = find_equivalent_pairs(CCS, corpus, 16, random.Random(0))
     assert pairs and refuted > 0
     outcome = check_endpoints(CCS, term_pairs(corpus, 30))
     assert outcome.total == 30 and not outcome.failures

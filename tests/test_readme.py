@@ -25,7 +25,8 @@ def test_library_block_runs_as_commented():
             values.append(eval(code, env))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), env)
-    # check(...).verdict, l_bisim(...).verdict, verify_witness(...)
+    # check("l-bisim", ...).verdict, check("async", ...).verdict,
+    # verify_witness(...)
     assert len(values) == 3 and all(v is True for v in values)
     r = env["r"]
     assert r.verdict is False and r.witness

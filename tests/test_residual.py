@@ -13,9 +13,9 @@ import pytest
 
 from lbisim import (
     ALL, EMPTY, LCCS, LM, Amb, Calculus, DivergenceBudgetExceededError,
-    Term, barbs, canonical_term, enumerate_terms, its_transitions, l_bisim,
+    Term, barbs, canonical_term, check, enumerate_terms, its_transitions,
     parse_label, parse_term, pattern_label_set, print_term, reduct_terms,
-    strong_bisim, term_pairs, verify_witness,
+    term_pairs, verify_witness,
 )
 from lbisim.equivalence import (
     OWN_LABEL_SETS, _AsyncGame, _game, _inert, _no_residual, _OrdinaryGame,
@@ -215,13 +215,13 @@ def test_residual_is_the_pair_without_a_stated_argument():
 
 def test_pairs_alive_through_their_residual_are_counted():
     p, q = parse_term("m[(nu k) k[0]]", MA), parse_term("m[0]", MA)
-    r = l_bisim(p, q, ALL)
+    r = check("l-bisim", p, q, labels=ALL)
     assert r.verdict is True and r.residuals == 1
     assert r.to_dict()["stats"]["residuals"] == 1
     # strong bisimilarity drops the shared a.0 as well
     p = parse_term("a.0 | b.0 + b.0", CCS)
     q = parse_term("a.0 | b.0", CCS)
-    r = strong_bisim(p, q)
+    r = check("strong", p, q)
     assert r.verdict is True and r.residuals == 1
 
 
@@ -252,8 +252,9 @@ def test_games_leave_no_reference_cycles():
     gc.disable()
     try:
         for calc, s1, s2, labels in games:
-            l_bisim(parse_term(s1, calc), parse_term(s2, calc), labels)
-        strong_bisim(parse_term("a.0 | b.0", CCS), parse_term("a.0", CCS))
+            check("l-bisim", parse_term(s1, calc), parse_term(s2, calc),
+                  labels=labels)
+        check("strong", parse_term("a.0 | b.0", CCS), parse_term("a.0", CCS))
         assert gc.collect() == 0
     finally:
         if enabled:
