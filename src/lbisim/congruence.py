@@ -102,8 +102,8 @@ from functools import lru_cache
 
 from .terms import (
     NIL, Amb, Calculus, Cap, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    Recv, Restrict, Send, Sum, Tau, Term, _ren_action, _ren_name,
-    fresh_name, fresh_names, par, restricts, same_calculus,
+    Restrict, Sum, Term, _ren_action, _ren_name, fresh_name, fresh_names,
+    par, restricts, same_calculus,
 )
 
 
@@ -368,93 +368,21 @@ def equiv(t1: Term, t2: Term) -> bool:
     return canonical_node(t1) == canonical_node(t2)
 
 
-# --- premise decompositions ------------------------------------------------
+# --- premise matches ---------------------------------------------------------
 #
-# The transition rules all match a term against a shape
-# (nu A)(<selected> | rest) with a "selected name is not restricted" side
-# condition; these generators enumerate the ways a canonical form fits.
-
-@dataclass(frozen=True)
-class CapMatch:
-    """(nu A)(op n.P1 | P2) with n unrestricted."""
-    calculus: Calculus
-    binders: tuple[str, ...]
-    op: str
-    name: "str | NameVar"
-    continuation: Node
-    rest: tuple[Node, ...]
-
-    def recompose(self) -> Term:
-        sel = Prefix(Cap(self.op, self.name), self.continuation)
-        return Term(self.calculus,
-                    restricts(self.binders, par(sel, *self.rest)))
-
-
-@dataclass(frozen=True)
-class AmbientMatch:
-    """(nu A)(n[P1] | P2) with n unrestricted."""
-    calculus: Calculus
-    binders: tuple[str, ...]
-    name: "str | NameVar"
-    content: Node
-    rest: tuple[Node, ...]
-
-    def recompose(self) -> Term:
-        return Term(self.calculus,
-                    restricts(self.binders,
-                              par(Amb(self.name, self.content), *self.rest)))
-
-
-@dataclass(frozen=True)
-class AmbientCapMatch:
-    """(nu A)(n[op m.P1 | P2] | P3) with m unrestricted."""
-    calculus: Calculus
-    binders: tuple[str, ...]
-    amb_name: "str | NameVar"
-    op: str
-    cap_name: "str | NameVar"
-    continuation: Node
-    inner_rest: tuple[Node, ...]
-    rest: tuple[Node, ...]
-
-    def recompose(self) -> Term:
-        inner = par(Prefix(Cap(self.op, self.cap_name), self.continuation),
-                    *self.inner_rest)
-        return Term(self.calculus,
-                    restricts(self.binders,
-                              par(Amb(self.amb_name, inner), *self.rest)))
-
-
-@dataclass(frozen=True)
-class SummandMatch:
-    """(nu A)(act.Q + M | R) with the channel, if any, unrestricted."""
-    calculus: Calculus
-    binders: tuple[str, ...]
-    action: "Tau | Recv | Send"
-    continuation: Node
-    sum_rest: tuple[Node, ...]
-    rest: tuple[Node, ...]
-
-    def recompose(self) -> Term:
-        sel = Prefix(self.action, self.continuation)
-        if self.sum_rest:
-            sel = Sum((sel, *self.sum_rest))
-        return Term(self.calculus,
-                    restricts(self.binders, par(sel, *self.rest)))
-
-
-@dataclass(frozen=True)
-class ParticleMatch:
-    """(nu A)('a | Q) with a unrestricted."""
-    calculus: Calculus
-    binders: tuple[str, ...]
-    channel: str
-    rest: tuple[Node, ...]
-
-    def recompose(self) -> Term:
-        return Term(self.calculus,
-                    restricts(self.binders, par(Msg(self.channel), *self.rest)))
-
+# The transition rules all match a canonical form (nu A)(P | rest) on one
+# selected parallel component P whose interacting name A does not bind.
+# The rules rebuild their targets from the pieces, so each generator yields
+# them as a plain tuple, in the order of the components (the binders A are
+# the caller's `cf.binders`):
+#
+#   cap_matches(cf, op)          (n, P1, rest)      for op n.P1
+#   ambient_matches(cf)          (n, P1, rest)      for n[P1]
+#   ambient_cap_matches(cf, op)  (n, m, P1, inner_rest, rest)
+#                                                   for n[op m.P1 | inner_rest]
+#   summand_matches(cf, kind)    (action, Q, rest)  for a summand action.Q of
+#                                                   kind Tau, Recv or Send
+#   particle_matches(cf)         (a, rest)          for an output particle 'a
 
 def _unrestricted(name, binders) -> bool:
     return isinstance(name, NameVar) or name not in binders
@@ -469,8 +397,7 @@ def cap_matches(cf: CanonicalForm, op: str):
         match c:
             case Prefix(action=Cap(op=o, amb=n), body=p1) if o == op:
                 if _unrestricted(n, cf.binders):
-                    yield CapMatch(cf.calculus, cf.binders, op, n, p1,
-                                   _drop(cf.parts, i))
+                    yield n, p1, _drop(cf.parts, i)
 
 
 def ambient_matches(cf: CanonicalForm):
@@ -478,8 +405,7 @@ def ambient_matches(cf: CanonicalForm):
         match c:
             case Amb(name=n, body=p1):
                 if _unrestricted(n, cf.binders):
-                    yield AmbientMatch(cf.calculus, cf.binders, n, p1,
-                                       _drop(cf.parts, i))
+                    yield n, p1, _drop(cf.parts, i)
 
 
 def ambient_cap_matches(cf: CanonicalForm, op: str):
@@ -491,34 +417,28 @@ def ambient_cap_matches(cf: CanonicalForm, op: str):
                     match d:
                         case Prefix(action=Cap(op=o, amb=m), body=p1) if o == op:
                             if _unrestricted(m, cf.binders):
-                                yield AmbientCapMatch(
-                                    cf.calculus, cf.binders, n, op, m, p1,
-                                    _drop(inner, j), _drop(cf.parts, i))
+                                yield (n, m, p1, _drop(inner, j),
+                                       _drop(cf.parts, i))
 
 
-def _summands(c: Node):
+def _summands(c: Node) -> tuple:
+    """The prefixes a parallel component offers: itself or its summands."""
     match c:
         case Prefix():
-            yield c, ()
+            return (c,)
         case Sum(children=cs):
-            for j, s in enumerate(cs):
-                if isinstance(s, Prefix):
-                    yield s, _drop(cs, j)
+            return tuple(s for s in cs if isinstance(s, Prefix))
+    return ()
 
 
-_KINDS = {"tau": Tau, "recv": Recv, "send": Send}
-
-
-def summand_matches(cf: CanonicalForm, kind: str):
-    want = _KINDS[kind]
+def summand_matches(cf: CanonicalForm, kind: type):
     for i, c in enumerate(cf.parts):
-        for s, sum_rest in _summands(c):
-            if isinstance(s.action, want):
+        for s in _summands(c):
+            if isinstance(s.action, kind):
                 ch = getattr(s.action, "channel", None)
                 if ch is not None and ch in cf.binders:
                     continue
-                yield SummandMatch(cf.calculus, cf.binders, s.action, s.body,
-                                   sum_rest, _drop(cf.parts, i))
+                yield s.action, s.body, _drop(cf.parts, i)
 
 
 def particle_matches(cf: CanonicalForm):
@@ -526,7 +446,4 @@ def particle_matches(cf: CanonicalForm):
         match c:
             case Msg(channel=a):
                 if a not in cf.binders:
-                    yield ParticleMatch(cf.calculus, cf.binders, a,
-                                        _drop(cf.parts, i))
-
-
+                    yield a, _drop(cf.parts, i)

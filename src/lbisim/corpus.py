@@ -28,7 +28,7 @@ from .equivalence import (
 )
 from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
-from .reduction import barbs, reduct_terms
+from .reduction import reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Substitution, Sum, Tau, Term,
@@ -548,25 +548,12 @@ def check_lts_correspondence(calc: Calculus, corpus) -> CheckOutcome:
 
 
 def check_barb_capturing(corpus) -> CheckOutcome:
-    """MA: P has barb n iff P has a transition labelled - | open n.X1."""
-    fails = []
-    x1 = ProcVar("X1")
-    names: set[str] = set()
-    for t in corpus:
-        names |= free_names(t.node) | {b for b in barbs(t)
-                                       if not b.startswith("?")}
-    for t in corpus:
-        have = barbs(t)
-        labels = {tr.label.body for tr in its_transitions(t)}
-        for n in sorted(names):
-            lab = canonical_label(
-                Label(Calculus.MA,
-                      par(Hole(), Prefix(Cap("open", n), x1)))).body
-            if (n in have) != (lab in labels):
-                fails.append(f"{print_term(t)} barb {n}")
-    report = is_capturing(LM, Calculus.MA, corpus)
-    if not report.ok:
-        fails.append("is_capturing(LM) disagrees")
+    """MA: P has barb n iff P has a transition labelled - | open n.X1,
+    the label LM keeps for a barb, over the corpus's barbs and free
+    names."""
+    fails = [f"{t} barb {e.barb}"
+             for e in is_capturing(LM, Calculus.MA, corpus).entries
+             for t in e.violations]
     return CheckOutcome("barb-capturing-ma", len(corpus), fails)
 
 
@@ -760,7 +747,7 @@ def _spec_int(spec: dict, field: str, default: int, least=0) -> int:
 
 def _spec_strings(spec: dict, field: str, default) -> tuple:
     value = spec.get(field)
-    if not value:
+    if value is None or value == []:     # missing, null or empty
         return tuple(default)
     if type(value) is not list or not all(type(v) is str for v in value):
         raise LbisimError(f"corpus spec {field} must be a list of strings, "
@@ -795,7 +782,7 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
         raise LbisimError(f"unknown or inapplicable checks for "
                           f"{calc.value}: {', '.join(bad)}")
     pair_list = spec.get("pair_list")
-    if pair_list and (type(pair_list) is not list or not all(
+    if pair_list not in (None, []) and (type(pair_list) is not list or not all(
             type(pq) is list and len(pq) == 2
             and all(type(t) is str for t in pq) for pq in pair_list)):
         raise LbisimError(f"corpus spec pair_list must be a list of pairs "

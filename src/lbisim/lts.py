@@ -72,22 +72,20 @@ def ordinary_transitions(term: Term) -> tuple[OrdinaryTransition, ...]:
     out = []
     for step in reducts(source):
         out.append((source, "tau", step.target, "tau"))
-    for m in summand_matches(cf, "recv"):
+    for action, q, rest in summand_matches(cf, Recv):
         target = canonical_term(
-            Term(cf.calculus,
-                 restricts(m.binders, par(m.continuation, *m.rest))))
-        out.append((source, m.action.channel, target, "recv"))
+            Term(cf.calculus, restricts(cf.binders, par(q, *rest))))
+        out.append((source, action.channel, target, "recv"))
     if cf.calculus is Calculus.CCS:
-        for m in summand_matches(cf, "send"):
+        for action, q, rest in summand_matches(cf, Send):
             target = canonical_term(
-                Term(cf.calculus,
-                     restricts(m.binders, par(m.continuation, *m.rest))))
-            out.append((source, f"'{m.action.channel}", target, "send"))
+                Term(cf.calculus, restricts(cf.binders, par(q, *rest))))
+            out.append((source, f"'{action.channel}", target, "send"))
     else:
-        for m in particle_matches(cf):
+        for a, rest in particle_matches(cf):
             target = canonical_term(
-                Term(cf.calculus, restricts(m.binders, par(*m.rest))))
-            out.append((source, f"'{m.channel}", target, "send"))
+                Term(cf.calculus, restricts(cf.binders, par(*rest))))
+            out.append((source, f"'{a}", target, "send"))
     uniq = {}
     for source, action, target, rule in out:
         uniq.setdefault((action, target.node), (source, action, target, rule))
@@ -111,78 +109,68 @@ def its_transitions(term: Term) -> tuple[ItsTransition, ...]:
     hole = Hole()
     for step in reducts(cf.term):
         _mk(calc, cf, hole, step.target.node, "Tau", acc)
+    nu = cf.binders
     if calc is Calculus.MA:
-        for m in cap_matches(cf, "open"):
+        for n, p1, rest in cap_matches(cf, "open"):
             _mk(calc, cf,
-                par(hole, Amb(m.name, X1)),
-                restricts(m.binders, par(m.continuation, *m.rest, X1)),
+                par(hole, Amb(n, X1)),
+                restricts(nu, par(p1, *rest, X1)),
                 "Open", acc)
-        for m in ambient_matches(cf):
+        for n, p1, rest in ambient_matches(cf):
             _mk(calc, cf,
-                par(hole, Prefix(Cap("open", m.name), X1)),
-                restricts(m.binders, par(m.content, X1, *m.rest)),
+                par(hole, Prefix(Cap("open", n), X1)),
+                restricts(nu, par(p1, X1, *rest)),
                 "CoOpen", acc)
             _mk(calc, cf,
-                par(hole, Amb(XN, par(Prefix(Cap("in", m.name), X1), X2))),
-                restricts(m.binders,
-                          par(Amb(m.name, par(Amb(XN, par(X1, X2)),
-                                              m.content)),
-                              *m.rest)),
+                par(hole, Amb(XN, par(Prefix(Cap("in", n), X1), X2))),
+                restricts(nu, par(Amb(n, par(Amb(XN, par(X1, X2)), p1)),
+                                  *rest)),
                 "CoIn", acc)
-        for m in cap_matches(cf, "in"):
+        for m, p1, rest in cap_matches(cf, "in"):
             _mk(calc, cf,
-                par(Amb(XN, par(hole, X1)), Amb(m.name, X2)),
-                restricts(m.binders,
-                          Amb(m.name,
-                              par(Amb(XN, par(m.continuation, *m.rest, X1)),
-                                  X2))),
+                par(Amb(XN, par(hole, X1)), Amb(m, X2)),
+                restricts(nu, Amb(m, par(Amb(XN, par(p1, *rest, X1)), X2))),
                 "In", acc)
-        for m in ambient_cap_matches(cf, "in"):
+        for n, m, p1, inner_rest, rest in ambient_cap_matches(cf, "in"):
             _mk(calc, cf,
-                par(hole, Amb(m.cap_name, X1)),
-                restricts(m.binders,
-                          par(Amb(m.cap_name,
-                                  par(Amb(m.amb_name,
-                                          par(m.continuation, *m.inner_rest)),
-                                      X1)),
-                              *m.rest)),
+                par(hole, Amb(m, X1)),
+                restricts(nu, par(Amb(m, par(Amb(n, par(p1, *inner_rest)),
+                                             X1)),
+                                  *rest)),
                 "InAmb", acc)
-        for m in cap_matches(cf, "out"):
+        for m, p1, rest in cap_matches(cf, "out"):
             _mk(calc, cf,
-                Amb(m.name, par(Amb(XN, par(hole, X1)), X2)),
-                restricts(m.binders,
-                          par(Amb(m.name, X2),
-                              Amb(XN, par(m.continuation, *m.rest, X1)))),
+                Amb(m, par(Amb(XN, par(hole, X1)), X2)),
+                restricts(nu, par(Amb(m, X2),
+                                  Amb(XN, par(p1, *rest, X1)))),
                 "Out", acc)
-        for m in ambient_cap_matches(cf, "out"):
+        for n, m, p1, inner_rest, rest in ambient_cap_matches(cf, "out"):
             _mk(calc, cf,
-                Amb(m.cap_name, par(hole, X1)),
-                restricts(m.binders,
-                          par(Amb(m.cap_name, par(*m.rest, X1)),
-                              Amb(m.amb_name,
-                                  par(m.continuation, *m.inner_rest)))),
+                Amb(m, par(hole, X1)),
+                restricts(nu, par(Amb(m, par(*rest, X1)),
+                                  Amb(n, par(p1, *inner_rest)))),
                 "OutAmb", acc)
     elif calc is Calculus.CCS:
-        for m in summand_matches(cf, "recv"):
+        for action, q, rest in summand_matches(cf, Recv):
             _mk(calc, cf,
-                par(hole, Prefix(Send(m.action.channel), X1)),
-                restricts(m.binders, par(m.continuation, *m.rest, X1)),
+                par(hole, Prefix(Send(action.channel), X1)),
+                restricts(nu, par(q, *rest, X1)),
                 "Rcv", acc)
-        for m in summand_matches(cf, "send"):
+        for action, q, rest in summand_matches(cf, Send):
             _mk(calc, cf,
-                par(hole, Prefix(Recv(m.action.channel), X1)),
-                restricts(m.binders, par(m.continuation, *m.rest, X1)),
+                par(hole, Prefix(Recv(action.channel), X1)),
+                restricts(nu, par(q, *rest, X1)),
                 "Snd", acc)
     else:
-        for m in summand_matches(cf, "recv"):
+        for action, q, rest in summand_matches(cf, Recv):
             _mk(calc, cf,
-                par(hole, Msg(m.action.channel)),
-                restricts(m.binders, par(m.continuation, *m.rest)),
+                par(hole, Msg(action.channel)),
+                restricts(nu, par(q, *rest)),
                 "Rcv", acc)
-        for m in particle_matches(cf):
+        for a, rest in particle_matches(cf):
             _mk(calc, cf,
-                par(hole, Prefix(Recv(m.channel), X1)),
-                restricts(m.binders, par(*m.rest, X1)),
+                par(hole, Prefix(Recv(a), X1)),
+                restricts(nu, par(*rest, X1)),
                 "Snd", acc)
     uniq = {}
     for tr in acc:

@@ -7,12 +7,15 @@ MA reduces by the three mobility axioms
     open n.P | n[Q]           >  P | Q
 
 closed under restriction, ambient nesting, parallel contexts and
-structural congruence.  CCS reduces by binary synchronisation
-(a.P + M) | ('a.Q + N) > P | Q and by tau.P + M > P; ACCS replaces the
-output summand with the output particle: (a.P + M) | 'a > P.  Working on
-canonical forms gives closure under congruence for free; a redex never
-sits under a prefix, so only the top binder cluster and (for MA) ambient
-nesting need searching.
+structural congruence.  CCS and ACCS share two rules,
+
+    tau.P + M                 >  P
+    (a.P + M) | O             >  P | Q
+
+where the output O is a summand 'a.Q + N in CCS and the particle 'a in
+ACCS, which leaves Q = 0.  Working on canonical forms gives closure
+under congruence for free; a redex never sits under a prefix, so only
+the top binder cluster and (for MA) ambient nesting need searching.
 
 Barbs are the calculus-specific observations: for MA the names of
 unrestricted top-level ambients, for CCS the channels of unrestricted
@@ -29,7 +32,7 @@ from .congruence import (
     node_key, summand_matches, particle_matches, ambient_matches,
 )
 from .terms import (
-    Amb, Calculus, Cap, Msg, Prefix, Recv, Send, Term, par, restricts,
+    Amb, Calculus, Cap, Msg, Prefix, Recv, Send, Tau, Term, par, restricts,
 )
 
 
@@ -84,37 +87,31 @@ def _ma_steps(parts: tuple, path: tuple):
             yield rule, pos, new
 
 
-def _ccs_steps(cf: CanonicalForm):
-    for m in summand_matches(cf, "tau"):
-        yield "Tau", ("tau",), [m.continuation, *m.rest]
+def _channel_steps(cf: CanonicalForm):
+    """Yield (rule, position, new_parts) for CCS and ACCS.  A receive meets
+    an output summand 'a.Q in CCS and an output particle 'a in ACCS; the
+    grammar keeps each to its own calculus, so the partner's node type
+    says which it is."""
+    for _, q, rest in summand_matches(cf, Tau):
+        yield "Tau", ("tau",), [q, *rest]
     parts = cf.parts
     for i, c in enumerate(parts):
-        for s, _ in _summands(c):
+        for s in _summands(c):
             if not isinstance(s.action, Recv):
                 continue
             a = s.action.channel
             for j, d in enumerate(parts):
                 if j == i:
                     continue
-                for s2, _ in _summands(d):
+                if isinstance(d, Msg):
+                    if d.channel == a:
+                        new = _drop2(parts, i, j) + [s.body]
+                        yield "Comm", ("comm", i, j), new
+                    continue
+                for s2 in _summands(d):
                     if isinstance(s2.action, Send) and s2.action.channel == a:
                         new = _drop2(parts, i, j) + [s.body, s2.body]
                         yield "Comm", ("comm", i, j), new
-
-
-def _accs_steps(cf: CanonicalForm):
-    for m in summand_matches(cf, "tau"):
-        yield "Tau", ("tau",), [m.continuation, *m.rest]
-    parts = cf.parts
-    for i, c in enumerate(parts):
-        for s, _ in _summands(c):
-            if not isinstance(s.action, Recv):
-                continue
-            a = s.action.channel
-            for j, d in enumerate(parts):
-                if j != i and isinstance(d, Msg) and d.channel == a:
-                    new = _drop2(parts, i, j) + [s.body]
-                    yield "Comm", ("comm", i, j), new
 
 
 @lru_cache(maxsize=1 << 16)
@@ -127,10 +124,8 @@ def reducts(term: Term) -> tuple[ReductionStep, ...]:
     source = cf.term
     if cf.calculus is Calculus.MA:
         raw = _ma_steps(cf.parts, ())
-    elif cf.calculus is Calculus.CCS:
-        raw = _ccs_steps(cf)
     else:
-        raw = _accs_steps(cf)
+        raw = _channel_steps(cf)
     steps = []
     seen = set()
     for rule, pos, new_parts in raw:
@@ -154,14 +149,14 @@ def barbs(term: Term) -> frozenset[str]:
     cf = canonicalize(term)
     out: set[str] = set()
     if cf.calculus is Calculus.MA:
-        for m in ambient_matches(cf):
-            out.add(m.name if isinstance(m.name, str) else f"?{m.name.name}")
+        for n, _, _ in ambient_matches(cf):
+            out.add(n if isinstance(n, str) else f"?{n.name}")
     elif cf.calculus is Calculus.CCS:
-        for m in summand_matches(cf, "recv"):
-            out.add(m.action.channel)
-        for m in summand_matches(cf, "send"):
-            out.add(f"'{m.action.channel}")
+        for action, _, _ in summand_matches(cf, Recv):
+            out.add(action.channel)
+        for action, _, _ in summand_matches(cf, Send):
+            out.add(f"'{action.channel}")
     else:
-        for m in particle_matches(cf):
-            out.add(f"'{m.channel}")
+        for a, _ in particle_matches(cf):
+            out.add(f"'{a}")
     return frozenset(out)

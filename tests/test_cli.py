@@ -15,7 +15,9 @@ import pytest
 
 import lbisim.cli
 from lbisim.cli import main
+from lbisim.corpus import DEFAULT_CHECKS, run_suite
 from lbisim.syntax import MAX_DEPTH
+from lbisim.terms import Calculus
 
 
 def run(capsys, *argv):
@@ -379,6 +381,9 @@ def test_corpus_rejects_unknown_check(capsys):
     ({"seed": "7"}, "seed"),
     ({"names": ["tau"]}, "names"),
     ({"names": ["a b"]}, "names"),
+    ({"checks": 0}, "checks"),
+    ({"names": ""}, "names"),
+    ({"pair_list": 0}, "pair_list"),
 ])
 def test_corpus_spec_fields_are_validated(capsys, spec, field):
     if isinstance(spec, dict):
@@ -390,6 +395,26 @@ def test_corpus_spec_fields_are_validated(capsys, spec, field):
         code, _, err = run(capsys, "corpus", "--seed", "3", "--max-pairs",
                            "9", json.dumps(spec))
         assert code == 2 and field in err
+
+
+# the stem of the outcome name each corpus check reports
+_OUTCOME = {"roundtrip": "roundtrip", "idempotence": "canonical-idempotent",
+            "axioms": "axiom-soundness", "shuffle": "shuffle-congruent",
+            "reducts": "reducts-congruence-invariant",
+            "lts": "lts-correspondence", "coincidence": "coincidence",
+            "endpoints": "endpoints", "barbs": "barb-capturing",
+            "pred": "pred", "congruence": "congruence"}
+
+
+@pytest.mark.parametrize("calc", ["ccs", "accs", "ma"])
+def test_default_suite_runs_every_check(calc):
+    out = run_suite({"calculus": calc, "count": 40, "random": 20,
+                     "pairs": 20, "triples": 6})
+    checks = DEFAULT_CHECKS[Calculus(calc)]
+    assert len(out) == len(checks)
+    for name, outcome in zip(checks, out):
+        assert outcome.name.startswith(_OUTCOME[name] + "-"), outcome.name
+        assert outcome.total and outcome.ok, (outcome.name, outcome.failures)
 
 
 def test_corpus_spec_accepts_zero_counts(capsys):

@@ -122,30 +122,46 @@ def test_bounded_closure_contains_the_start():
 
 
 def test_decompositions_recompose_to_the_same_term():
-    shapes = [
-        (parse_term("open n.a[0] | n[m[0]] | (nu k) k[0]", MA), [
-            lambda cf: cap_matches(cf, "open"),
-            ambient_matches,
-            lambda cf: ambient_cap_matches(cf, "in"),
-        ]),
-        (parse_term("a.b.0 + tau.0 | 'c.0", CCS), [
-            lambda cf: summand_matches(cf, "recv"),
-            lambda cf: summand_matches(cf, "send"),
-        ]),
-        (parse_term("'a | a.0 | (nu b) 'b", ACCS), [
-            particle_matches,
-        ]),
+    def whole(cf, selected, rest):
+        return Term(cf.calculus, restricts(cf.binders, par(selected, *rest)))
+
+    def taken(cf, rest):
+        # the one component a match selects is the one its rest leaves out
+        left = list(cf.parts)
+        for r in rest:
+            left.remove(r)
+        (chosen,) = left
+        return chosen
+
+    def summand(cf, action, q, rest):
+        chosen = taken(cf, rest)
+        offered = chosen.children if isinstance(chosen, Sum) else (chosen,)
+        assert Prefix(action, q) in offered
+        return whole(cf, chosen, rest)
+
+    ma = canonicalize(
+        parse_term("open n.a[0] | n[m[0]] | (nu k) k[0] | b[in n.0 | 0]", MA))
+    ccs = canonicalize(parse_term("a.b.0 + tau.0 | 'c.0 | (nu d) d.0", CCS))
+    accs = canonicalize(parse_term("'a | a.0 | (nu b) 'b", ACCS))
+    rebuilt = [
+        *(whole(ma, Prefix(Cap("open", n), p1), rest)
+          for n, p1, rest in cap_matches(ma, "open")),
+        *(whole(ma, Amb(n, p1), rest) for n, p1, rest in ambient_matches(ma)),
+        *(whole(ma, Amb(n, par(Prefix(Cap("in", m), p1), *inner)), rest)
+          for n, m, p1, inner, rest in ambient_cap_matches(ma, "in")),
+        *(summand(ccs, *m) for kind in (Tau, Recv, Send)
+          for m in summand_matches(ccs, kind)),
+        *(whole(accs, Msg(a), rest) for a, rest in particle_matches(accs)),
     ]
-    for term, generators in shapes:
-        cf = canonicalize(term)
-        for gen in generators:
-            for match in gen(cf):
-                assert equiv(match.recompose(), term)
+    assert len(rebuilt) == 8
+    for t in rebuilt:
+        source = {MA: ma, CCS: ccs, ACCS: accs}[t.calculus]
+        assert equiv(t, source.term)
 
 
 def test_ambient_matches_respect_restriction():
     cf = canonicalize(parse_term("(nu n) n[0] | m[0]", MA))
-    names = [m.name for m in ambient_matches(cf)]
+    names = [n for n, _, _ in ambient_matches(cf)]
     assert names == ["m"]
 
 

@@ -47,7 +47,8 @@ from lbisim.equivalence import (
     _solve, _SymbolicGame,
 )
 from lbisim import equivalence, syntax
-from lbisim.corpus import check_endpoints, find_equivalent_pairs
+from lbisim.corpus import (check_barb_capturing, check_endpoints,
+                           find_equivalent_pairs)
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -204,6 +205,16 @@ def test_capturing_reports():
     # a set captures every barb of a corpus that shows none
     assert is_capturing(LM, MA, [parse_term("0", MA)]).ok is True
     assert is_capturing(LM, MA, []).ok is True
+
+
+def test_barb_check_names_the_term_and_the_barb(monkeypatch):
+    corpus = [parse_term(s, MA) for s in ("n[0]", "0", "open n.0")]
+    assert check_barb_capturing(corpus).failures == []
+    its = equivalence.its_transitions
+    monkeypatch.setattr(
+        equivalence, "its_transitions",
+        lambda t: tuple(tr for tr in its(t) if tr.rule != "CoOpen"))
+    assert check_barb_capturing(corpus).failures == ["n[0] barb n"]
 
 
 # --- reduction predicates --------------------------------------------------
@@ -828,6 +839,16 @@ def test_witness_is_built_on_first_read(monkeypatch):
     assert first and r.witness is first and len(calls) == 1
     assert verify_witness(p, q, r, "ipo") is True
     assert len(calls) == 1
+
+
+def test_results_compare_by_their_fields():
+    p = parse_term("a.'a + tau.0", ACCS)
+    q = parse_term("tau.0", ACCS)
+    first, again = check("ipo", p, q), check("ipo", p, q)
+    assert first.verdict is False and first == again
+    assert first != check("async", p, q)
+    assert first != check("ipo", parse_term("a.0", ACCS), q)
+    assert first != first.to_dict()
 
 
 def test_lazy_witness_is_the_eager_one(monkeypatch):

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from lbisim.corpus import (check_lts_correspondence, enumerate_terms,
-                           random_term)
+from lbisim.corpus import check_lts_correspondence, enumerate_terms
 from lbisim.errors import DivergenceBudgetExceededError, MAUnsupportedError
 from lbisim.lts import (instantiate, its_transitions, lts_to_dot,
                         lts_to_json, ordinary_transitions, reachable)

@@ -1,9 +1,13 @@
+import hashlib
 import random
 
+import pytest
+
 from lbisim.congruence import canonical_term, node_key
-from lbisim.corpus import congruent_shuffle, random_term
+from lbisim.corpus import congruent_shuffle, enumerate_terms, random_term
+from lbisim.lts import its_transitions, ordinary_transitions
 from lbisim.reduction import barbs, reduct_terms, reducts
-from lbisim.syntax import parse_term, print_term
+from lbisim.syntax import parse_term, print_label, print_term
 from lbisim.terms import Calculus
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
@@ -123,3 +127,36 @@ def test_process_variables_are_inert():
     from lbisim.terms import Term, ProcVar, Par, Msg
     t = Term(ACCS, Par((ProcVar("X1"), Msg("a"))))
     assert reduct_terms(t) == ()
+
+
+# The rule layer's outputs, pinned: for each term, every reduct's rule,
+# position and target, every ITS transition's rule, label and target, the
+# sorted barbs and (CCS, ACCS) every ordinary transition.  The terms are
+# the first 300 enumerated over a and b, then 200 seeded random terms.
+_RULE_DIGESTS = {
+    CCS: "b98e90648b44ca58f9973ee8a9c3372669805053b2606b5ce2a661bc30d0ec8a",
+    ACCS: "31408f6a096472fcaa481e93a466eda988eca492d8963b37970b309e700bf1e6",
+    MA: "c1409e7db325b78f6a162a90a6973b8109738e15c077d7e465a09bcc56cfa7aa",
+}
+_RANDOM_NAMES = {CCS: ("a", "b", "c"), ACCS: ("a", "b", "c"),
+                 MA: ("n", "m", "k")}
+
+
+@pytest.mark.parametrize("calc", [CCS, ACCS, MA], ids=lambda c: c.value)
+def test_rule_outputs_are_pinned(calc):
+    rng = random.Random(7)
+    terms = enumerate_terms(calc, ("a", "b"), count=300)
+    terms += [random_term(calc, _RANDOM_NAMES[calc], rng) for _ in range(200)]
+    h = hashlib.sha256()
+    for t in terms:
+        lines = [print_term(t)]
+        lines += [f"{s.rule} {s.position!r} {print_term(s.target)}"
+                  for s in reducts(t)]
+        lines += [f"{tr.rule} {print_label(tr.label)} {print_term(tr.target)}"
+                  for tr in its_transitions(t)]
+        lines.append(" ".join(sorted(barbs(t))))
+        if calc is not MA:
+            lines += [f"{tr.rule} {tr.action} {print_term(tr.target)}"
+                      for tr in ordinary_transitions(t)]
+        h.update("\n".join(lines).encode() + b"\n\n")
+    assert h.hexdigest() == _RULE_DIGESTS[calc]
