@@ -371,8 +371,8 @@ def equiv(t1: Term, t2: Term) -> bool:
 # --- premise matches ---------------------------------------------------------
 #
 # The transition rules all match a canonical form (nu A)(P | rest) on one
-# selected parallel component P whose interacting name A does not bind.
-# The rules rebuild their targets from the pieces, so each generator yields
+# selected parallel component P whose interacting name is not in A.  The
+# rules rebuild their targets from the pieces, so each generator yields
 # them as a plain tuple, in the order of the components (the binders A are
 # the caller's `cf.binders`):
 #
