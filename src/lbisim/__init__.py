@@ -14,10 +14,9 @@ from .corpus import (CheckOutcome, axiom_closure, bounded_closure,
                      run_suite, term_pairs)
 from .equivalence import (ALL, BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, EMPTY,
                           LA, LCCS, LM, RELATIONS, CapturingReport,
-                          GameResult, LabelSet, WitnessMove, ccs_targets,
-                          check, is_capturing, open_targets,
-                          pattern_label_set, pred_ccs, pred_open,
-                          verify_witness)
+                          GameResult, LabelSet, WitnessMove, check,
+                          is_capturing, pattern_label_set, pred,
+                          pred_targets, verify_witness)
 from .errors import (CrossCalculusError, DivergenceBudgetExceededError,
                      IncompleteSubstitutionError, LbisimError,
                      MalformedTermError, MAUnsupportedError, ParseError)

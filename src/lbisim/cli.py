@@ -16,8 +16,8 @@ import traceback
 
 from .corpus import run_suite
 from .equivalence import (
-    BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, RELATIONS, check,
-    pattern_label_set, pred_ccs, pred_open,
+    BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, PRED_KINDS, RELATIONS, check,
+    pattern_label_set, pred,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError, ParseError
 from .lts import lts_to_dot, lts_to_json, reachable
@@ -170,14 +170,7 @@ def _cmd_pred(args) -> int:
     p = parse_term(_read_arg(args.p), calc)
     target = parse_term(_read_arg(args.target), calc)
     t1 = None if args.t1 is None else parse_term(_read_arg(args.t1), calc)
-    if args.kind == "open":
-        if calc is not Calculus.MA:
-            raise LbisimError("kind 'open' is the ambient predicate")
-        if args.name is None or t1 is None:
-            raise LbisimError("kind 'open' needs --name and --t1")
-        verdict = pred_open(p, target, args.name, t1)
-    else:
-        verdict = pred_ccs(args.kind, p, target, args.name, t1)
+    verdict = pred(args.kind, p, target, args.name, t1)
     payload = {"kind": args.kind, "p": print_term(p),
                "target": print_term(target), "verdict": verdict}
     if args.name:
@@ -280,16 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     bb.add_argument("term", metavar="TERM")
     bb.set_defaults(run=_cmd_barbs)
 
-    pred = sub.add_parser(
+    prd = sub.add_parser(
         "pred", help="evaluate a reduction-and-barb transition predicate")
-    _add_common(pred)
-    pred.add_argument("--kind", required=True,
-                      choices=("open", "out", "in", "tau"))
-    pred.add_argument("--name", help="ambient name or channel")
-    pred.add_argument("--t1", help="instantiation term for the label hole")
-    pred.add_argument("p", metavar="TERM")
-    pred.add_argument("target", metavar="TARGET")
-    pred.set_defaults(run=_cmd_pred)
+    _add_common(prd)
+    prd.add_argument("--kind", required=True, choices=list(PRED_KINDS))
+    prd.add_argument("--name", help="ambient name or channel")
+    prd.add_argument("--t1", help="instantiation term for the label hole")
+    prd.add_argument("p", metavar="TERM")
+    prd.add_argument("target", metavar="TARGET")
+    prd.set_defaults(run=_cmd_pred)
 
     corp = sub.add_parser("corpus", help="run a corpus cross-check suite")
     corp.add_argument("--format", choices=("text", "json"), default="text")

@@ -23,8 +23,8 @@ from .congruence import (
     canonical_label, canonical_term, components, equiv, node_key,
 )
 from .equivalence import (
-    ALL, EMPTY, LM, OWN_LABEL_SETS, ccs_targets, check, is_capturing,
-    open_targets, pred_ccs, pred_open,
+    ALL, EMPTY, LM, OWN_LABEL_SETS, PRED_KINDS, check, is_capturing, pred,
+    pred_targets,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError
 from .lts import its_transitions, ordinary_transitions, instantiate
@@ -557,25 +557,6 @@ def check_barb_capturing(corpus) -> CheckOutcome:
     return CheckOutcome("barb-capturing-ma", len(corpus), fails)
 
 
-def _check_marker(t: Term, here, t1_pool, targets, holds, what: str,
-                  fails: list) -> None:
-    """Check a predicate of t against its ITS transitions `here`: for
-    every T1 the predicate's `targets(t1)` must be their targets with
-    X1 := T1, and `holds(y, t1)` true of exactly those among them and
-    some decoys."""
-    decoys = {canonical_term(t).node, Nil(),
-              *(r.node for r in reduct_terms(t))}
-    for t1 in t1_pool:
-        subst = Substitution.make(t.calculus, procs={"X1": t1})
-        want = {instantiate(tr, subst).target.node for tr in here}
-        if set(targets(t1)) != want:
-            fails.append(f"{print_term(t)} {what} T1={print_term(t1)}")
-            continue
-        for y in want | decoys:
-            if holds(Term(t.calculus, y), t1) != (y in want):
-                fails.append(f"{print_term(t)} {what} verdict")
-
-
 def _acted_on(label: Label):
     """The name the prefix of a `- | open n.X1`, `- | a.X1` or
     `- | 'a.X1` label acts on."""
@@ -586,41 +567,53 @@ def _acted_on(label: Label):
     return None
 
 
-def check_pred_open(corpus, t1_pool) -> CheckOutcome:
-    fails = []
-    for t in corpus:
-        opens = [tr for tr in its_transitions(t) if tr.rule == "CoOpen"]
-        for n in sorted(free_names(t.node)) or ["n"]:
-            here = [tr for tr in opens if _acted_on(tr.label) == n]
-            _check_marker(t, here, t1_pool,
-                          lambda t1: open_targets(t, n, t1),
-                          lambda y, t1: pred_open(t, y, n, t1),
-                          f"open {n}", fails)
-    return CheckOutcome("pred-open-ma", len(corpus), fails)
+_PRED_RULES = {"open": "CoOpen", "out": "Rcv", "in": "Snd", "tau": "Tau"}
 
 
-def check_pred_ccs(corpus, t1_pool) -> CheckOutcome:
+def _pred_case(t: Term, kind: str, name, t1) -> str:
+    """A failing case of `check_pred`, as its failure text names it."""
+    case = f"{print_term(t)} {kind}"
+    if name is not None:
+        case += f" {name}"
+    return case if t1 is None else f"{case} T1={print_term(t1)}"
+
+
+def check_pred(calc: Calculus, corpus, t1_pool) -> CheckOutcome:
+    """Each predicate kind of `calc` against the ITS transitions of its
+    rule.  For every name the prefix may act on (the term's free names,
+    or one name if it has none) and every T1, `pred_targets` must give
+    the targets of the transitions acting on that name with X1 := T1,
+    and `pred` must hold of exactly those among them and some decoys.
+    A tau step acts on no name and has no X1, so tau is checked once
+    per term."""
     fails = []
-    rules = {"out": "Rcv", "in": "Snd"}
     for t in corpus:
-        names = sorted(free_names(t.node)) or ["a"]
         trs = its_transitions(t)
-        for kind, rule in rules.items():
-            for a in names:
-                here = [tr for tr in trs
-                        if tr.rule == rule and _acted_on(tr.label) == a]
-                _check_marker(t, here, t1_pool,
-                              lambda t1: ccs_targets(kind, t, a, t1),
-                              lambda y, t1: pred_ccs(kind, t, y, a, t1),
-                              f"{kind} {a}", fails)
-        tau_targets = {tr.target.node for tr in trs if tr.rule == "Tau"}
-        red_targets = {r.node for r in reduct_terms(t)}
-        if tau_targets != red_targets:
-            fails.append(f"{print_term(t)} tau")
-        for y in red_targets | {canonical_term(t).node, Nil()}:
-            if pred_ccs("tau", t, Term(Calculus.CCS, y)) != (y in red_targets):
-                fails.append(f"{print_term(t)} tau verdict")
-    return CheckOutcome("pred-ccs", len(corpus), fails)
+        decoys = {canonical_term(t).node, Nil(),
+                  *(r.node for r in reduct_terms(t))}
+        names = sorted(free_names(t.node)) or [_DEFAULT_NAMES[calc][0]]
+        for kind, rule in _PRED_RULES.items():
+            if PRED_KINDS[kind] is not calc:
+                continue
+            here = [tr for tr in trs if tr.rule == rule]
+            for name in [None] if kind == "tau" else names:
+                on = [tr for tr in here if _acted_on(tr.label) == name]
+                for t1 in [None] if name is None else t1_pool:
+                    if t1 is None:
+                        want = {tr.target.node for tr in on}
+                    else:
+                        subst = Substitution.make(calc, procs={"X1": t1})
+                        want = {instantiate(tr, subst).target.node
+                                for tr in on}
+                    if set(pred_targets(kind, t, name, t1)) != want:
+                        fails.append(_pred_case(t, kind, name, t1))
+                        continue
+                    for y in want | decoys:
+                        if pred(kind, t, Term(calc, y), name, t1) \
+                                != (y in want):
+                            fails.append(
+                                f"{_pred_case(t, kind, name, None)} verdict")
+    return CheckOutcome(f"pred-{calc.value}", len(corpus), fails)
 
 
 def check_coincidence(calc: Calculus, pairs) -> CheckOutcome:
@@ -824,10 +817,7 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
         elif name == "barbs":
             out.append(check_barb_capturing(corpus))
         elif name == "pred":
-            if calc is Calculus.MA:
-                out.append(check_pred_open(corpus, t1_pool))
-            else:
-                out.append(check_pred_ccs(corpus, t1_pool))
+            out.append(check_pred(calc, corpus, t1_pool))
         elif name == "congruence":
             base = find_equivalent_pairs(calc, corpus, 30, rng,
                                          max_pairs=max_pairs)

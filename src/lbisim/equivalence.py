@@ -147,8 +147,8 @@ from .congruence import (
     strip_restricts,
 )
 from .errors import (
-    DivergenceBudgetExceededError, LbisimError, MalformedTermError,
-    MAUnsupportedError,
+    CrossCalculusError, DivergenceBudgetExceededError, LbisimError,
+    MalformedTermError, MAUnsupportedError,
 )
 from .lts import instantiate, its_transitions, ordinary_transitions
 from .reduction import barbs, reduct_terms
@@ -1053,12 +1053,36 @@ def check(relation: str, p: Term, q: Term, *,
 
 # --- reduction predicates behind the non-capturable labels -----------------
 
-def _marker(p: Term, name: str, t1: Term) -> str:
-    """A marker name fresh for p, T1 and `name`, the name the label's
-    prefix acts on, which must be one the grammar can write."""
-    if not is_name(name):
-        raise LbisimError(f"{name!r} is not a name")
-    return fresh_name(free_names(p.node) | free_names(t1.node) | {name})
+PRED_KINDS = {"open": Calculus.MA, "out": Calculus.CCS, "in": Calculus.CCS,
+              "tau": Calculus.CCS}
+
+
+def _pred_args(kind: str, name, t1, *terms) -> Calculus:
+    """The calculus of predicate `kind`, once `kind` is known, `name` and
+    T1 are given if it needs them, `name` is a name, and T1 and each of
+    `terms` is a pure term of that calculus."""
+    calc = PRED_KINDS.get(kind)
+    if calc is None:
+        raise LbisimError(f"unknown predicate kind {kind!r}; the kinds are "
+                          f"{', '.join(PRED_KINDS)}")
+    if kind != "tau" and (name is None or t1 is None):
+        raise LbisimError(f"predicate kind {kind!r} needs a name and a "
+                          f"term T1")
+    if name is not None and not is_name(name):
+        raise LbisimError(f"predicate kind {kind!r} takes a name, not "
+                          f"{name!r}")
+    for t in (t1, *terms):
+        if t is None:
+            continue
+        if t.calculus is not calc:
+            error = (MAUnsupportedError if Calculus.MA in (calc, t.calculus)
+                     else CrossCalculusError)
+            raise error(f"predicate kind {kind!r} takes {calc.value} terms, "
+                        f"not {t.calculus.value} ones")
+        if t.node.vars:
+            raise MalformedTermError(f"predicate kind {kind!r} takes pure "
+                                     f"terms, without process variables")
+    return calc
 
 
 def _marker_outcomes(p: Term, ctx: Label, marker: str, barb: str):
@@ -1071,79 +1095,53 @@ def _marker_outcomes(p: Term, ctx: Label, marker: str, barb: str):
                     yield out.node
 
 
-def _pure(what: str, *terms, ma: bool = False) -> None:
-    """Refuse terms with variables and, for an MA predicate, terms of
-    another calculus."""
-    for t in terms:
-        if ma and t.calculus is not Calculus.MA:
-            raise MAUnsupportedError(f"{what} is an MA predicate")
-        if t.node.vars:
-            raise MalformedTermError(f"{what} takes pure terms")
+def pred_targets(kind: str, p: Term, name: "str | None" = None,
+                 t1: "Term | None" = None):
+    """The targets of p's transitions of predicate `kind`, found purely
+    from reductions and barbs, as a generator of canonical nodes.
 
+    `kind` is a key of PRED_KINDS, and p and T1 pure terms of its
+    calculus.  "tau" asks for p's reducts.  The others ask for the
+    transitions labelled - | open n.X1 ("open", MA), - | 'a.X1 ("out")
+    or - | a.X1 ("in") with n or a := `name` and X1 := T1.  Each plugs p
+    into a context that offers the label's prefix, whose continuation
+    shows a marker m fresh for p, T1 and `name`:
 
-def open_targets(p: Term, amb_name: str, t1: Term):
-    """The targets of p's `- | open n.X1` transitions with X1 := T1, found
-    purely from reductions and barbs, as a generator.
+      open   - | open n.(m[0] | open m.T1)
+      out    - | 'a.('m.0 | T1) | m.0
+      in     - | a.('m.0 | T1) | m.0
 
-    Uses the context  - | open n.(m[0] | open m.T1)  with m fresh: the
-    first reduction must unleash the marker ambient m, the second must
-    consume it again, and the result must have lost the m barb.
+    The first reduction must fire the prefix, showing the marker's barb
+    (m, or 'm in CCS); the second must consume the marker again (open
+    m, or the 'm.0 | m.0 pair), and the outcome must have lost that
+    barb and the name m.
     """
-    _pure("pred_open", p, t1, ma=True)
-    m = _marker(p, amb_name, t1)
-    ctx = Label(Calculus.MA,
-                par(Hole(),
-                    Prefix(Cap("open", amb_name),
-                           par(Amb(m, Nil()),
-                               Prefix(Cap("open", m), t1.node)))))
-    return _marker_outcomes(p, ctx, m, m)
+    return _targets(_pred_args(kind, name, t1, p), kind, p, name, t1)
 
 
-def pred_open(p: Term, target: Term, amb_name: str, t1: Term) -> bool:
-    """Does p have an open-label transition to `target`, decided purely
-    from reductions and barbs?  See `open_targets`."""
-    _pure("pred_open", target, ma=True)
-    want = canonical_node(target)
-    return any(out == want for out in open_targets(p, amb_name, t1))
-
-
-def ccs_targets(kind: str, p: Term, channel: "str | None", t1: "Term | None"):
-    """The targets of p's `- | 'a.X1` ("out") or `- | a.X1` ("in")
-    transitions with X1 := T1, found purely from reductions and barbs, as
-    a generator.
-
-    The marker is a fresh channel i: the context offers the prefix on `a`
-    with continuation ('i.0 | T1), plus a probe i.0.  The first step must
-    fire the prefix (observable as the 'i barb), the second consumes the
-    marker pair, and the result must have lost the 'i barb.
-    """
-    if kind not in ("out", "in"):
-        raise LbisimError(f"unknown predicate kind {kind!r}")
-    if channel is None or t1 is None:
-        raise LbisimError("kinds 'out' and 'in' need a channel and a term")
-    _pure("pred_ccs", p, t1)
-    i = _marker(p, channel, t1)
-    inner = par(Prefix(Send(i), Nil()), t1.node)
-    probe = (Prefix(Send(channel), inner) if kind == "out"
-             else Prefix(Recv(channel), inner))
-    ctx = Label(Calculus.CCS, par(Hole(), probe, Prefix(Recv(i), Nil())))
-    return _marker_outcomes(p, ctx, i, f"'{i}")
-
-
-def pred_ccs(kind: str, p: Term, target: Term, channel: "str | None" = None,
-             t1: "Term | None" = None) -> bool:
-    """CCS counterpart: "out" asks for a - | 'a.T1 transition (the context
-    offers an output), "in" for - | a.T1 (see `ccs_targets`), "tau" for a
-    silent step."""
-    if p.calculus is not Calculus.CCS:
-        raise LbisimError("pred_ccs is a CCS predicate")
+def _targets(calc: Calculus, kind: str, p: Term, name, t1):
+    """`pred_targets`, once `_pred_args` has checked its arguments."""
     if kind == "tau":
-        outs = (out.node for out in reduct_terms(p))
+        return (out.node for out in reduct_terms(p))
+    m = fresh_name(free_names(p.node) | free_names(t1.node) | {name})
+    if kind == "open":
+        probe = Prefix(Cap("open", name),
+                       par(Amb(m, Nil()), Prefix(Cap("open", m), t1.node)))
+        ctx, barb = par(Hole(), probe), m
     else:
-        outs = ccs_targets(kind, p, channel, t1)
-        _pure("pred_ccs", target)
+        act = Send(name) if kind == "out" else Recv(name)
+        probe = Prefix(act, par(Prefix(Send(m), Nil()), t1.node))
+        ctx, barb = par(Hole(), probe, Prefix(Recv(m), Nil())), f"'{m}"
+    return _marker_outcomes(p, Label(calc, ctx), m, barb)
+
+
+def pred(kind: str, p: Term, target: Term, name: "str | None" = None,
+         t1: "Term | None" = None) -> bool:
+    """Does p have a transition of predicate `kind` to `target`, a pure
+    term of the kind's calculus?  See `pred_targets`."""
+    calc = _pred_args(kind, name, t1, p, target)
     want = canonical_node(target)
-    return any(out == want for out in outs)
+    return any(out == want for out in _targets(calc, kind, p, name, t1))
 
 
 # --- capturing check -------------------------------------------------------

@@ -32,8 +32,7 @@ from lbisim.corpus import (
     check_endpoints,
     check_idempotence,
     check_lts_correspondence,
-    check_pred_ccs,
-    check_pred_open,
+    check_pred,
     check_reducts_invariance,
     check_roundtrip,
     depth,
@@ -138,10 +137,10 @@ def test_criterion_06_lm_barb_capturing(corpora):
 
 def test_criterion_07_predicates_match_transitions(corpora):
     ma_t1 = [parse_term(s, MA) for s in ("0", "k[0]")]
-    r = check_pred_open(corpora[MA], ma_t1)
+    r = check_pred(MA, corpora[MA], ma_t1)
     assert r.total == len(corpora[MA]) and not r.failures
     ccs_t1 = [parse_term(s, CCS) for s in ("0", "c.0")]
-    r = check_pred_ccs(corpora[CCS], ccs_t1)
+    r = check_pred(CCS, corpora[CCS], ccs_t1)
     assert r.total == len(corpora[CCS]) and not r.failures
 
 

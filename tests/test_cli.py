@@ -338,6 +338,29 @@ def test_pred_verb(capsys):
                            "a.b.0", "b.0 | c.0")
         assert (code, out) == (2, "")
 
+    code, out, _ = run(capsys, "pred", "--calculus", "ccs", "--kind", "tau",
+                       "a.0 | 'a.b.0", "b.0")
+    assert (code, out) == (0, "holds\n")
+    code, out, _ = run(capsys, "pred", "--calculus", "ccs", "--kind", "tau",
+                       "a.0 | 'a.b.0", "0")
+    assert (code, out) == (1, "does not hold\n")
+    # a term with a process variable is refused by every kind, tau included
+    code, out, err = run(capsys, "pred", "--calculus", "ccs", "--kind", "tau",
+                         "tau.0 | @X", "0 | @X")
+    assert (code, out) == (2, "") and "'tau'" in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["--calculus", "ccs", "--kind", "sideways", "a.0", "0"], "sideways"),
+    (["--calculus", "ccs", "--kind", "out", "--t1", "0", "a.0", "0"], "out"),
+    (["--calculus", "ccs", "--kind", "in", "--name", "a", "'a.0", "0"], "in"),
+    (["--calculus", "ma", "--kind", "open", "n[0]", "0"], "open"),
+    (["--calculus", "accs", "--kind", "tau", "tau.0", "0"], "tau"),
+])
+def test_pred_refusals_name_the_kind(capsys, argv, kind):
+    code, out, err = run(capsys, "pred", *argv)
+    assert (code, out) == (2, "") and f"'{kind}'" in err, err
+
 
 def test_corpus_verb(capsys, tmp_path):
     spec = {"calculus": "ccs", "names": ["a", "b"], "count": 25,

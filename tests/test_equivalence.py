@@ -24,10 +24,12 @@ from lbisim import (
     MAUnsupportedError,
     ProcVar,
     RELATIONS,
+    Substitution,
     Term,
     canonical_term,
     check,
     enumerate_terms,
+    instantiate,
     is_capturing,
     its_transitions,
     node_key,
@@ -35,8 +37,8 @@ from lbisim import (
     parse_label,
     parse_term,
     pattern_label_set,
-    pred_ccs,
-    pred_open,
+    pred,
+    pred_targets,
     print_label,
     print_term,
     term_pairs,
@@ -223,14 +225,15 @@ def test_pred_open_golden():
     p = parse_term("n[k[0]]", MA)
     t1 = parse_term("w[0]", MA)
     target = canonical_term(parse_term("k[0] | w[0]", MA))
-    assert pred_open(p, target, "n", t1) is True
-    assert pred_open(p, target, "m", t1) is False
-    assert pred_open(p, canonical_term(p), "n", t1) is False
+    assert pred("open", p, target, "n", t1) is True
+    assert pred("open", p, target, "m", t1) is False
+    assert pred("open", p, canonical_term(p), "n", t1) is False
     # a bare open-prefix has no coopen transition
-    assert pred_open(parse_term("open n.k[0]", MA), target, "n", t1) is False
+    assert pred("open", parse_term("open n.k[0]", MA), target, "n",
+                t1) is False
     # no target names the fresh marker f0
     marked = canonical_term(parse_term("k[0] | w[0] | f0[0]", MA))
-    assert pred_open(p, marked, "n", t1) is False
+    assert pred("open", p, marked, "n", t1) is False
 
 
 def test_pred_ccs_golden():
@@ -238,22 +241,57 @@ def test_pred_ccs_golden():
     target = canonical_term(parse_term("b.0 | c.0", CCS))
     recv = parse_term("a.b.0", CCS)
     send = parse_term("'a.b.0", CCS)
-    assert pred_ccs("out", recv, target, "a", t1) is True
-    assert pred_ccs("out", recv, target, "b", t1) is False
-    assert pred_ccs("out", send, target, "a", t1) is False
-    assert pred_ccs("in", send, target, "a", t1) is True
-    assert pred_ccs("in", recv, target, "a", t1) is False
+    assert pred("out", recv, target, "a", t1) is True
+    assert pred("out", recv, target, "b", t1) is False
+    assert pred("out", send, target, "a", t1) is False
+    assert pred("in", send, target, "a", t1) is True
+    assert pred("in", recv, target, "a", t1) is False
     comm = parse_term("a.0 | 'a.b.0", CCS)
-    assert pred_ccs("tau", comm, parse_term("b.0", CCS)) is True
-    assert pred_ccs("tau", comm, parse_term("0", CCS)) is False
-    with pytest.raises(LbisimError):
-        pred_ccs("out", recv, target)  # channel and t1 required
-    with pytest.raises(LbisimError):
-        pred_ccs("sideways", recv, target, "a", t1)
+    assert pred("tau", comm, parse_term("b.0", CCS)) is True
+    assert pred("tau", comm, parse_term("0", CCS)) is False
+    with pytest.raises(LbisimError, match="'out'"):
+        pred("out", recv, target)  # name and t1 required
+    with pytest.raises(LbisimError, match="'sideways'"):
+        pred("sideways", recv, target, "a", t1)
     # no target names the fresh marker channel f0
     for marked in ("b.0 | c.0 | f0.0", "b.0 | c.0 | 'f0.0"):
         marked = canonical_term(parse_term(marked, CCS))
-        assert pred_ccs("out", recv, marked, "a", t1) is False
+        assert pred("out", recv, marked, "a", t1) is False
+    # every kind refuses a term with process variables, tau included
+    with pytest.raises(MalformedTermError, match="'tau'"):
+        pred("tau", parse_term("tau.0 | @X", CCS), parse_term("0 | @X", CCS))
+
+
+@pytest.mark.parametrize("kind, calc, text, name, t1, rule", [
+    ("open", MA, "n[k[0]] | n[0]", "n", "w[0]", "CoOpen"),
+    ("out", CCS, "a.b.0 + a.0 | a.c.0", "a", "c.0", "Rcv"),
+    ("in", CCS, "'a.b.0 | 'a.0", "a", "c.0", "Snd"),
+    ("tau", CCS, "a.0 | 'a.b.0 | tau.c.0", None, None, "Tau"),
+])
+def test_pred_targets_are_the_instantiated_transitions(kind, calc, text, name,
+                                                       t1, rule):
+    """For one term, a kind's targets are those of its rule's transitions,
+    instantiated with X1 := T1 (a tau transition has no X1)."""
+    p = parse_term(text, calc)
+    t1 = None if t1 is None else parse_term(t1, calc)
+    trs = [tr for tr in its_transitions(p) if tr.rule == rule]
+    if t1 is not None:
+        subst = Substitution.make(calc, procs={"X1": t1})
+        trs = [instantiate(tr, subst) for tr in trs]
+    want = {tr.target.node for tr in trs}
+    assert len(want) >= 2
+    assert set(pred_targets(kind, p, name, t1)) == want
+
+
+def test_pred_refuses_terms_of_another_calculus():
+    a = parse_term("a.0", CCS)
+    b = parse_term("'b", ACCS)
+    with pytest.raises(LbisimError, match="'out'"):
+        pred("out", a, b, "a", b)
+    with pytest.raises(MAUnsupportedError, match="'tau'"):
+        pred("tau", parse_term("tau.0", CCS), parse_term("0", MA))
+    with pytest.raises(MAUnsupportedError, match="'open'"):
+        pred("open", a, a, "n", a)
 
 
 # --- witnesses -------------------------------------------------------------
