@@ -254,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lts = sub.add_parser("lts", help="dump the reachable transition system")
     _add_common(lts, fmt=("text", "json", "dot"))
-    style = lts.add_mutually_exclusive_group()
-    style.add_argument("--its", action="store_true", default=True,
-                       help="contextual transition system (default)")
-    style.add_argument("--ordinary", action="store_true",
-                       help="ordinary CCS/ACCS transition system")
+    lts.add_argument("--ordinary", action="store_true",
+                     help="ordinary CCS/ACCS transition system instead of "
+                          "the contextual one")
     lts.add_argument("--max-states", type=_positive_int, default=2000)
     lts.add_argument("term", metavar="TERM")
     lts.set_defaults(run=_cmd_lts)

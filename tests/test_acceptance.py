@@ -25,7 +25,9 @@ from lbisim import (
     LA,
     LabelSet,
 )
+from lbisim import equivalence
 from lbisim.corpus import (
+    _LAWS,
     check_barb_capturing,
     check_coincidence,
     check_congruence,
@@ -35,15 +37,31 @@ from lbisim.corpus import (
     check_pred,
     check_reducts_invariance,
     check_roundtrip,
-    depth,
     enumerate_terms,
-    find_equivalent_pairs,
     term_pairs,
+)
+from lbisim.equivalence import OWN_LABEL_SETS
+from lbisim.terms import (
+    Amb, Hole, Msg, Nil, Par, Prefix, ProcVar, Restrict, Sum,
 )
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
 MA = Calculus.MA
+
+# the game budget of every corpus check here, the corpus suite's default
+_MAX_PAIRS = 4000
+
+
+def depth(node) -> int:
+    match node:
+        case Nil() | Msg() | ProcVar() | Hole():
+            return 0
+        case Prefix(body=b) | Restrict(body=b) | Amb(body=b):
+            return 1 + depth(b)
+        case Par(children=cs) | Sum(children=cs):
+            return 1 + max(depth(c) for c in cs)
+    raise TypeError(f"not a node: {node!r}")
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +138,10 @@ def test_criterion_04_accs_correspondence(corpora):
 
 
 def test_criterion_05_coincidence_theorems(pair_sets):
-    r = check_coincidence(CCS, pair_sets[CCS])
+    r = check_coincidence(CCS, pair_sets[CCS], max_pairs=_MAX_PAIRS)
     assert r.name == "coincidence-strong-lccs"
     assert r.total == 500 and not r.failures
-    r = check_coincidence(ACCS, pair_sets[ACCS])
+    r = check_coincidence(ACCS, pair_sets[ACCS], max_pairs=_MAX_PAIRS)
     assert r.name == "coincidence-async-la"
     assert r.total == 500 and not r.failures
 
@@ -157,14 +175,14 @@ def _separating_pairs():
 
 def test_criterion_08_endpoint_identities(pair_sets):
     for calc, pairs in pair_sets.items():
-        r = check_endpoints(calc, pairs)
+        r = check_endpoints(calc, pairs, max_pairs=_MAX_PAIRS)
         assert r.total == len(pairs) and not r.failures, calc
     pairs = _separating_pairs()
     for p, q in pairs:
         verdicts = tuple(check("l-bisim", p, q, labels=labels).verdict
                          for labels in (ALL, LA, EMPTY))
         assert verdicts == (False, True, True), print_term(p)
-    r = check_endpoints(ACCS, pairs)
+    r = check_endpoints(ACCS, pairs, max_pairs=_MAX_PAIRS)
     assert r.total == len(pairs) and not r.failures
 
 
@@ -173,7 +191,7 @@ def test_criterion_08_fails_when_empty_plays_as_all(monkeypatch):
     monkeypatch.setattr(
         LabelSet, "contains",
         lambda self, label: self is EMPTY or contains(self, label))
-    r = check_endpoints(ACCS, _separating_pairs())
+    r = check_endpoints(ACCS, _separating_pairs(), max_pairs=_MAX_PAIRS)
     assert len(r.failures) == len(_SEPARATING)
     assert all(f.endswith("(LA but not EMPTY)") for f in r.failures)
 
@@ -181,12 +199,40 @@ def test_criterion_08_fails_when_empty_plays_as_all(monkeypatch):
 def test_criterion_09_congruence_sampling():
     total = 0
     for calc, triples in ((MA, 67), (ACCS, 67), (CCS, 66)):
-        corpus = enumerate_terms(calc, ("a", "b"), count=320)
-        base = find_equivalent_pairs(calc, corpus, 30, random.Random(9))
-        r = check_congruence(calc, base, triples)
+        r = check_congruence(calc, triples, max_pairs=_MAX_PAIRS)
         assert r.total == triples and not r.failures, calc
         total += r.total
     assert total == 200
+
+
+@pytest.mark.parametrize("calc", [CCS, ACCS, MA])
+def test_congruence_laws_relate_distinct_canonical_forms(calc):
+    for p_text, q_text in _LAWS[calc]:
+        p, q = parse_term(p_text, calc), parse_term(q_text, calc)
+        assert canonical_term(p).node != canonical_term(q).node, p_text
+        assert check("l-bisim", p, q,
+                     labels=OWN_LABEL_SETS[calc]).verdict is True, p_text
+
+
+def test_congruence_games_play_moves(monkeypatch):
+    """A plugged law is not accepted at the root for having one canonical
+    form: every CCS and ACCS game expands a pair, and so do at least 20
+    of the 60 MA games.  The other MA games strip their common context
+    down to an inert firewall, which is alive without a move."""
+    played = []
+    solve = equivalence._solve
+
+    def recording(*args):
+        r = solve(*args)
+        played.append(r.expanded > 0)
+        return r
+
+    monkeypatch.setattr(equivalence, "_solve", recording)
+    for calc, least in ((CCS, 60), (ACCS, 60), (MA, 20)):
+        played.clear()
+        r = check_congruence(calc, 60, max_pairs=_MAX_PAIRS)
+        assert r.total == 60 and not r.failures, calc
+        assert len(played) == 60 and sum(played) >= least, (calc, played)
 
 
 def test_criterion_10_infrastructure_properties():

@@ -440,6 +440,19 @@ def test_default_suite_runs_every_check(calc):
         assert outcome.total and outcome.ok, (outcome.name, outcome.failures)
 
 
+@pytest.mark.parametrize("check", ["coincidence", "endpoints"])
+def test_corpus_game_checks_skip_pairs_over_budget(capsys, check):
+    """A pair whose game runs over the suite's budget is skipped and not
+    counted: each game of this one needs 4 pairs."""
+    spec = {"calculus": "ccs", "checks": [check],
+            "pair_list": [["a.b.(c.0 + c.0)", "a.b.c.0"]]}
+    code, out, _ = run(capsys, "corpus", "--max-pairs", "2", "--format",
+                       "json", json.dumps(spec))
+    assert code == 0
+    [outcome] = json.loads(out)["checks"]
+    assert (outcome["total"], outcome["failures"]) == (0, [])
+
+
 def test_corpus_spec_accepts_zero_counts(capsys):
     spec = {"calculus": "ccs", "count": 0, "random": 0, "pairs": 0,
             "names": None, "checks": ["roundtrip", "lts"]}

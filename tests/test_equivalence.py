@@ -7,7 +7,6 @@ as a golden, and inequivalence witnesses are replayed move by move.
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -49,8 +48,8 @@ from lbisim.equivalence import (
     _solve, _SymbolicGame,
 )
 from lbisim import equivalence, syntax
-from lbisim.corpus import (check_barb_capturing, check_endpoints,
-                           find_equivalent_pairs)
+from lbisim.corpus import (check_barb_capturing, check_coincidence,
+                           check_endpoints)
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -927,9 +926,9 @@ def test_corpus_checks_build_no_witness(monkeypatch):
         return r
 
     monkeypatch.setattr(equivalence, "_solve", counting)
-    pairs = find_equivalent_pairs(CCS, corpus, 16, random.Random(0))
-    assert pairs and refuted > 0
-    outcome = check_endpoints(CCS, term_pairs(corpus, 30))
+    outcome = check_coincidence(CCS, term_pairs(corpus, 16), max_pairs=4000)
+    assert outcome.total and refuted > 0
+    outcome = check_endpoints(CCS, term_pairs(corpus, 30), max_pairs=2000)
     assert outcome.total == 30 and not outcome.failures
     assert calls == []
 
