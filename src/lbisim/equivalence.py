@@ -1,13 +1,15 @@
 """Equivalence checking as on-the-fly bisimulation games.
 
 All relations are decided by one engine playing an attacker/defender game
-on pairs of states.  A pair dies when some attack has no surviving
-answer; the engine alternates breadth-first expansion with a refutation
-fixpoint, so a finite disproof is found even when the full symbolic state
-space is infinite (possible in MA, where environment ambients can keep
-entering).  The verdict is `True` only once every reachable pair is
-expanded and alive, `False` when the root dies; running out of budget
-raises DivergenceBudgetExceededError.
+on pairs of states.  It expands the pairs the root still depends on
+breadth-first, a round at a time, so a finite disproof is found even when
+the full symbolic state space is infinite (possible in MA, where
+environment ambients can keep entering).  A pair dies on a barb it cannot
+match or on an attack none of whose answers lives: each attack counts its
+live answers, and each death is passed on once to the attacks it answers
+(Liu & Smolka, ICALP 1998).  The verdict is `True` only once every
+reachable pair is expanded and alive, `False` when the root dies; running
+out of budget raises DivergenceBudgetExceededError.
 
 The relations.  `check(relation, p, q, ...)` decides each name of
 RELATIONS; `_game` is the one place that maps a name to its game, which
@@ -140,6 +142,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import permutations, product
 
 from .congruence import (
@@ -337,18 +340,21 @@ class _Attack:
 
 
 class _PairNode:
-    __slots__ = ("p", "q", "status", "rank", "expanded", "attacks", "fail",
-                 "index", "residual", "held", "slow")
+    __slots__ = ("p", "q", "status", "rank", "expanded", "attacks", "live",
+                 "preds", "fail", "index", "residual", "held", "slow")
 
     def __init__(self, p, q, index):
         self.p = p
         self.q = q
         self.status = "open"       # open | true (equal states, or an
                                    # inert residual) | dead
-        self.rank = None
+        self.rank = None           # refutation depth: 0 on a barb or an
+                                   # unanswered attack
         self.expanded = False
         self.attacks = []          # [(attack, [(answer_term, pair_key,
                                    #             inverse renaming)])]
+        self.live = []             # per attack, its answers not yet dead
+        self.preds = []            # [(pair key, attack index)] it answers
         self.fail = None           # ("barb", side, name) | ("attack", i)
         self.index = index         # creation order (perfbench's tracer
                                    # subclasses this signature)
@@ -401,7 +407,7 @@ class GameResult:
         self.verdict = verdict
         self._witness = witness
         self.pairs_explored = pairs_explored
-        self.rounds = rounds
+        self.rounds = rounds           # breadth-first expansion rounds
         self.expanded = expanded       # pairs whose moves were played
         self.residuals = residuals     # pairs left alive through their
                                        # residual
@@ -441,6 +447,7 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
     waiting: dict = {}             # residual key -> [(key, inverse renaming)]
                                    # of the pairs holding their successors
                                    # back on it
+    dying: list = []               # heap of (rank, index, key) to pass on
 
     def intern(p: Term, q: Term):
         """The key of the pair's renaming class, interned if new, and the
@@ -455,13 +462,27 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
                 node.status = "true"
         return key, back
 
-    def link(node, moves, dead_residual=None, residual_back=_NO_VARS):
-        """Intern the answers of an expanded pair as its successors.  New
-        successors of the moves that do not follow the pair's dead
-        residual wait a round before they are expanded."""
+    def kill(key, fail):
+        """The one way a pair dies, on a barb or on an attack without a
+        live answer; its death is passed on once, least rank first."""
+        node = pairs[key]
+        node.status = "dead"
+        node.fail = fail
+        answers = node.attacks[fail[1]][1] if fail[0] == "attack" else ()
+        node.rank = max((pairs[k].rank + 1 for _, k, _ in answers),
+                        default=0)
+        heappush(dying, (node.rank, node.index, key))
+
+    def link(key, moves, dead_residual=None, residual_back=_NO_VARS):
+        """Intern the answers of an expanded pair as its successors and
+        count each attack's live answers; an attack with none kills the
+        pair.  New successors of the moves that do not follow the pair's
+        dead residual wait a round before they are expanded."""
+        node = pairs[key]
         follow = _following(moves, dead_residual, residual_back)
         for i, (attack, found) in enumerate(moves):
             answers = []
+            live = 0
             for ans in found:
                 known = len(pairs)
                 if attack.side == 0:
@@ -469,11 +490,18 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
                 else:
                     k, back = intern(ans, attack.target)
                 answers.append((ans, k, back))
+                succ = pairs[k]
+                if succ.status != "dead":
+                    succ.preds.append((key, i))
+                    live += 1
                 if i in follow:
-                    pairs[k].slow = False
+                    succ.slow = False
                 elif len(pairs) > known:
-                    pairs[k].slow = True
+                    succ.slow = True
             node.attacks.append((attack, answers))
+            node.live.append(live)
+            if not live and node.status == "open":
+                kill(key, ("attack", i))
 
     def frontier():
         """The unexpanded open pairs the root's verdict still depends on,
@@ -500,28 +528,25 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
                     todo.append(k)
         return out
 
-    def play(node):
-        """A pair's own attacks with their answers, or None when it dies
-        at once: on its barbs or on an attack without answer."""
+    def play(key):
+        """A pair's own attacks with their answers, none when it dies at
+        once: on its barbs or on an attack without answer."""
         nonlocal expanded
+        node = pairs[key]
         node.expanded = True
         expanded += 1
         bad = game.pair_barb_fail(node.p, node.q)
         if bad is not None:
-            node.status = "dead"
-            node.rank = 0
-            node.fail = bad
-            return None
+            kill(key, bad)
+            return ()
         moves = []
         for attack in game.attacks(node.p, node.q):
             found = game.answers(attack, node.q if attack.side == 0
                                  else node.p)
             if not found:
                 node.attacks = [(attack, [])]
-                node.status = "dead"
-                node.rank = 0
-                node.fail = ("attack", 0)
-                return None
+                kill(key, ("attack", 0))
+                return ()
             moves.append((attack, found))
         return moves
 
@@ -533,75 +558,58 @@ def _solve(game, p0: Term, q0: Term, max_pairs: int) -> GameResult:
         node = pairs[key]
         rp, rq = game.residual(node.p, node.q)
         if rp is node.p and rq is node.q:
-            moves = play(node)
-            if moves is not None:
-                link(node, moves)
+            link(key, play(key))
             return
         if _inert(rp.node) and _inert(rq.node):
             node.status = "true"
             settled += 1
             return
-        moves = play(node)
-        if moves is None:
+        moves = play(key)
+        if node.status == "dead":
             return
         rkey, rback = intern(rp, rq)
         rnode = pairs[rkey]
         if rnode.status == "open" and not rnode.expanded:
-            # a residual is its own residual
-            rmoves = play(rnode)
-            if rmoves is not None:
-                link(rnode, rmoves)
+            link(rkey, play(rkey))     # a residual is its own residual
         if rnode.status != "dead":
             node.residual = rkey
             node.held = moves
             waiting.setdefault(rkey, []).append((key, rback))
             return
-        link(node, moves, rnode, rback)
+        link(key, moves, rnode, rback)
 
     def result(verdict, witness=None):
         return GameResult(verdict, witness, len(pairs), rounds, expanded,
                           settled + sum(map(len, waiting.values())))
 
     root, root_back = intern(canonical_term(p0), canonical_term(q0))
-    rounds = 0
+    rounds = 0                     # frontier expansions
     expanded = 0
     settled = 0                    # pairs alive through an inert residual
     while True:
         pending = frontier()
         if not pending:
             return result(True)
+        rounds += 1
         ready = [k for k in pending if not pairs[k].slow] or pending
         for key in pending:
             pairs[key].slow = False
         for key in ready:
             if not pairs[key].expanded:
                 expand(key)
-        while True:
-            # refutation fixpoint
-            changed = True
-            while changed:
-                changed = False
-                rounds += 1
-                for node in pairs.values():
-                    if node.status != "open" or not node.expanded:
-                        continue
-                    for i, (attack, answers) in enumerate(node.attacks):
-                        if answers and all(pairs[k].status == "dead"
-                                           for _, k, _ in answers):
-                            node.status = "dead"
-                            node.rank = rounds
-                            node.fail = ("attack", i)
-                            changed = True
-                            break
+        while dying:
+            _, _, dkey = heappop(dying)
+            dead = pairs[dkey]
             # a pair whose residual died plays its own successors
-            dead = [k for k in waiting if pairs[k].status == "dead"]
-            for rkey in dead:
-                for key, rback in waiting.pop(rkey):
-                    node = pairs[key]
-                    link(node, node.held, pairs[rkey], rback)
-                    node.held = None
-            if not dead:
-                break
+            for key, rback in waiting.pop(dkey, ()):
+                node = pairs[key]
+                link(key, node.held, dead, rback)
+                node.held = None
+            for key, i in dead.preds:
+                live = pairs[key].live
+                live[i] -= 1
+                if not live[i] and pairs[key].status == "open":
+                    kill(key, ("attack", i))
         if pairs[root].status == "dead":
             # built on first read; the module-level name is looked up
             # then, so a wrapper installed on it meanwhile sees the call
@@ -831,11 +839,9 @@ class _OrdinaryGame:
         return None
 
     def attacks(self, p, q):
-        out = []
         for side, state in ((0, p), (1, q)):
             for tr in ordinary_transitions(state):
-                out.append(_Attack(side, tr.action, None, tr.target))
-        return out
+                yield _Attack(side, tr.action, None, tr.target)
 
     def answers(self, attack, defender):
         return [tr.target for tr in ordinary_transitions(defender)
@@ -851,12 +857,10 @@ class _AsyncGame(_OrdinaryGame):
         action = attack.action
         if action == "tau" or action.startswith("'"):
             return exact
-        extra = [
+        return exact + [
             canonical_term(Term(defender.calculus,
                                 par(tr.target.node, Msg(action))))
-            for tr in ordinary_transitions(defender) if tr.action == "tau"
-        ]
-        return exact + extra
+            for tr in ordinary_transitions(defender) if tr.action == "tau"]
 
 
 def _spell(n: int) -> str:
@@ -900,12 +904,10 @@ class _SymbolicGame:
         if not self.barbed:
             return None
         bp, bq = barbs(p), barbs(q)
-        if bp == bq:
-            return None
-        only_p = sorted(bp - bq)
-        if only_p:
-            return ("barb", 0, only_p[0])
-        return ("barb", 1, sorted(bq - bp)[0])
+        for side, extra in ((0, bp - bq), (1, bq - bp)):
+            if extra:
+                return ("barb", side, min(extra))
+        return None
 
     def residual(self, p, q):
         """The pair up to its common context where the module docstring
@@ -1029,11 +1031,9 @@ def _game(relation: str, calc: Calculus, p: Term, q: Term,
 
 def _entry(p: Term, q: Term) -> Calculus:
     calc = same_calculus(p, q)
-    for t in (p, q):
-        if t.node.vars:
-            raise MalformedTermError(
-                "equivalence queries take pure terms "
-                "(variables appear only in game states)")
+    if p.node.vars or q.node.vars:
+        raise MalformedTermError("equivalence queries take pure terms "
+                                 "(variables appear only in game states)")
     return calc
 
 
@@ -1178,9 +1178,8 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
                 checked.add(n)
             if calculus is not Calculus.MA:
                 checked.add(f"'{n}")
-    observed = {}
-    for t in corpus:
-        observed[t.node] = {tr.label.body for tr in its_transitions(t)}
+    observed = {t.node: {tr.label.body for tr in its_transitions(t)}
+                for t in corpus}
     entries = []
     for barb in sorted(checked, key=lambda b: (b.lstrip("'"), b)):
         cands = labels.barb_candidates(barb, calculus)

@@ -42,6 +42,27 @@ def test_check_inequivalent_exits_one_with_witness(capsys):
     assert any("- | 'a" in ln for ln in lines)
 
 
+def test_check_text_witness_shows_barbs_and_answers(capsys):
+    code, out, _ = run(capsys, "check", "--calculus", "ccs", "--rel",
+                       "barbed-semi-sat", "0", "a.0")
+    assert code == 1
+    assert out.splitlines() == [
+        "inequivalent", "witness:",
+        "  1. at (0  ,  a.0): the right side shows barb a and the other "
+        "does not",
+        "explored 1 pairs in 1 rounds"]
+    code, out, _ = run(capsys, "check", "--calculus", "ccs", "--rel",
+                       "semi-sat", "a.a.0", "a.b.0")
+    assert code == 1
+    assert out.splitlines() == [
+        "inequivalent", "witness:",
+        "  1. at (a.a.0  ,  a.b.0): left moves - | 'a.@X1  ->  a.0",
+        "     defender answers  ->  b.0",
+        "  2. at (a.0  ,  b.0): left moves - | 'a.@X1  ->  0",
+        "     defender: no answer",
+        "explored 2 pairs in 2 rounds"]
+
+
 def test_check_json_payload(capsys):
     code, out, _ = run(capsys, "check", "--format", "json", "--calculus",
                        "ccs", "--rel", "l-bisim", "--labels", "LCCS",
@@ -440,17 +461,28 @@ def test_default_suite_runs_every_check(calc):
         assert outcome.total and outcome.ok, (outcome.name, outcome.failures)
 
 
-@pytest.mark.parametrize("check", ["coincidence", "endpoints"])
+# check -> (spec fields, budget, cases within the budget)
+_OVER_BUDGET = {
+    # each game of the one pair needs 4 pairs
+    "coincidence": ({"pair_list": [["a.b.(c.0 + c.0)", "a.b.c.0"]]}, 2, 0),
+    "endpoints": ({"pair_list": [["a.b.(c.0 + c.0)", "a.b.c.0"]]}, 2, 0),
+    # the first 8 cases put 0 ~ (nu a) a.0 in each context; only under
+    # the two binders does the game end at its root, which has no move
+    "congruence": ({"triples": 8}, 1, 2),
+}
+
+
+@pytest.mark.parametrize("check", list(_OVER_BUDGET))
 def test_corpus_game_checks_skip_pairs_over_budget(capsys, check):
-    """A pair whose game runs over the suite's budget is skipped and not
-    counted: each game of this one needs 4 pairs."""
-    spec = {"calculus": "ccs", "checks": [check],
-            "pair_list": [["a.b.(c.0 + c.0)", "a.b.c.0"]]}
-    code, out, _ = run(capsys, "corpus", "--max-pairs", "2", "--format",
-                       "json", json.dumps(spec))
+    """A case whose game runs over the suite's budget is skipped and not
+    counted."""
+    fields, budget, total = _OVER_BUDGET[check]
+    spec = {"calculus": "ccs", "checks": [check], **fields}
+    code, out, _ = run(capsys, "corpus", "--max-pairs", str(budget),
+                       "--format", "json", json.dumps(spec))
     assert code == 0
     [outcome] = json.loads(out)["checks"]
-    assert (outcome["total"], outcome["failures"]) == (0, [])
+    assert (outcome["total"], outcome["failures"]) == (total, [])
 
 
 def test_corpus_spec_accepts_zero_counts(capsys):

@@ -5,8 +5,10 @@ over the reachable ordinary LTS, the flagship asynchronous pair is pinned
 as a golden, and inequivalence witnesses are replayed move by move.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -40,16 +42,23 @@ from lbisim import (
     pred_targets,
     print_label,
     print_term,
+    reduct_terms,
     term_pairs,
     verify_witness,
 )
 from lbisim.equivalence import (
-    DEFAULT_MAX_PAIRS, _class_named, _game, _label_variables, _no_residual,
-    _solve, _SymbolicGame,
+    DEFAULT_MAX_PAIRS, GameResult, _class_named, _game, _label_variables,
+    _no_residual, _OrdinaryGame, _solve, _SymbolicGame,
 )
 from lbisim import equivalence, syntax
-from lbisim.corpus import (check_barb_capturing, check_coincidence,
-                           check_endpoints)
+from lbisim.congruence import components
+from lbisim.corpus import (
+    check_axiom_soundness, check_barb_capturing, check_coincidence,
+    check_congruence, check_endpoints, check_idempotence,
+    check_lts_correspondence, check_pred, check_reducts_invariance,
+    check_roundtrip, check_shuffle_equiv,
+)
+from lbisim.terms import par
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -218,6 +227,82 @@ def test_barb_check_names_the_term_and_the_barb(monkeypatch):
     assert check_barb_capturing(corpus).failures == ["n[0] barb n"]
 
 
+def _fault(monkeypatch, check):
+    """Break the layer `check` guards, fix its inputs, and run it.  The
+    random checks draw `tau.a.0 | b.0`, and shuffle it to
+    `b.0 | tau.a.0`."""
+    t, s = parse_term("tau.a.0 | b.0", CCS), parse_term("b.0 | tau.a.0", CCS)
+    monkeypatch.setattr("lbisim.corpus.random_term", lambda *a, **k: t)
+    monkeypatch.setattr("lbisim.corpus.congruent_shuffle", lambda *a: s)
+    rng = random.Random(0)
+    if check == "roundtrip":
+        # the parser drops the last parallel component
+        monkeypatch.setattr("lbisim.corpus.parse_term", lambda text, calc:
+                            parse_term(text.rsplit(" | ", 1)[0], calc))
+        return check_roundtrip(CCS, 1, rng)
+    if check == "idempotence":
+        # canonical forms flip their components instead of sorting them
+        monkeypatch.setattr("lbisim.corpus.canonical_term", lambda u: Term(
+            u.calculus, par(*reversed(components(u.node)))))
+        return check_idempotence(CCS, 1, rng)
+    if check == "axioms":
+        # canonical forms are the terms as written
+        monkeypatch.setattr("lbisim.corpus.canonical_term", lambda u: u)
+        return check_axiom_soundness(CCS, 1, rng)
+    if check == "shuffle":
+        # congruence is syntactic equality
+        monkeypatch.setattr("lbisim.corpus.equiv",
+                            lambda u, v: u.node == v.node)
+        return check_shuffle_equiv(CCS, 1, rng)
+    if check == "reducts":
+        # only the first parallel component reduces
+        monkeypatch.setattr("lbisim.corpus.reduct_terms", lambda u:
+                            reduct_terms(Term(u.calculus,
+                                              components(u.node)[0])))
+        return check_reducts_invariance(CCS, 1, rng)
+    if check == "lts":
+        # the ITS loses its tau steps
+        monkeypatch.setattr("lbisim.corpus.its_transitions", lambda u: tuple(
+            tr for tr in its_transitions(u) if tr.rule != "Tau"))
+        return check_lts_correspondence(CCS, [parse_term("a.0 | 'a.0", CCS)])
+    if check == "pred":
+        # no state shows a barb, so no marker is ever seen
+        monkeypatch.setattr(equivalence, "barbs", lambda u: frozenset())
+        return check_pred(MA, [parse_term("n[0]", MA)], [parse_term("0", MA)])
+    if check == "coincidence":
+        # strong bisimilarity lets only the left side attack
+        attacks = _OrdinaryGame.attacks
+        monkeypatch.setattr(_OrdinaryGame, "attacks", lambda self, p, q: [
+            a for a in attacks(self, p, q) if a.side == 0])
+        pair = (parse_term("a.0", CCS), parse_term("a.0 + b.0", CCS))
+        return check_coincidence(CCS, [pair], max_pairs=100)
+    # congruence: every label set takes in every label, so l-bisim(LA)
+    # is IPO bisimilarity, which the flagship law fails
+    monkeypatch.setattr(equivalence.LabelSet, "contains",
+                        lambda self, label: True)
+    return check_congruence(ACCS, 1, max_pairs=100)
+
+
+_FAULT_FAILURES = {
+    "roundtrip": ["tau.a.0 | b.0"],
+    "idempotence": ["tau.a.0 | b.0"],
+    "axioms": ["tau.a.0 | b.0"],
+    "shuffle": ["tau.a.0 | b.0  vs  b.0 | tau.a.0"],
+    "reducts": ["tau.a.0 | b.0  vs  b.0 | tau.a.0"],
+    "lts": ["a.0 | 'a.0"],
+    "pred": ["n[0] open n T1=0"],
+    "coincidence": ["a.0  vs  a.0 + b.0"],
+    "congruence": ["a.'a + tau.0 ~ tau.0 under - | a.0"],
+}
+
+
+@pytest.mark.parametrize("check", list(_FAULT_FAILURES))
+def test_corpus_check_names_the_case_a_fault_breaks(monkeypatch, check):
+    """Each corpus check fails, naming its case, once the layer it
+    guards is broken."""
+    assert _fault(monkeypatch, check).failures == _FAULT_FAILURES[check]
+
+
 # --- reduction predicates --------------------------------------------------
 
 def test_pred_open_golden():
@@ -342,6 +427,27 @@ def test_witness_replay_across_relations():
             assert verify_witness(q, p, r, rel, labels=labels) is False
 
 
+@pytest.mark.parametrize("tamper", ["foreign move", "foreign answer",
+                                    "cut short"])
+def test_tampered_witness_does_not_replay(tamper):
+    p, q = parse_term("a.a.0", CCS), parse_term("a.b.0", CCS)
+    r = check("semi-sat", p, q)
+    assert verify_witness(p, q, r, "semi-sat") is True
+    first, last = r.witness
+    if tamper == "foreign move":
+        # not one of the attacks of a.a.0 / a.b.0
+        witness = [dataclasses.replace(first, move="- | 'b.@X1"), last]
+    elif tamper == "foreign answer":
+        # the defender's answer to - | 'a.@X1 is b.0
+        witness = [dataclasses.replace(first, defender_target="a.0"), last]
+    else:
+        # a.0 / b.0 is not a dead end yet
+        witness = [first]
+    forged = GameResult(False, witness, r.pairs_explored, r.rounds,
+                        r.expanded, r.residuals)
+    assert verify_witness(p, q, forged, "semi-sat") is False
+
+
 def test_witness_with_more_than_ten_game_variables():
     # each move's label brings @X1, which the game erases: after twelve
     # moves the states hold none of them, and the witness numbers none
@@ -349,11 +455,23 @@ def test_witness_with_more_than_ten_game_variables():
     q = parse_term("a." * 12 + "b.0", CCS)
     r = check("semi-sat", p, q)
     assert (r.verdict, r.pairs_explored, r.rounds, len(r.witness)) \
-        == (False, 13, 25, 13)
+        == (False, 13, 13, 13)
     assert r.witness[-1].pair == ("0", "b.0")
     assert r.witness[-1].move == "- | 'b.@X1"
     assert all(step.intro_vars == {} for step in r.witness)
     assert verify_witness(p, q, r, "semi-sat") is True
+
+
+def test_deep_chain_dies_in_one_round_per_pair():
+    """Each round expands the one open pair of the chain, and its death
+    is passed up the chain at once: n rounds for n pairs, where sweeping
+    to a fixpoint after each round took 2n - 1."""
+    n = 200
+    p = parse_term("a." * n + "0", CCS)
+    q = parse_term("a." * (n - 1) + "b.0", CCS)
+    r = check("semi-sat", p, q)
+    assert (r.verdict, r.pairs_explored) == (False, n)
+    assert r.rounds <= n + 1
 
 
 _MA_CHAIN = ("in a." * 25 + "0", "in a." * 24 + "in b.0")
@@ -489,7 +607,9 @@ def _play_game(cls, calc, rel, labels, p, q):
 # the names of their variables: (verdict, rounds, expansions not
 # replayed, pairs, sha256 of the witness JSON, first 12 digits).  The
 # witness digests are those of the game on states with their process
-# variables erased, which plays the same rounds and pairs.
+# variables erased, which plays the same rounds and pairs.  The rounds
+# are the frontier expansions of the worklist solver, which kept every
+# verdict, witness and pair count of the sweeping fixpoint before it.
 _UNMERGED = {
     "ccs-ipo-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
     "ccs-semi-sat-c.0 | 'd.0 | a.0": (False, 1, 1, 1, "b508ffa0bbdc"),
@@ -539,18 +659,18 @@ _UNMERGED = {
     "ma-l-bisim-LM-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
     "ma-l-bisim-ALL-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
     "ma-l-bisim-EMPTY-n[in m.0] | j[0]": (False, 1, 1, 1, "de444e0a60e2"),
-    "ma-ipo-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-semi-sat-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-barbed-semi-sat-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-l-bisim-LM-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-l-bisim-ALL-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-l-bisim-EMPTY-open a.open m.0": (False, 3, 2, 3, "e0565156644d"),
-    "ma-ipo-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
-    "ma-semi-sat-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
-    "ma-barbed-semi-sat-out m.a[0]": (False, 5, 10, 100, "cc13c9f6bc90"),
-    "ma-l-bisim-LM-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
-    "ma-l-bisim-ALL-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
-    "ma-l-bisim-EMPTY-out m.a[0]": (False, 5, 5, 36, "b64abfc659a4"),
+    "ma-ipo-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-semi-sat-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-barbed-semi-sat-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-l-bisim-LM-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-l-bisim-ALL-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-l-bisim-EMPTY-open a.open m.0": (False, 2, 2, 3, "e0565156644d"),
+    "ma-ipo-out m.a[0]": (False, 3, 5, 36, "b64abfc659a4"),
+    "ma-semi-sat-out m.a[0]": (False, 3, 5, 36, "b64abfc659a4"),
+    "ma-barbed-semi-sat-out m.a[0]": (False, 3, 10, 100, "cc13c9f6bc90"),
+    "ma-l-bisim-LM-out m.a[0]": (False, 3, 5, 36, "b64abfc659a4"),
+    "ma-l-bisim-ALL-out m.a[0]": (False, 3, 5, 36, "b64abfc659a4"),
+    "ma-l-bisim-EMPTY-out m.a[0]": (False, 3, 5, 36, "b64abfc659a4"),
     "ma-ipo-m[(nu k) k[0]]": (True, 1, 0, 1, None),
     "ma-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
     "ma-barbed-semi-sat-m[(nu k) k[0]]": (True, 1, 0, 1, None),
@@ -583,9 +703,10 @@ def _witness_digest(result) -> "str | None":
 @pytest.mark.parametrize("calc,rel,labels,s1,s2", _MEMO_QUERIES,
                          ids=[_query_id(*q) for q in _MEMO_QUERIES])
 def test_memo_agrees_with_unmemoised_game(calc, rel, labels, s1, s2):
-    """The merged game keeps every verdict, round count and witness of
-    the memoised game in `_UNMERGED`, and plays no more pairs than it
-    did nor expands more pairs than it expanded without a replay."""
+    """The merged game keeps every verdict and witness of the memoised
+    game in `_UNMERGED`, takes the rounds pinned there, and plays no
+    more pairs than it did nor expands more pairs than it expanded
+    without a replay."""
     p, q = parse_term(s1, calc), parse_term(s2, calc)
     r = _play_game(_SymbolicGame, calc, rel, labels, p, q)
     assert not isinstance(r, str), r

@@ -225,6 +225,14 @@ def test_pairs_alive_through_their_residual_are_counted():
     assert r.verdict is True and r.residuals == 1
 
 
+def test_firewall_with_a_parallel_body_is_settled_unplayed():
+    """The residual (nu k) k[j[0] | l[0]] / 0 is inert: k is restricted
+    and holds a parallel composition without capability."""
+    p = parse_term("n[0] | (nu k) k[j[0] | l[0]]", MA)
+    r = check("l-bisim", p, parse_term("n[0]", MA), labels=LM)
+    assert (r.verdict, r.expanded, r.residuals) == (True, 0, 1)
+
+
 def test_dead_residual_guides_the_pair_by_its_own_names():
     """The residual ?v2[a[0]] / (nu k)(?v2[b[0]] | k[0]) names ?v2 by its
     first class name, the pair by its second (?v1 takes the first): the
@@ -234,7 +242,7 @@ def test_dead_residual_guides_the_pair_by_its_own_names():
     q = parse_term("?v1[0] | ?v2[b[0]] | (nu k) k[0]", MA)
     r = _solve(_SymbolicGame(MA, EMPTY, False), p, q, 100)
     assert r.verdict is False
-    assert (r.pairs_explored, r.expanded, r.rounds) == (8, 4, 5)
+    assert (r.pairs_explored, r.expanded, r.rounds) == (8, 4, 2)
     # the witness calls the root's variables by the names they were
     # given; opening ?v1 leads to the residual itself, erased
     assert [step.move for step in r.witness] \
