@@ -15,6 +15,7 @@ verb and the acceptance tests share them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,13 +114,19 @@ def enumerate_terms(calc: Calculus, names, *, count: int,
     return out
 
 
-def term_pairs(terms, count: int):
-    """Deterministic distinct pairs: combinations of a prefix of the
-    corpus just large enough to supply `count` pairs."""
-    k = 2
-    while k * (k - 1) // 2 < count and k < len(terms):
+def _pair_prefix(count: int) -> int:
+    """The least k >= 2 whose k terms make at least `count` pairs."""
+    k = max(2, (1 + math.isqrt(8 * count)) // 2)
+    while k * (k - 1) // 2 < count:
         k += 1
-    pairs = list(itertools.combinations(terms[:k], 2))
+    return k
+
+
+def term_pairs(terms, count: int):
+    """Deterministic distinct pairs: the first `count` combinations of
+    the corpus's first `_pair_prefix(count)` terms (of all of them, if
+    the corpus is shorter)."""
+    pairs = list(itertools.combinations(terms[:_pair_prefix(count)], 2))
     return pairs[:count]
 
 
@@ -741,10 +748,30 @@ def _spec_strings(spec: dict, field: str, default) -> tuple:
     return tuple(value)
 
 
+def _spec_terms(field: str, texts, calc: Calculus) -> list[Term]:
+    """The parsed terms of a spec field, which must have no variables."""
+    terms = [parse_term(text, calc) for text in texts]
+    impure = [text for text, t in zip(texts, terms) if t.node.vars]
+    if impure:
+        raise LbisimError(f"corpus spec {field} must hold terms without "
+                          f"variables, got {', '.join(map(repr, impure))}")
+    return terms
+
+
 def run_suite(spec: dict) -> list[CheckOutcome]:
     """Run the cross-check matrix described by a corpus spec (a parsed
     JSON object); see the CLI `corpus` verb.  A malformed spec raises
-    LbisimError naming the field."""
+    LbisimError naming the field.
+
+    `lts`, `barbs` and `pred` read all `count` enumerated terms.
+    `coincidence` plays the first `pairs` pairs of `term_pairs` and each
+    of the first 30 terms against a congruent shuffle of itself, and
+    `endpoints` plays the first max(60, `pairs` // 3) of those, or all
+    of an explicit `pair_list` (which replaces both kinds of pairs).  A
+    run enumerates only the prefix of the corpus that its checks read;
+    the shuffles are drawn from the suite's random generator before any
+    check runs, whichever checks are selected, so each random check
+    sees the same terms as in a run of every check."""
     if type(spec) is not dict:
         raise LbisimError(f"corpus spec must be a JSON object, got {spec!r}")
     try:
@@ -773,17 +800,27 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
             and all(type(t) is str for t in pq) for pq in pair_list)):
         raise LbisimError(f"corpus spec pair_list must be a list of pairs "
                           f"of strings, got {pair_list!r}")
-    t1_texts = _spec_strings(spec, "t1_pool", _DEFAULT_T1[calc])
+    listed = [tuple(map(canonical_term, _spec_terms("pair_list", pq, calc)))
+              for pq in pair_list or ()]
+    t1_pool = _spec_terms("t1_pool",
+                          _spec_strings(spec, "t1_pool", _DEFAULT_T1[calc]),
+                          calc)
     rng = random.Random(seed)
-    corpus = enumerate_terms(calc, names, count=count)
-    if pair_list:
-        pairs = [(canonical_term(parse_term(a, calc)),
-                  canonical_term(parse_term(b, calc)))
-                 for a, b in pair_list]
+    # enumerate only what the checks read: lts, barbs and pred read every
+    # term, the pairs the prefix of term_pairs and 30 terms to shuffle
+    if any(c in ("lts", "barbs", "pred") for c in checks):
+        read = count
+    elif listed:
+        read = 0
+    else:
+        read = min(count, max(30, _pair_prefix(pair_n)))
+    corpus = enumerate_terms(calc, names, count=read)
+    if listed:
+        pairs = endpoint_pairs = listed
     else:
         pairs = term_pairs(corpus, pair_n)
         pairs += [(t, congruent_shuffle(t, rng)) for t in corpus[:30]]
-    t1_pool = [parse_term(s, calc) for s in t1_texts]
+        endpoint_pairs = pairs[:max(60, pair_n // 3)]
     rnames = names
     if len(rnames) < 3:
         rnames = rnames + (("k",) if calc is Calculus.MA else ("c",))
@@ -805,7 +842,7 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
         elif name == "coincidence":
             out.append(check_coincidence(calc, pairs, max_pairs=max_pairs))
         elif name == "endpoints":
-            out.append(check_endpoints(calc, pairs[:max(60, pair_n // 3)],
+            out.append(check_endpoints(calc, endpoint_pairs,
                                        max_pairs=max_pairs))
         elif name == "barbs":
             out.append(check_barb_capturing(corpus))

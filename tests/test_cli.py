@@ -15,8 +15,9 @@ import pytest
 
 import lbisim.cli
 from lbisim.cli import main
-from lbisim.corpus import DEFAULT_CHECKS, run_suite
-from lbisim.syntax import MAX_DEPTH
+from lbisim.corpus import (DEFAULT_CHECKS, enumerate_terms, run_suite,
+                           term_pairs)
+from lbisim.syntax import MAX_DEPTH, print_term
 from lbisim.terms import Calculus
 
 
@@ -428,6 +429,11 @@ def test_corpus_rejects_unknown_check(capsys):
     ({"checks": 0}, "checks"),
     ({"names": ""}, "names"),
     ({"pair_list": 0}, "pair_list"),
+    # terms with process variables, refused before any check runs
+    ({"t1_pool": ["0", "@X"], "checks": ["pred"]}, "t1_pool"),
+    ({"t1_pool": ["@X"], "checks": ["roundtrip"]}, "t1_pool"),
+    ({"pair_list": [["a.0", "a.0"], ["@X", "0"]],
+      "checks": ["roundtrip", "endpoints"]}, "pair_list"),
 ])
 def test_corpus_spec_fields_are_validated(capsys, spec, field):
     if isinstance(spec, dict):
@@ -439,6 +445,24 @@ def test_corpus_spec_fields_are_validated(capsys, spec, field):
         code, _, err = run(capsys, "corpus", "--seed", "3", "--max-pairs",
                            "9", json.dumps(spec))
         assert code == 2 and field in err
+
+
+def test_corpus_endpoints_play_a_whole_pair_list(capsys):
+    """An explicit pair_list is played whole by both pair checks; only
+    enumerated pairs are cut to max(60, pairs // 3) for endpoints."""
+    terms = enumerate_terms(Calculus.CCS, ("a", "b"), count=13)
+    pair_list = [[print_term(p), print_term(q)]
+                 for p, q in term_pairs(terms, 70)]
+    spec = {"calculus": "ccs", "checks": ["coincidence", "endpoints"],
+            "pair_list": pair_list}
+    code, out, _ = run(capsys, "corpus", "--format", "json", json.dumps(spec))
+    assert code == 0
+    assert [c["total"] for c in json.loads(out)["checks"]] == [70, 70]
+    spec = {"calculus": "ccs", "checks": ["coincidence", "endpoints"],
+            "count": 40, "pairs": 70}
+    code, out, _ = run(capsys, "corpus", "--format", "json", json.dumps(spec))
+    assert code == 0
+    assert [c["total"] for c in json.loads(out)["checks"]] == [100, 60]
 
 
 # the stem of the outcome name each corpus check reports
