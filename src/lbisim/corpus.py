@@ -27,7 +27,7 @@ from .equivalence import (
     ALL, EMPTY, LM, OWN_LABEL_SETS, PRED_KINDS, check, is_capturing, pred,
     pred_targets,
 )
-from .errors import DivergenceBudgetExceededError, LbisimError
+from .errors import DivergenceBudgetExceededError, LbisimError, ParseError
 from .lts import its_transitions, ordinary_transitions, instantiate
 from .reduction import reduct_terms
 from .terms import (
@@ -750,7 +750,13 @@ def _spec_strings(spec: dict, field: str, default) -> tuple:
 
 def _spec_terms(field: str, texts, calc: Calculus) -> list[Term]:
     """The parsed terms of a spec field, which must have no variables."""
-    terms = [parse_term(text, calc) for text in texts]
+    terms = []
+    for text in texts:
+        try:
+            terms.append(parse_term(text, calc))
+        except ParseError as exc:
+            raise LbisimError(f"corpus spec {field} term {text!r}: "
+                              f"parse error: {exc}") from None
     impure = [text for text, t in zip(texts, terms) if t.node.vars]
     if impure:
         raise LbisimError(f"corpus spec {field} must hold terms without "

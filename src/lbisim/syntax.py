@@ -13,15 +13,18 @@ possible.  `tau`, `nu`, `in`, `out` and `open` are reserved words.  Which
 productions are legal depends on the calculus: ambients, `?x[...]` and
 capability prefixes (`in n`, or `in ?x` on a name variable) are MA-only,
 `+` is rejected in MA, the output particle `'a` is ACCS-only and the
-output prefix `'a.P` is CCS-only.
+output prefix `'a.P` is CCS-only; summands are guarded.  `terms._illegal`
+states these rules once: the parser applies it to each node and action
+right after building it and refuses a second occurrence of a variable,
+each refusal a ParseError at the construct's first token (a sum's at its
+first `+`).
 """
 from __future__ import annotations
 
 from .errors import ParseError
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    ProcVar, Recv, Restrict, Send, Sum, Tau, Term,
-    check_node, make_label,
+    ProcVar, Recv, Restrict, Send, Sum, Tau, Term, _illegal,
 )
 
 KEYWORDS = ("tau", "nu", "in", "out", "open")
@@ -98,12 +101,15 @@ def is_name(text: str) -> bool:
 class _Parser:
     def __init__(self, text: str, calculus: Calculus, allow_hole: bool):
         self.toks = _scan(text)
+        # two more end tokens, so `peek` may look two past the first
+        self.toks += self.toks[-1:] * 2
         self.pos = 0
         self.calc = calculus
         self.allow_hole = allow_hole
+        self.seen: set = set()      # the variables read so far
 
     def peek(self, ahead=0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def take(self) -> _Token:
         tok = self.toks[self.pos]
@@ -116,8 +122,8 @@ class _Parser:
             self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.take()
 
-    def fail(self, message):
-        tok = self.peek()
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
     def within(self, depth: int) -> None:
@@ -131,20 +137,45 @@ class _Parser:
             self.fail(f"expected a name, found {tok.text or 'end of input'!r}")
         return self.take().text
 
+    def built(self, node, tok: _Token):
+        """`node`, just built from the text at `tok`, if the calculus
+        admits it there."""
+        why = _illegal(self.calc, node, self.allow_hole)
+        if why is not None:
+            self.fail(why, tok)
+        return node
+
+    def variable(self, cls):
+        """The ProcVar or NameVar after a sigil `@` or `?`."""
+        tok = self.take()
+        var = cls(self.name())
+        if var in self.seen:
+            self.fail(f"variable {var.name!r} occurs twice", tok)
+        self.seen.add(var)
+        return var
+
+    def whole(self) -> Node:
+        node = self.expr(0)
+        if self.peek().kind != "eof":
+            self.fail(f"trailing input {self.peek().text!r}")
+        return node
+
     # Every rule takes the depth of its own frame; `expr` and `seq`, one
     # of which lies on every cycle of the grammar, check it.
     # expr ::= "(nu n)" expr | par
     def expr(self, depth: int) -> Node:
         self.within(depth)
-        if self.peek().kind == "(" and self.peek(1).kind == "nu":
+        tok = self.peek()
+        if tok.kind == "(" and self.peek(1).kind == "nu":
             self.take()
             self.take()
             n = self.name()
             self.expect(")")
-            return Restrict(n, self.expr(depth + 1))
+            return self.built(Restrict(n, self.expr(depth + 1)), tok)
         return self.par(depth + 1)
 
     def par(self, depth: int) -> Node:
+        tok = self.peek()
         parts = [self.sum(depth + 1)]
         while self.peek().kind == "|":
             self.take()
@@ -154,16 +185,17 @@ class _Parser:
                 parts.append(self.expr(depth + 1))
                 break
             parts.append(self.sum(depth + 1))
-        return parts[0] if len(parts) == 1 else Par(tuple(parts))
+        return parts[0] if len(parts) == 1 else self.built(Par(tuple(parts)),
+                                                           tok)
 
     def sum(self, depth: int) -> Node:
         parts = [self.seq(depth + 1)]
+        plus = self.peek()
         while self.peek().kind == "+":
-            if self.calc is Calculus.MA:
-                self.fail("MA has no summation")
             self.take()
             parts.append(self.seq(depth + 1))
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+        return parts[0] if len(parts) == 1 else self.built(Sum(tuple(parts)),
+                                                           plus)
 
     # seq ::= PREFIX "." seq | "(nu n)" seq | atom
     def seq(self, depth: int) -> Node:
@@ -175,80 +207,53 @@ class _Parser:
             self.take()
             n = self.name()
             self.expect(")")
-            return Restrict(n, self.seq(depth + 1))
+            return self.built(Restrict(n, self.seq(depth + 1)), tok)
         if tok.kind in ("in", "out", "open"):
-            if self.calc is not Calculus.MA:
-                self.fail(f"capability prefixes are MA syntax")
             op = self.take().kind
-            if self.peek().kind == "?":
-                self.take()
-                n = NameVar(self.name())
-            else:
-                n = self.name()
-            self.expect(".")
-            return Prefix(Cap(op, n), self.seq(depth + 1))
-        if tok.kind == "tau":
-            if self.calc is Calculus.MA:
-                self.fail("tau prefixes do not exist in MA")
+            act = Cap(op, self.variable(NameVar) if self.peek().kind == "?"
+                      else self.name())
+        elif tok.kind == "tau":
             self.take()
-            self.expect(".")
-            return Prefix(Tau(), self.seq(depth + 1))
-        if tok.kind == "'":
-            nxt = self.peek(1)
-            after = self.peek(2)
-            if nxt.kind == "name" and after.kind == ".":
-                if self.calc is not Calculus.CCS:
-                    self.fail("output prefixes exist only in CCS")
-                self.take()
-                a = self.name()
-                self.take()
-                return Prefix(Send(a), self.seq(depth + 1))
+            act = Tau()
+        elif (tok.kind == "'" and self.peek(1).kind == "name"
+              and self.peek(2).kind == "."):
+            self.take()
+            act = Send(self.name())
+        elif tok.kind == "name" and self.peek(1).kind == ".":
+            act = Recv(self.name())
+        else:
             return self.atom(depth + 1)
-        if tok.kind == "name" and self.peek(1).kind == ".":
-            if self.calc is Calculus.MA:
-                self.fail("channel prefixes do not exist in MA")
-            a = self.name()
-            self.take()
-            return Prefix(Recv(a), self.seq(depth + 1))
-        return self.atom(depth + 1)
+        self.built(act, tok)
+        self.expect(".")
+        return self.built(Prefix(act, self.seq(depth + 1)), tok)
 
     def atom(self, depth: int) -> Node:
         tok = self.peek()
         match tok.kind:
             case "0":
                 self.take()
-                return Nil()
+                return self.built(Nil(), tok)
             case "-":
-                if not self.allow_hole:
-                    self.fail("the hole '-' is label syntax")
                 self.take()
-                return Hole()
+                return self.built(Hole(), tok)
             case "'":
                 self.take()
-                if self.calc is not Calculus.ACCS:
-                    self.fail("output particles exist only in ACCS")
-                return Msg(self.name())
+                return self.built(Msg(self.name()), tok)
             case "@":
-                self.take()
-                return ProcVar(self.name())
+                return self.built(self.variable(ProcVar), tok)
             case "?":
-                if self.calc is not Calculus.MA:
-                    self.fail("ambient-name variables are MA syntax")
-                self.take()
-                x = self.name()
+                x = self.variable(NameVar)
                 self.expect("[")
                 body = self.expr(depth + 1)
                 self.expect("]")
-                return Amb(NameVar(x), body)
+                return self.built(Amb(x, body), tok)
             case "name":
                 if self.peek(1).kind == "[":
-                    if self.calc is not Calculus.MA:
-                        self.fail("ambients exist only in MA")
                     n = self.name()
                     self.take()
                     body = self.expr(depth + 1)
                     self.expect("]")
-                    return Amb(n, body)
+                    return self.built(Amb(n, body), tok)
                 self.fail(f"name {tok.text!r} is not a process"
                           " (write a prefix 'name.P' or an ambient 'name[P]')")
             case "(":
@@ -260,23 +265,15 @@ class _Parser:
 
 
 def parse_term(text: str, calculus: Calculus) -> Term:
-    p = _Parser(text, calculus, allow_hole=False)
-    node = p.expr(0)
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    check_node(calculus, node)
-    return Term(calculus, node)
+    return Term(calculus, _Parser(text, calculus, allow_hole=False).whole())
 
 
 def parse_label(text: str, calculus: Calculus) -> Label:
     p = _Parser(text, calculus, allow_hole=True)
-    node = p.expr(0)
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
+    node = p.whole()
     if node.holes != 1:
-        tok = p.toks[0]
-        raise ParseError("a label needs exactly one hole", tok.line, tok.col)
-    return make_label(calculus, node)
+        p.fail("a label needs exactly one hole", p.toks[0])
+    return Label(calculus, node)
 
 
 # --- printing --------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A `Term` pairs a `Calculus` tag with an immutable syntax tree.  The same
 node classes serve CCS, asynchronous CCS (ACCS) and the communication-free
-fragment of mobile ambients (MA); `check_node` enforces the per-calculus
-restrictions (no summation in MA, no ambients outside MA, output particles
-only in ACCS, and so on).
+fragment of mobile ambients (MA).  `_illegal` is the one statement of
+which nodes each calculus admits (no summation in MA, no ambients outside
+MA, output particles only in ACCS, guarded summands, and so on), one node
+at a time: the parser applies it to each node it builds, `check_node` to
+each subtree of a tree built in code.
 
 Extended syntax adds process variables (`@X`) and ambient-name variables
 (`?x[...]`, MA only).  A term with no variables is *pure*.  Labels are
@@ -283,84 +285,76 @@ def free_names(node: Node) -> frozenset[str]:
 
 # --- well-formedness -------------------------------------------------------
 
-def _guarded(node: Node) -> bool:
-    """Summands must be 0, a prefix, or again a sum of such."""
+# The nodes every calculus admits, in terms and labels alike (a prefix is
+# judged by its action).
+_ANYWHERE = frozenset((Nil, Prefix, Par, Restrict, ProcVar))
+
+
+def _illegal(calc: Calculus, node, allow_hole: bool) -> "str | None":
+    """The grammar of `calc`, one node or action at a time: why `node`
+    may not occur in a term (or, if `allow_hole`, a label) of `calc`, or
+    None.  It looks at no child but a summand's type, so a whole tree
+    fits when each of its subtrees and actions does."""
+    if type(node) in _ANYWHERE:
+        return None
     match node:
-        case Nil() | Prefix():
-            return True
+        case Recv():
+            if calc is Calculus.MA:
+                return "channel prefixes do not exist in MA"
+        case Tau():
+            if calc is Calculus.MA:
+                return "tau prefixes do not exist in MA"
+        case Send():
+            if calc is not Calculus.CCS:
+                return "output prefixes exist only in CCS"
+        case Cap():
+            if calc is not Calculus.MA:
+                return "capability prefixes are MA syntax"
         case Sum(children=cs):
-            return all(_guarded(c) for c in cs)
+            if calc is Calculus.MA:
+                return "MA has no summation"
+            if len(cs) < 2:
+                return "sums need at least two summands"
+            if not all(type(c) in (Nil, Prefix, Sum) for c in cs):
+                return "unguarded summand"
+        case Amb(name=n):
+            if calc is not Calculus.MA:
+                return ("ambient-name variables are MA syntax"
+                        if isinstance(n, NameVar) else
+                        "ambients exist only in MA")
+        case Msg():
+            if calc is not Calculus.ACCS:
+                return "output particles exist only in ACCS"
+        case Hole():
+            if not allow_hole:
+                return "the hole '-' is label syntax"
         case _:
-            return False
+            return f"unknown node {node!r}"
+    return None
 
 
 def check_node(calculus: Calculus, node: Node, *, allow_hole=False) -> None:
-    """Raise MalformedTermError unless `node` fits `calculus`.
-
-    Checks the per-calculus constructor and prefix repertoire, guardedness
-    of summands, and (for extended terms) that no variable occurs twice.
-    """
+    """Raise MalformedTermError unless `node` fits `calculus`: `_illegal`
+    passes each of its subtrees and actions, and no variable occurs
+    twice.  For trees built in code; the parser checks as it builds."""
     seen: set = set()
     for var in node.vars:
         if var in seen:
             raise MalformedTermError(f"variable {var[1]!r} occurs twice")
         seen.add(var)
-    _check(calculus, node, allow_hole)
-    if not allow_hole and node.holes:
-        raise MalformedTermError("hole outside a label")
-
-
-def _check(calc: Calculus, node: Node, allow_hole: bool) -> None:
-    match node:
-        case Nil() | ProcVar():
-            return
-        case Hole():
-            if not allow_hole:
-                raise MalformedTermError("hole outside a label")
-            return
-        case Msg():
-            if calc is not Calculus.ACCS:
-                raise MalformedTermError("output particles exist only in ACCS")
-            return
-        case Prefix(action=act, body=b):
-            match act:
-                case Cap():
-                    if calc is not Calculus.MA:
-                        raise MalformedTermError(
-                            "capability prefixes exist only in MA")
-                case Send():
-                    if calc is not Calculus.CCS:
-                        raise MalformedTermError(
-                            "output prefixes exist only in CCS")
-                case Tau() | Recv():
-                    if calc is Calculus.MA:
-                        raise MalformedTermError(
-                            "channel prefixes do not exist in MA")
-            _check(calc, b, allow_hole)
-            return
-        case Sum(children=cs):
-            if calc is Calculus.MA:
-                raise MalformedTermError("MA has no summation")
-            if len(cs) < 2:
-                raise MalformedTermError("sums need at least two summands")
-            for c in cs:
-                if not _guarded(c):
-                    raise MalformedTermError("unguarded summand")
-                _check(calc, c, allow_hole)
-            return
-        case Par(children=cs):
-            for c in cs:
-                _check(calc, c, allow_hole)
-            return
-        case Restrict(body=b):
-            _check(calc, b, allow_hole)
-            return
-        case Amb(body=b):
-            if calc is not Calculus.MA:
-                raise MalformedTermError("ambients exist only in MA")
-            _check(calc, b, allow_hole)
-            return
-    raise MalformedTermError(f"unknown node {node!r}")
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        why = _illegal(calculus, node, allow_hole)
+        if why is not None:
+            raise MalformedTermError(why)
+        match node:
+            case Prefix(action=act, body=b):
+                stack += (act, b)
+            case Sum(children=cs) | Par(children=cs):
+                stack += cs
+            case Restrict(body=b) | Amb(body=b):
+                stack.append(b)
 
 
 def same_calculus(a, b) -> Calculus:

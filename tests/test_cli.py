@@ -434,6 +434,11 @@ def test_corpus_rejects_unknown_check(capsys):
     ({"t1_pool": ["@X"], "checks": ["roundtrip"]}, "t1_pool"),
     ({"pair_list": [["a.0", "a.0"], ["@X", "0"]],
       "checks": ["roundtrip", "endpoints"]}, "pair_list"),
+    # terms that do not parse, named with their field and position
+    ({"checks": ["coincidence"], "pair_list": [["a.0", "a.b"]]},
+     "pair_list term 'a.b': parse error: 1:3: "),
+    ({"checks": ["pred"], "t1_pool": ["c."]},
+     "t1_pool term 'c.': parse error: 1:3: "),
 ])
 def test_corpus_spec_fields_are_validated(capsys, spec, field):
     if isinstance(spec, dict):

@@ -58,7 +58,8 @@ from lbisim.corpus import (
     check_lts_correspondence, check_pred, check_reducts_invariance,
     check_roundtrip, check_shuffle_equiv,
 )
-from lbisim.terms import par
+from lbisim.terms import (Amb, Hole, Label, NameVar, Nil, Par, Prefix, Recv,
+                          par)
 
 CCS = Calculus.CCS
 ACCS = Calculus.ACCS
@@ -178,6 +179,65 @@ def test_pattern_label_sets():
     # patterns never match across calculi
     cross = pattern_label_set("cross", [parse_label("- | open n.@X1", MA)])
     assert cross.contains(parse_label("- | a.@X1", CCS)) is False
+
+
+def test_open_pattern_agrees_with_lm_on_corpus_labels():
+    opens = pattern_label_set("opens", [parse_label("- | open ?n.@X1", MA)])
+    labels = {tr.label
+              for t in enumerate_terms(MA, ("n", "m"), count=80)
+              for tr in its_transitions(t)}
+    assert any(LM.contains(l) for l in labels)
+    assert any(not LM.contains(l) for l in labels)
+    for l in labels:
+        assert opens.contains(l) is LM.contains(l), print_label(l)
+
+
+@pytest.mark.parametrize("calc, pattern, label, want", [
+    # capabilities: op and ambient name, concrete or a variable
+    (MA, "- | in ?x.@X1", "- | in n.0", True),
+    (MA, "- | in ?x.@X1", "- | out n.0", False),
+    (MA, "- | in n.@X1", "- | in m.0", False),
+    (CCS, "- | a.@X1", "- | 'a.0", False),
+    (MA, "- | n[@X1]", "- | m[0]", False),
+    # arity and shape under | and +
+    (CCS, "- | a.@X1 | b.@X2", "- | a.0", False),
+    (CCS, "- | (a.@X1 + b.@X2)", "- | (a.0 + b.0 + c.0)", False),
+    (CCS, "- | (a.@X1 + b.@X2)", "- | (b.0 + a.c.0)", True),
+    (CCS, "- | @X1", "- | (a.0 + b.0)", True),
+    (CCS, "a.- + b.@X1", "- | a.0", False),
+    (CCS, "c.- | a.@X1", "c.0 | a.-", False),
+    # 0 and particles match only themselves
+    (CCS, "- | a.0", "- | a.0", True),
+    (CCS, "- | a.0", "- | a.b.0", False),
+    (ACCS, "- | 'a", "- | 'a", True),
+    (ACCS, "- | 'a", "- | 'b", False),
+    # a restriction is compared as it stands
+    (CCS, "(nu c) (- | c.0)", "(nu c) (- | c.0)", True),
+])
+def test_pattern_label_set_matching(calc, pattern, label, want):
+    patterns = pattern_label_set("one", [parse_label(pattern, calc)])
+    assert patterns.contains(parse_label(label, calc)) is want
+
+
+def test_pattern_variable_bound_twice_matches_equal_parts():
+    # the parser refuses a repeated variable, so these are built by hand
+    x, m0 = NameVar("x"), Amb("m", Nil())
+    ambs = pattern_label_set("ambs", [
+        Label(MA, Par((Hole(), Amb(x, Nil()), Amb(x, m0))))])
+    assert ambs.contains(parse_label("- | k[0] | k[m[0]]", MA)) is True
+    assert ambs.contains(parse_label("- | k[0] | n[m[0]]", MA)) is False
+    procs = pattern_label_set("procs", [
+        Label(MA, Par((Hole(), ProcVar("X"), Amb("n", ProcVar("X")))))])
+    assert procs.contains(parse_label("- | m[0] | n[m[0]]", MA)) is True
+    assert procs.contains(parse_label("- | m[0] | n[k[0]]", MA)) is False
+
+
+def test_two_parts_finds_the_hole_on_either_side():
+    t = Prefix(Recv("a"), Nil())
+    assert equivalence._two_parts(Par((Hole(), t))) is t
+    assert equivalence._two_parts(Par((t, Hole()))) is t
+    assert equivalence._two_parts(Par((t, t))) is None
+    assert equivalence._two_parts(Hole()) is None
 
 
 def test_barb_candidates():

@@ -86,6 +86,28 @@ def test_parse_error_position():
     assert "2:4" in str(exc.value)
 
 
+@pytest.mark.parametrize("parse, text, calc, where, why", [
+    (parse_term, "n[0] + m[0]", MA, "1:6", "MA has no summation"),
+    (parse_term, "?x[0]", CCS, "1:1", "ambient-name variables are MA"),
+    (parse_term, "a", CCS, "1:1", "name 'a' is not a process"),
+    (parse_term, "a.0 )", CCS, "1:5", "trailing input ')'"),
+    (parse_label, "a.0 )", CCS, "1:5", "trailing input ')'"),
+    (parse_term, "a.0 + (b.0 | c.0)", CCS, "1:5", "unguarded summand"),
+    (parse_term, "(a.0 | b.0) + c.0", ACCS, "1:13", "unguarded summand"),
+    (parse_term, "in ?x.0 | open ?x.0", MA, "1:16",
+     "variable 'x' occurs twice"),
+    (parse_label, "- | ?x[@X] | @X", MA, "1:14", "variable 'X' occurs twice"),
+    (parse_term, "'a", CCS, "1:1", "output particles exist only in ACCS"),
+    (parse_term, "a.b.0", MA, "1:1", "channel prefixes do not exist in MA"),
+    (parse_term, "b.0 | - ", CCS, "1:7", "the hole '-' is label syntax"),
+    (parse_label, "- | -", CCS, "1:1", "a label needs exactly one hole"),
+])
+def test_every_refusal_is_positioned(parse, text, calc, where, why):
+    with pytest.raises(ParseError) as exc:
+        parse(text, calc)
+    assert str(exc.value).startswith(f"{where}: {why}")
+
+
 def test_print_parenthesization_is_minimal_but_sufficient():
     cases = [
         ("(a.0 + b.0) | c.0", CCS, "a.0 + b.0 | c.0"),

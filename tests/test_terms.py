@@ -62,6 +62,28 @@ def test_check_node_calculus_restrictions():
     check_node(ACCS, Par((Msg("a"), Prefix(Recv("a"), Nil()))))
 
 
+def test_check_node_walks_deep_trees_without_recursing():
+    node = Nil()
+    for _ in range(3000):
+        node = Prefix(Recv("a"), node)
+    check_node(CCS, node)
+    with pytest.raises(MalformedTermError, match="channel prefixes"):
+        check_node(MA, node)
+    deep_particle = node
+    for _ in range(3000):
+        deep_particle = Prefix(Recv("a"), Par((deep_particle, Msg("a"))))
+    with pytest.raises(MalformedTermError, match="output particles"):
+        check_node(CCS, deep_particle)
+
+
+def test_check_node_refuses_one_summand_sums_and_stray_holes():
+    with pytest.raises(MalformedTermError, match="two summands"):
+        check_node(CCS, Sum((Prefix(Tau(), Nil()),)))
+    with pytest.raises(MalformedTermError, match="label syntax"):
+        check_node(CCS, Par((Hole(), Nil())))
+    check_node(CCS, Par((Hole(), Nil())), allow_hole=True)
+
+
 def test_duplicate_variables_rejected():
     with pytest.raises(MalformedTermError):
         check_node(MA, Par((ProcVar("X"), ProcVar("X"))), allow_hole=True)
@@ -120,6 +142,16 @@ def test_plug_fills_every_hole_and_avoids_capture():
     lab = parse_label("".join(f"(nu {n}) " for n in names) + "-", MA)
     out = plug(lab, parse_term(" | ".join(f"{n}[0]" for n in names), MA))
     assert free_names(out.node) == set(names)
+
+
+def test_plug_and_close_avoid_capture_under_a_summand():
+    lab = parse_label("(nu c)(c.- + b.0)", CCS)
+    out = plug(lab, parse_term("'c.0", CCS))
+    assert print_term(out) == "(nu f0) (f0.'c.0 + b.0)"
+    lab = parse_label("(nu a)(c.- + b.@X1)", CCS)
+    closed = close_label(lab, Substitution.make(
+        CCS, procs={"X1": parse_term("'a.0", CCS)}))
+    assert print_term(Term(CCS, closed.body)) == "(nu f0) (c.- + b.'a.0)"
 
 
 def test_rename_vars_renames_under_binders_ambients_and_capabilities():
