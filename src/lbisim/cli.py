@@ -39,16 +39,27 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _read_lines(path: str) -> list[str]:
+def _parse_lines(path: str, parse, calc: Calculus) -> list:
+    """Parse each line of the file `path` that is neither blank nor a
+    `#` comment.  A refusal reports FILE:LINE:COL, the column counted in
+    the file's own line."""
+    out = []
     with open(path, encoding="utf-8") as fh:
-        return [ln.strip() for ln in fh
-                if ln.strip() and not ln.lstrip().startswith("#")]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            try:
+                out.append(parse(line.rstrip(), calc))
+            except ParseError as exc:
+                exc.line = lineno
+                exc.args = (f"{path}:{lineno}:{exc.col}: {exc.message}",)
+                raise
+    return out
 
 
 def _label_set(selector: str, calc: Calculus):
     if selector.startswith("@"):
-        patterns = [parse_label(ln, calc)
-                    for ln in _read_lines(selector[1:])]
+        patterns = _parse_lines(selector[1:], parse_label, calc)
         return pattern_label_set(os.path.basename(selector[1:]), patterns)
     try:
         return BUILTIN_LABEL_SETS[selector]
@@ -62,7 +73,7 @@ def _pool(mode: str, calc: Calculus):
     if mode is None or mode == "symbolic":
         return None
     if mode.startswith("instantiate:@"):
-        return [parse_term(ln, calc) for ln in _read_lines(mode[13:])]
+        return _parse_lines(mode[13:], parse_term, calc)
     raise LbisimError(
         f"unknown mode {mode!r}; use 'symbolic' or 'instantiate:@poolfile'")
 

@@ -102,7 +102,7 @@ from functools import lru_cache
 
 from .terms import (
     NIL, Amb, Calculus, Cap, Label, Msg, NameVar, Nil, Node, Par, Prefix,
-    Restrict, Sum, Term, _ren_action, _ren_name, fresh_name, fresh_names,
+    Restrict, Sum, Term, _ren_action, fresh_name, fresh_names,
     par, restricts, same_calculus,
 )
 
@@ -230,7 +230,7 @@ def _alpha(node: Node, env: dict) -> Node:
         case Amb(name=n, body=b):
             if not b.free.isdisjoint(env):
                 b = _alpha(b, env)
-            return Amb(_ren_name(n, env), b)
+            return Amb(env.get(n, n), b)
     return node
 
 

@@ -882,11 +882,11 @@ def _label_variables(attack: _Attack) -> list:
 def _erased(term: Term) -> Term:
     """The state with its process variables replaced by 0, canonical
     again: the state the game plays (see the module docstring)."""
-    procs = {v: NIL for kind, v in term.node.vars if kind == "proc"}
+    procs = {ProcVar(v): NIL for kind, v in term.node.vars if kind == "proc"}
     if not procs:
         return term
     return canonical_term(Term(term.calculus, _subst(
-        term.node, procs, {}, None, frozenset(), frozenset())))
+        term.node, procs, None, frozenset(), {})))
 
 
 class _SymbolicGame:

@@ -18,6 +18,7 @@ class ParseError(LbisimError):
 
     def __init__(self, message, line, col):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -3,9 +3,11 @@
 An ITS transition P --C[-]--> P' says: the smallest context C[-] enabling
 a reduction of C[P] was borrowed from the environment, and P' is what the
 combined system becomes.  Labels are unary contexts over the extended
-syntax; the canonical label variables are X1, X2 (processes) and x (an
-ambient name).  A `-` label is an internal step and coincides with
-one-step reduction.
+syntax; the label variables are X1, X2 (processes) and x (an ambient
+name).  A source that already holds some of these takes, in their place,
+the first of X1, X2, X3, ... and of x, x1, x2, ... that it does not hold,
+so that no target holds a variable twice.  A `-` label is an internal
+step and coincides with one-step reduction.
 
 MA rules (label / target, from a premise P == (nu A)(...), side
 conditions keep the interacting name unrestricted):
@@ -26,6 +28,7 @@ with target (nu A)(Q | X1).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +47,19 @@ from .terms import (
 X1 = ProcVar("X1")
 X2 = ProcVar("X2")
 XN = NameVar("x")
+
+
+def _label_vars(node) -> tuple:
+    """The two process variables and the name variable of the labels of a
+    source `node`: X1, X2 and x, or the next ones `node` does not hold."""
+    if not node.vars:
+        return X1, X2, XN       # a pure source, as every game state is
+    held = set(node.vars)
+    procs = (ProcVar(f"X{i}") for i in itertools.count(1)
+             if ("proc", f"X{i}") not in held)
+    names = (NameVar(f"x{i or ''}") for i in itertools.count()
+             if ("name", f"x{i or ''}") not in held)
+    return next(procs), next(procs), next(names)
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,7 @@ def its_transitions(term: Term) -> tuple[ItsTransition, ...]:
     calc = cf.calculus
     acc: list[ItsTransition] = []
     hole = Hole()
+    X1, X2, XN = _label_vars(cf.term.node)
     for step in reducts(cf.term):
         _mk(calc, cf, hole, step.target.node, "Tau", acc)
     nu = cf.binders

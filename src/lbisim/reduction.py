@@ -40,7 +40,7 @@ from .terms import (
 class ReductionStep:
     source: Term      # canonical
     rule: str
-    position: tuple
+    position: tuple   # ambient indices, then (rule tag, *component indices)
     target: Term      # canonical
 
 
@@ -92,9 +92,12 @@ def _channel_steps(cf: CanonicalForm):
     an output summand 'a.Q in CCS and an output particle 'a in ACCS; the
     grammar keeps each to its own calculus, so the partner's node type
     says which it is."""
-    for _, q, rest in summand_matches(cf, Tau):
-        yield "Tau", ("tau",), [q, *rest]
+    # tau steps first: `reducts` keeps the first step to each target
     parts = cf.parts
+    for i, c in enumerate(parts):
+        for s in _summands(c):
+            if isinstance(s.action, Tau):
+                yield "Tau", (("tau", i),), [s.body, *_drop2(parts, i, i)]
     for i, c in enumerate(parts):
         for s in _summands(c):
             if not isinstance(s.action, Recv):
@@ -106,12 +109,12 @@ def _channel_steps(cf: CanonicalForm):
                 if isinstance(d, Msg):
                     if d.channel == a:
                         new = _drop2(parts, i, j) + [s.body]
-                        yield "Comm", ("comm", i, j), new
+                        yield "Comm", (("comm", i, j),), new
                     continue
                 for s2 in _summands(d):
                     if isinstance(s2.action, Send) and s2.action.channel == a:
                         new = _drop2(parts, i, j) + [s.body, s2.body]
-                        yield "Comm", ("comm", i, j), new
+                        yield "Comm", (("comm", i, j),), new
 
 
 @lru_cache(maxsize=1 << 16)

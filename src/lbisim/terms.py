@@ -11,9 +11,13 @@ each subtree of a tree built in code.
 Extended syntax adds process variables (`@X`) and ambient-name variables
 (`?x[...]`, MA only).  A term with no variables is *pure*.  Labels are
 terms with exactly one hole `-`; they double as the unary contexts of the
-instance transition systems.  Plugging a label, renaming variables and
-substituting for them are one walk, `_subst`: plugging substitutes the
-term for the hole, renaming substitutes variables for variables.
+instance transition systems.  Plugging a label, renaming variables,
+substituting for them and renaming free names are one walk, `_subst`:
+plugging substitutes the term for the hole, renaming substitutes
+variables for variables or names for free names.  It states the one
+rule for fresh binder names: a binder is renamed when its name is a
+renaming target or a free name of what is put into its body, to the
+least `f0`, `f1`, ... that no name in play or free in the body holds.
 
 Names, actions and nodes are interned (hash-consed): constructing one
 that is structurally equal to a live object returns that object, so
@@ -124,6 +128,7 @@ class _Interned:
 
 
 _NO_NAMES: frozenset = frozenset()
+_NO_SUB: dict = {}                  # never written: the empty replacement
 _CAP_OPS = {"in": 0, "out": 1, "open": 2}
 
 
@@ -383,50 +388,23 @@ def fresh_names(avoid, k: int) -> list[str]:
     return out
 
 
-def _ren_name(n, ren: dict):
-    if isinstance(n, str):
-        return ren.get(n, n)
-    return n
-
-
-def _ren_action(act, ren: dict):
+def _ren_action(act, ren: dict, sub: dict = _NO_SUB):
+    """`act` with its concrete names renamed by `ren` and its name
+    variable, if any, replaced by `sub` (keyed by `NameVar`)."""
     match act:
         case Recv(channel=a):
             return Recv(ren.get(a, a))
         case Send(channel=a):
             return Send(ren.get(a, a))
         case Cap(op=op, amb=n):
-            return Cap(op, _ren_name(n, ren))
-        case _:
-            return act
+            return Cap(op, ren.get(n, sub.get(n, n)))
+    return act
 
 
 def rename_free(node: Node, ren: dict) -> Node:
-    """Rename free concrete names.  Binders shadow; binders that collide
-    with a renaming target are freshened first."""
-    if not ren:
-        return node
-    match node:
-        case Nil() | Hole() | ProcVar():
-            return node
-        case Msg(channel=a):
-            return Msg(ren.get(a, a))
-        case Prefix(action=act, body=b):
-            return Prefix(_ren_action(act, ren), rename_free(b, ren))
-        case Sum(children=cs):
-            return Sum(tuple(rename_free(c, ren) for c in cs))
-        case Par(children=cs):
-            return Par(tuple(rename_free(c, ren) for c in cs))
-        case Amb(name=n, body=b):
-            return Amb(_ren_name(n, ren), rename_free(b, ren))
-        case Restrict(name=n, body=b):
-            inner = {k: v for k, v in ren.items() if k != n}
-            if n in inner.values():
-                n2 = fresh_name(b.free | set(inner) | set(inner.values()))
-                b = rename_free(b, {n: n2})
-                return Restrict(n2, rename_free(b, inner))
-            return Restrict(n, rename_free(b, inner))
-    raise TypeError(f"not a node: {node!r}")
+    """Rename free concrete names by `ren`, through `_subst`: binders
+    shadow, and a binder that collides with a target is renamed."""
+    return _subst(node, {}, None, _NO_NAMES, ren)
 
 
 def rename_vars(node: Node, procs: dict, names: dict) -> Node:
@@ -435,9 +413,9 @@ def rename_vars(node: Node, procs: dict, names: dict) -> Node:
     without variables is returned as it stands."""
     if not (procs or names):
         return node             # most calls rename nothing: spare the maps
-    return _subst(node, {v: ProcVar(w) for v, w in procs.items()},
-                  {x: NameVar(y) for x, y in names.items()}, None,
-                  _NO_NAMES, _NO_NAMES)
+    return _subst(node, {ProcVar(v): ProcVar(w) for v, w in procs.items()}
+                  | {NameVar(x): NameVar(y) for x, y in names.items()},
+                  None, _NO_NAMES, {})
 
 
 # --- substitution ----------------------------------------------------------
@@ -478,55 +456,66 @@ class Substitution:
         return dict(self.names)
 
 
-def _subst(node: Node, procs: dict, names: dict, hole: "Node | None",
-           danger: frozenset, used: frozenset) -> Node:
+def _subst(node: Node, sub: dict, hole: "Node | None", danger: frozenset,
+           ren: dict) -> Node:
     """The one walk behind substitution, renaming and plugging: replace
-    each @v in `procs` by procs[v], each ?x in `names` by names[x] and,
-    unless `hole` is None, the hole by `hole`.  A binder whose name is in
-    `danger` (the free names of what is put in) and whose body changes is
-    renamed fresh for `danger`, its body and the binders `used` above it
-    (interned trees are unchanged exactly when identical).  A subtree
-    with nothing to replace is returned as it stands."""
-    if not ((procs or names) and node.vars
-            or hole is not None and node.holes):
+    each variable in `sub` (keyed by `ProcVar` and `NameVar`) by its
+    value, rename each free concrete name in `ren` and, unless `hole` is
+    None, replace the hole by `hole`.  What is put in is not walked;
+    `danger` holds its free names.
+
+    The one fresh-name rule: a binder shadows its name in `ren`, and it
+    is renamed when its name is a target of `ren`, or is in `danger`
+    while its body holds the hole or, `sub` being non-empty, a variable.
+    The new name is the least fresh name outside `danger`, the names and
+    targets of `ren` and the body's free names; it joins `ren` for the
+    body, which is walked once.  A binder above that the body does not
+    name may be reused, as that shadows nothing the body sees.
+
+    A subtree with nothing to put in is returned as it stands, but under
+    a renaming every subtree is walked, so a binder named like a target
+    is renamed even where the renamed name does not occur below it.
+    `rename_free` has always named binders so, and `congruent_shuffle`
+    draws its random shuffles through those names: skipping such
+    subtrees would change which inputs the corpus checks draw."""
+    moves = sub and node.vars or hole is not None and node.holes
+    if not (ren or moves):
         return node
     match node:
-        case ProcVar(name=v):
-            return procs.get(v, node)
-        case Prefix(action=Cap(op=op, amb=NameVar(name=x)), body=b) if x in names:
-            return Prefix(Cap(op, names[x]),
-                          _subst(b, procs, names, hole, danger, used))
-        case Prefix(action=act, body=b):
-            return Prefix(act, _subst(b, procs, names, hole, danger, used))
-        case Sum(children=cs):
-            return Sum(tuple(_subst(c, procs, names, hole, danger, used)
-                             for c in cs))
-        case Par(children=cs):
-            return Par(tuple(_subst(c, procs, names, hole, danger, used)
-                             for c in cs))
-        case Amb(name=NameVar(name=x), body=b) if x in names:
-            return Amb(names[x], _subst(b, procs, names, hole, danger, used))
-        case Amb(name=n, body=b):
-            return Amb(n, _subst(b, procs, names, hole, danger, used))
-        case Restrict(name=n, body=b) if n in danger:
-            # walk with n renamed out of the way; keep n if nothing moved in
-            n2 = fresh_name(danger | b.free | used)
-            b2 = rename_free(b, {n: n2})
-            out = _subst(b2, procs, names, hole, danger, used | {n2})
-            return node if out is b2 else Restrict(n2, out)
-        case Restrict(name=n, body=b):
-            return Restrict(n, _subst(b, procs, names, hole, danger,
-                                      used | {n}))
+        case ProcVar():
+            return sub.get(node, node)
         case Hole():
-            return hole
+            return node if hole is None else hole
+        case Nil():
+            return node
+        case Msg(channel=a):
+            return Msg(ren.get(a, a))
+        case Prefix(action=act, body=b):
+            return Prefix(_ren_action(act, ren, sub),
+                          _subst(b, sub, hole, danger, ren))
+        case Sum(children=cs) | Par(children=cs):
+            return type(node)(tuple(_subst(c, sub, hole, danger, ren)
+                                    for c in cs))
+        case Amb(name=n, body=b):
+            return Amb(ren.get(n, sub.get(n, n)),
+                       _subst(b, sub, hole, danger, ren))
+        case Restrict(name=n, body=b):
+            # a restriction's variables and holes are its body's: `moves`
+            # says whether anything is put into b
+            ren = {k: v for k, v in ren.items() if k != n}
+            if n in ren.values() or moves and n in danger:
+                ren[n] = fresh_name({*danger, *ren, *ren.values(), *b.free})
+            return Restrict(ren.get(n, n), _subst(b, sub, hole, danger, ren))
     raise TypeError(f"not a node: {node!r}")
 
 
 def _apply(subst: Substitution, node: Node) -> Node:
     """Capture-avoiding substitution into `node`, the hole left alone."""
-    procs, names = subst.proc_map, subst.name_map
-    danger = frozenset(names.values()).union(*(n.free for n in procs.values()))
-    return _subst(node, procs, names, None, danger, _NO_NAMES)
+    sub = ({ProcVar(v): n for v, n in subst.procs}
+           | {NameVar(x): n for x, n in subst.names})
+    danger = frozenset(n for _, n in subst.names).union(
+        *(n.free for _, n in subst.procs))
+    return _subst(node, sub, None, danger, {})
 
 
 def apply_subst(term: Term, subst: Substitution) -> Term:
@@ -560,7 +549,7 @@ def plug(label: Label, term: Term) -> Term:
         raise CrossCalculusError(
             f"cannot plug a {term.calculus.value} term into a "
             f"{label.calculus.value} context")
-    node = _subst(label.body, {}, {}, term.node, term.node.free, _NO_NAMES)
+    node = _subst(label.body, {}, term.node, term.node.free, {})
     return Term(term.calculus, node)
 
 

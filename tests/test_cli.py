@@ -332,6 +332,32 @@ def test_reduce_output(capsys):
     assert payload["reducts"][0]["target"] == "b.0"
 
 
+def test_reduce_positions_name_components(capsys):
+    code, out, _ = run(capsys, "reduce", "--calculus", "ccs",
+                       "a.0 | 'a.0 | tau.b.0")
+    assert code == 0
+    assert [ln.split("  ->")[0].strip() for ln in out.splitlines()[1:]] \
+        == ["Comm at comm:1,2", "Tau at tau:0"]
+
+
+def test_refusals_in_pattern_and_pool_files_name_file_line_and_column(
+        capsys, tmp_path):
+    pats = tmp_path / "pats.txt"
+    pats.write_text("-\n  - | in ?x.@X | out ?x.0\n")
+    code, out, err = run(capsys, "check", "--calculus", "ma", "--rel",
+                         "l-bisim", "--labels", f"@{pats}", "0", "0")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {pats}:2:22: variable 'x' occurs twice\n"
+    pool = tmp_path / "pool.txt"
+    pool.write_text("# pool\n0\n\n  a[0] | (\n")
+    code, out, err = run(capsys, "check", "--calculus", "ma", "--rel",
+                         "semi-sat", "--mode", f"instantiate:@{pool}",
+                         "0", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: {pool}:4:11: expected a process, "
+                   "found 'end of input'\n")
+
+
 def test_barbs_output(capsys):
     code, out, _ = run(capsys, "barbs", "--calculus", "accs", "'a | b.0")
     assert code == 0

@@ -169,3 +169,26 @@ def test_congruent_terms_give_same_transitions():
     t = parse_term("a.0", CCS)
     assert its_transitions(t) == its_transitions(parse_term("a.0 | 0", CCS))
     assert its_transitions(t)
+
+
+def _no_variable_twice(node):
+    return len(node.vars) == len(set(node.vars))
+
+
+def test_labels_take_variables_the_source_does_not_hold():
+    # a.'b.0 moves to @X1 | 'b.0, whose own move names its variable X2
+    states, edges = reachable(parse_term("a.'b.0", Calculus.CCS))
+    assert all(_no_variable_twice(s.node) for s in states)
+    assert "@X1 | @X2" in {print_term(s) for s in states}
+    got = {(tr.rule, print_label(tr.label), print_term(tr.target))
+           for tr in its_transitions(parse_term("?x[0] | in m.0", Calculus.MA))}
+    assert ("CoIn", "- | ?x1[@X2 | in ?x.@X1]",
+            "in m.0 | ?x[?x1[@X1 | @X2]]") in got
+    got = its_transitions(parse_term("open n.@X1", Calculus.MA))
+    assert [(print_label(tr.label), print_term(tr.target)) for tr in got] \
+        == [("- | n[@X2]", "@X1 | @X2")]
+    for tr in got:
+        assert _no_variable_twice(tr.target.node)
+    # a pure source keeps X1, X2 and x
+    got = its_transitions(parse_term("n[0] | in m.0", Calculus.MA))
+    assert "- | ?x[@X2 | in n.@X1]" in {print_label(tr.label) for tr in got}

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lbisim import terms
+from lbisim.congruence import canonical_term
 from lbisim.corpus import enumerate_terms, random_term
 from lbisim.lts import its_transitions
 from lbisim.errors import (CrossCalculusError, IncompleteSubstitutionError,
@@ -102,6 +103,41 @@ def test_rename_free_avoids_capture():
     # the binder c must move out of the way before a becomes c
     assert print_term(out) == "(nu f0) c.f0.0"
     assert free_names(out.node) == {"c"}
+
+
+def _pinned(term, printed, free, canonical):
+    """`term` prints as `printed`, has exactly the free names `free` (none
+    captured) and the canonical form `canonical`."""
+    assert print_term(term) == printed
+    assert free_names(term.node) == free
+    assert print_term(canonical_term(term)) == canonical
+
+
+def test_rename_free_renames_a_colliding_binder_under_a_renamed_one():
+    # f1 collides and becomes f3; the inner f2 collides with a's target
+    # and takes the next name outside every name and target in play
+    t = parse_term("b.((nu f1) a.(nu f2) f0.f2.0)", CCS)
+    out = Term(CCS, rename_free(t.node, {"f0": "f1", "a": "f2"}))
+    _pinned(out, "b.((nu f3) f2.((nu f4) f1.f4.0))", {"b", "f1", "f2"},
+            "b.f2.((nu f0) f1.f0.0)")
+
+
+def test_rename_free_renames_a_colliding_binder_that_a_does_not_reach():
+    t = parse_term("a.0 | (nu c) c.0", CCS)
+    out = Term(CCS, rename_free(t.node, {"a": "c"}))
+    _pinned(out, "c.0 | ((nu f0) f0.0)", {"c"}, "(nu f0) (c.0 | f0.0)")
+
+
+def test_plug_may_reuse_a_kept_binder_the_body_does_not_name():
+    lab = parse_label("(nu f0) (nu a) (- | a.0)", CCS)
+    out = plug(lab, parse_term("a.0", CCS))
+    _pinned(out, "(nu f0) (nu f0) (a.0 | f0.0)", {"a"}, "(nu f0) (a.0 | f0.0)")
+
+
+def test_apply_subst_renames_the_binder_a_name_variable_targets():
+    t = parse_term("(nu m) (?x[0] | m[0])", MA)
+    out = apply_subst(t, Substitution.make(MA, names={"x": "m"}))
+    _pinned(out, "(nu f0) (m[0] | f0[0])", {"m"}, "(nu f0) (f0[0] | m[0])")
 
 
 def test_substitution_requires_pure_closed_images():
