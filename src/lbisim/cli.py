@@ -14,6 +14,7 @@ import os
 import sys
 import traceback
 
+from .congruence import canonical_term
 from .corpus import run_suite
 from .equivalence import (
     BUILTIN_LABEL_SETS, DEFAULT_MAX_PAIRS, PRED_KINDS, RELATIONS, check,
@@ -39,21 +40,34 @@ def _read_arg(text: str) -> str:
     return text
 
 
+def _parse_in(path: str, parse, text: str, calc: Calculus, line=1):
+    """`parse(text, calc)` for text read from the file `path` at `line`;
+    a refusal reports FILE:LINE:COL, counted in the file."""
+    try:
+        return parse(text, calc)
+    except ParseError as exc:
+        exc.line += line - 1
+        exc.args = (f"{path}:{exc.line}:{exc.col}: {exc.message}",)
+        raise
+
+
+def _term(arg: str, calc: Calculus):
+    """A term argument, literal or, with a leading `@`, a file's text."""
+    if arg.startswith("@"):
+        return _parse_in(arg[1:], parse_term, _read_arg(arg), calc)
+    return parse_term(arg, calc)
+
+
 def _parse_lines(path: str, parse, calc: Calculus) -> list:
     """Parse each line of the file `path` that is neither blank nor a
-    `#` comment.  A refusal reports FILE:LINE:COL, the column counted in
-    the file's own line."""
+    `#` comment, the column of a refusal counted in the file's own
+    line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            try:
-                out.append(parse(line.rstrip(), calc))
-            except ParseError as exc:
-                exc.line = lineno
-                exc.args = (f"{path}:{lineno}:{exc.col}: {exc.message}",)
-                raise
+            if line.strip() and not line.lstrip().startswith("#"):
+                out.append(_parse_in(path, parse, line.rstrip(), calc,
+                                     lineno))
     return out
 
 
@@ -110,8 +124,8 @@ def _witness_lines(witness) -> list[str]:
 
 def _cmd_check(args) -> int:
     calc = Calculus(args.calculus)
-    p = parse_term(_read_arg(args.p), calc)
-    q = parse_term(_read_arg(args.q), calc)
+    p = _term(args.p, calc)
+    q = _term(args.q, calc)
     labels = None if args.labels is None else _label_set(args.labels, calc)
     res = check(args.rel, p, q, labels=labels, pool=_pool(args.mode, calc),
                 max_pairs=args.max_pairs or _default_max_pairs())
@@ -131,7 +145,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_lts(args) -> int:
     calc = Calculus(args.calculus)
-    term = parse_term(_read_arg(args.term), calc)
+    term = _term(args.term, calc)
     kind = "ordinary" if args.ordinary else "its"
     states, edges = reachable(term, kind, max_states=args.max_states)
     if args.format == "dot":
@@ -149,7 +163,8 @@ def _cmd_lts(args) -> int:
 
 def _cmd_reduce(args) -> int:
     calc = Calculus(args.calculus)
-    term = parse_term(_read_arg(args.term), calc)
+    # the positions of the steps index the canonical form's components
+    term = canonical_term(_term(args.term, calc))
     steps = reducts(term)
     payload = {
         "term": print_term(term),
@@ -169,7 +184,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_barbs(args) -> int:
     calc = Calculus(args.calculus)
-    term = parse_term(_read_arg(args.term), calc)
+    term = _term(args.term, calc)
     got = sorted(barbs(term))
     payload = {"term": print_term(term), "barbs": got}
     _emit(args, payload, got or ["(none)"])
@@ -178,9 +193,9 @@ def _cmd_barbs(args) -> int:
 
 def _cmd_pred(args) -> int:
     calc = Calculus(args.calculus)
-    p = parse_term(_read_arg(args.p), calc)
-    target = parse_term(_read_arg(args.target), calc)
-    t1 = None if args.t1 is None else parse_term(_read_arg(args.t1), calc)
+    p = _term(args.p, calc)
+    target = _term(args.target, calc)
+    t1 = None if args.t1 is None else _term(args.t1, calc)
     verdict = pred(args.kind, p, target, args.name, t1)
     payload = {"kind": args.kind, "p": print_term(p),
                "target": print_term(target), "verdict": verdict}

@@ -24,7 +24,7 @@ from .congruence import (
     canonical_label, canonical_term, components, equiv, node_key,
 )
 from .equivalence import (
-    ALL, EMPTY, LM, OWN_LABEL_SETS, PRED_KINDS, check, is_capturing, pred,
+    ALL, EMPTY, LM, OWN_LABEL_SETS, PRED_KINDS, check, is_capturing,
     pred_targets,
 )
 from .errors import DivergenceBudgetExceededError, LbisimError, ParseError
@@ -217,26 +217,18 @@ def _shuffle(node: Node, rng, calc) -> Node:
             if calc is Calculus.MA and isinstance(b, Restrict) \
                     and b.name != n and rng.random() < 0.3:
                 node = Restrict(b.name, Amb(n, b.body))
-        case Sum(children=cs):
+        case Par(children=cs) | Sum(children=cs):
+            op = type(node)
             cs = [_shuffle(c, rng, calc) for c in cs]
             rng.shuffle(cs)
             if rng.random() < 0.2:
                 cs.append(Nil())
             if len(cs) > 2 and rng.random() < 0.3:
                 i = rng.randrange(len(cs) - 1)
-                cs[i:i + 2] = [Sum(tuple(cs[i:i + 2]))]
-            node = Sum(tuple(cs)) if len(cs) > 1 else cs[0]
-        case Par(children=cs):
-            cs = [_shuffle(c, rng, calc) for c in cs]
-            rng.shuffle(cs)
-            if rng.random() < 0.2:
-                cs.append(Nil())
-            if len(cs) > 2 and rng.random() < 0.3:
-                i = rng.randrange(len(cs) - 1)
-                cs[i:i + 2] = [Par(tuple(cs[i:i + 2]))]
+                cs[i:i + 2] = [op(tuple(cs[i:i + 2]))]
             # scope extrusion: pull a restriction out of one child
             outs = [i for i, c in enumerate(cs)
-                    if isinstance(c, Restrict)
+                    if op is Par and isinstance(c, Restrict)
                     and all(c.name not in free_names(d)
                             for j, d in enumerate(cs) if j != i)]
             if outs and rng.random() < 0.4:
@@ -244,7 +236,7 @@ def _shuffle(node: Node, rng, calc) -> Node:
                 inner = list(cs)
                 inner[i] = cs[i].body
                 return Restrict(cs[i].name, Par(tuple(inner)))
-            node = Par(tuple(cs)) if len(cs) > 1 else cs[0]
+            node = op(tuple(cs)) if len(cs) > 1 else cs[0]
         case Restrict(name=n, body=b):
             b = _shuffle(b, rng, calc)
             node = Restrict(n, b)
@@ -309,38 +301,27 @@ def _children(node: Node):
 def _axiom_neighbours(node: Node, calc: Calculus, pool):
     """One literal axiom step at the root, both directions."""
     match node:
-        case Par(children=cs):
+        case Par(children=cs) | Sum(children=cs):
+            op = type(node)
             for perm in itertools.permutations(cs):
                 if perm != cs:
-                    yield Par(perm)
+                    yield op(perm)
             for i in range(len(cs) - 1):       # nest two neighbours
-                yield Par(cs[:i] + (Par(cs[i:i + 2]),) + cs[i + 2:])
-            for i, c in enumerate(cs):         # flatten a nested par
-                if isinstance(c, Par):
-                    yield Par(cs[:i] + c.children + cs[i + 1:])
+                yield op(cs[:i] + (op(cs[i:i + 2]),) + cs[i + 2:])
+            for i, c in enumerate(cs):
+                if isinstance(c, op):          # flatten a nested one
+                    yield op(cs[:i] + c.children + cs[i + 1:])
                 if isinstance(c, Nil):         # drop a unit
                     rest = cs[:i] + cs[i + 1:]
-                    yield rest[0] if len(rest) == 1 else Par(rest)
-                if isinstance(c, Restrict):    # scope extrusion, inward-out
+                    yield rest[0] if len(rest) == 1 else op(rest)
+                # scope extrusion, inward-out
+                if op is Par and isinstance(c, Restrict):
                     others = cs[:i] + cs[i + 1:]
                     if all(c.name not in free_names(d) for d in others):
                         yield Restrict(c.name,
                                        Par((c.body,) + others)
                                        if others else c.body)
-            yield Par(cs + (Nil(),))
-        case Sum(children=cs):
-            for perm in itertools.permutations(cs):
-                if perm != cs:
-                    yield Sum(perm)
-            for i in range(len(cs) - 1):
-                yield Sum(cs[:i] + (Sum(cs[i:i + 2]),) + cs[i + 2:])
-            for i, c in enumerate(cs):
-                if isinstance(c, Sum):
-                    yield Sum(cs[:i] + c.children + cs[i + 1:])
-                if isinstance(c, Nil):
-                    rest = cs[:i] + cs[i + 1:]
-                    yield rest[0] if len(rest) == 1 else Sum(rest)
-            yield Sum(cs + (Nil(),))
+            yield op(cs + (Nil(),))
         case Restrict(name=n, body=b):
             for m in pool:                     # alpha
                 if m != n and m not in free_names(b):
@@ -420,21 +401,6 @@ def bounded_closure(t: Term, max_terms: int) -> set:
     return set(itertools.islice(_closure(t, pool), max(max_terms, 1)))
 
 
-def check_axiom_soundness(calc: Calculus, count: int, rng: random.Random,
-                          names=("a", "b", "c")) -> CheckOutcome:
-    """Every literal axiom step must be invisible to `canonical_term`:
-    each random term is compared with up to 300 trees of its closure."""
-    fails = []
-    for _ in range(count):
-        t = random_term(calc, names, rng, max_depth=3)
-        want = canonical_term(t).node
-        for n in bounded_closure(t, 300):
-            if canonical_term(Term(calc, n)).node != want:
-                fails.append(print_term(t))
-                break
-    return CheckOutcome(f"axiom-soundness-{calc.value}", count, fails)
-
-
 # --- check suite -----------------------------------------------------------
 
 @dataclass
@@ -452,59 +418,82 @@ class CheckOutcome:
                 "failures": self.failures[:10], "ok": self.ok}
 
 
-def check_roundtrip(calc: Calculus, count: int, rng: random.Random,
-                    names=("a", "b", "c")) -> CheckOutcome:
+def _random_check(name: str, calc: Calculus, count: int, rng, names, bad,
+                  *, vars_every: int = 0, max_depth: int = 4) -> CheckOutcome:
+    """`count` random terms of `calc` over `names`, every `vars_every`-th
+    with process variables (none if 0).  `bad(t)` is the failure text of
+    a term that breaks the check's property, None if it holds."""
     fails = []
     for k in range(count):
-        t = random_term(calc, names, rng, allow_vars=(k % 5 == 0))
+        t = random_term(calc, names, rng, max_depth=max_depth,
+                        allow_vars=vars_every > 0 and k % vars_every == 0)
+        case = bad(t)
+        if case is not None:
+            fails.append(case)
+    return CheckOutcome(f"{name}-{calc.value}", count, fails)
+
+
+def check_roundtrip(calc: Calculus, count: int, rng: random.Random,
+                    names=("a", "b", "c")) -> CheckOutcome:
+    def bad(t):
         text = print_term(t)
         back = parse_term(text, calc)
-        if back.node != t.node:
-            fails.append(text)
-        elif print_term(back) != text:
-            fails.append(text)
-    return CheckOutcome(f"roundtrip-{calc.value}", count, fails)
+        if back.node != t.node or print_term(back) != text:
+            return text
+    return _random_check("roundtrip", calc, count, rng, names, bad,
+                         vars_every=5)
 
 
 def check_idempotence(calc: Calculus, count: int, rng: random.Random,
                       names=("a", "b", "c")) -> CheckOutcome:
-    fails = []
-    for k in range(count):
-        t = random_term(calc, names, rng, allow_vars=(k % 7 == 0))
+    def bad(t):
         c1 = canonical_term(t)
-        c2 = canonical_term(c1)
-        if c1.node != c2.node:
-            fails.append(print_term(t))
-            continue
-        reparsed = canonical_term(parse_term(print_term(c1), calc))
-        if reparsed.node != c1.node:
-            fails.append(print_term(t))
-    return CheckOutcome(f"canonical-idempotent-{calc.value}", count, fails)
+        if canonical_term(c1).node != c1.node or canonical_term(
+                parse_term(print_term(c1), calc)).node != c1.node:
+            return print_term(t)
+    return _random_check("canonical-idempotent", calc, count, rng, names,
+                         bad, vars_every=7)
+
+
+def check_axiom_soundness(calc: Calculus, count: int, rng: random.Random,
+                          names=("a", "b", "c")) -> CheckOutcome:
+    """Every literal axiom step must be invisible to `canonical_term`:
+    each random term is compared with up to 300 trees of its closure."""
+    def bad(t):
+        want = canonical_term(t).node
+        if any(canonical_term(Term(calc, n)).node != want
+               for n in bounded_closure(t, 300)):
+            return print_term(t)
+    return _random_check("axiom-soundness", calc, count, rng, names, bad,
+                         max_depth=3)
+
+
+def _against_shuffle(same, rng):
+    """The `bad` of a check that a random term and a congruent shuffle
+    of it are `same`."""
+    def bad(t):
+        s = congruent_shuffle(t, rng)
+        if not same(t, s):
+            return f"{print_term(t)}  vs  {print_term(s)}"
+    return bad
 
 
 def check_shuffle_equiv(calc: Calculus, count: int, rng: random.Random,
                         names=("a", "b", "c")) -> CheckOutcome:
-    fails = []
-    for _ in range(count):
-        t = random_term(calc, names, rng)
-        s = congruent_shuffle(t, rng)
-        if not equiv(t, s):
-            fails.append(f"{print_term(t)}  vs  {print_term(s)}")
-    return CheckOutcome(f"shuffle-congruent-{calc.value}", count, fails)
+    return _random_check("shuffle-congruent", calc, count, rng, names,
+                         _against_shuffle(equiv, rng))
+
+
+def _reduct_keys(t: Term) -> list:
+    return sorted(node_key(x.node) for x in reduct_terms(t))
 
 
 def check_reducts_invariance(calc: Calculus, count: int, rng: random.Random,
                              names=("a", "b", "c")) -> CheckOutcome:
-    fails = []
-    for _ in range(count):
-        t = random_term(calc, names, rng)
-        s = congruent_shuffle(t, rng)
-        r1 = sorted(node_key(x.node) for x in reduct_terms(t))
-        r2 = sorted(node_key(x.node) for x in reduct_terms(s))
-        if r1 != r2:
-            fails.append(f"{print_term(t)}  vs  {print_term(s)}")
-    return CheckOutcome(f"reducts-congruence-invariant-{calc.value}", count,
-                        fails)
+    return _random_check(
+        "reducts-congruence-invariant", calc, count, rng, names,
+        _against_shuffle(lambda t, s: _reduct_keys(t) == _reduct_keys(s),
+                         rng))
 
 
 def _expected_its(calc: Calculus, term: Term):
@@ -566,27 +555,17 @@ def _acted_on(label: Label):
 _PRED_RULES = {"open": "CoOpen", "out": "Rcv", "in": "Snd", "tau": "Tau"}
 
 
-def _pred_case(t: Term, kind: str, name, t1) -> str:
-    """A failing case of `check_pred`, as its failure text names it."""
-    case = f"{print_term(t)} {kind}"
-    if name is not None:
-        case += f" {name}"
-    return case if t1 is None else f"{case} T1={print_term(t1)}"
-
-
 def check_pred(calc: Calculus, corpus, t1_pool) -> CheckOutcome:
     """Each predicate kind of `calc` against the ITS transitions of its
     rule.  For every name the prefix may act on (the term's free names,
     or one name if it has none) and every T1, `pred_targets` must give
-    the targets of the transitions acting on that name with X1 := T1,
-    and `pred` must hold of exactly those among them and some decoys.
+    the targets of the transitions acting on that name with X1 := T1.
     A tau step acts on no name and has no X1, so tau is checked once
-    per term."""
+    per term.  `pred` is membership in what `pred_targets` gives, so
+    this checks it too."""
     fails = []
     for t in corpus:
         trs = its_transitions(t)
-        decoys = {canonical_term(t).node, Nil(),
-                  *(r.node for r in reduct_terms(t))}
         names = sorted(free_names(t.node)) or [_DEFAULT_NAMES[calc][0]]
         for kind, rule in _PRED_RULES.items():
             if PRED_KINDS[kind] is not calc:
@@ -602,14 +581,27 @@ def check_pred(calc: Calculus, corpus, t1_pool) -> CheckOutcome:
                         want = {instantiate(tr, subst).target.node
                                 for tr in on}
                     if set(pred_targets(kind, t, name, t1)) != want:
-                        fails.append(_pred_case(t, kind, name, t1))
-                        continue
-                    for y in want | decoys:
-                        if pred(kind, t, Term(calc, y), name, t1) \
-                                != (y in want):
-                            fails.append(
-                                f"{_pred_case(t, kind, name, None)} verdict")
+                        fails.append(f"{print_term(t)} {kind}" + (
+                            "" if name is None
+                            else f" {name} T1={print_term(t1)}"))
     return CheckOutcome(f"pred-{calc.value}", len(corpus), fails)
+
+
+def _played(name: str, cases, play) -> CheckOutcome:
+    """Play each case: `play(*case)` is its failure text, or None if it
+    passes.  A case on which a game runs out of budget is skipped and
+    not counted."""
+    fails = []
+    done = 0
+    for case in cases:
+        try:
+            failure = play(*case)
+        except DivergenceBudgetExceededError:
+            continue
+        done += 1
+        if failure is not None:
+            fails.append(failure)
+    return CheckOutcome(name, done, fails)
 
 
 def check_coincidence(calc: Calculus, pairs, *,
@@ -619,19 +611,14 @@ def check_coincidence(calc: Calculus, pairs, *,
     (LA).  A pair on which either game runs out of budget is skipped."""
     classical = "strong" if calc is Calculus.CCS else "async"
     labels = OWN_LABEL_SETS[calc]
-    fails = []
-    done = 0
-    for p, q in pairs:
-        try:
-            if check(classical, p, q, max_pairs=max_pairs).verdict \
-                    != check("l-bisim", p, q, labels=labels,
-                             max_pairs=max_pairs).verdict:
-                fails.append(f"{print_term(p)}  vs  {print_term(q)}")
-        except DivergenceBudgetExceededError:
-            continue
-        done += 1
-    return CheckOutcome(f"coincidence-{classical}-{labels.name.lower()}",
-                        done, fails)
+
+    def play(p, q):
+        if check(classical, p, q, max_pairs=max_pairs).verdict \
+                != check("l-bisim", p, q, labels=labels,
+                         max_pairs=max_pairs).verdict:
+            return f"{print_term(p)}  vs  {print_term(q)}"
+    return _played(f"coincidence-{classical}-{labels.name.lower()}", pairs,
+                   play)
 
 
 def check_endpoints(calc: Calculus, pairs, *,
@@ -641,21 +628,15 @@ def check_endpoints(calc: Calculus, pairs, *,
     semi-saturated-equivalent.  A pair on which any of the three games
     runs out of budget is skipped."""
     chain = (ALL, OWN_LABEL_SETS[calc], EMPTY)
-    fails = []
-    done = 0
-    for p, q in pairs:
-        try:
-            verdicts = [check("l-bisim", p, q, labels=labels,
-                              max_pairs=max_pairs).verdict
-                        for labels in chain]
-        except DivergenceBudgetExceededError:
-            continue
-        done += 1
-        for i in range(2):
+
+    def play(p, q):
+        verdicts = [check("l-bisim", p, q, labels=labels,
+                          max_pairs=max_pairs).verdict for labels in chain]
+        for i in range(2):      # at most one: the middle verdict decides
             if verdicts[i] and not verdicts[i + 1]:
-                fails.append(f"{print_term(p)}  vs  {print_term(q)} "
-                             f"({chain[i].name} but not {chain[i + 1].name})")
-    return CheckOutcome(f"endpoints-{calc.value}", done, fails)
+                return (f"{print_term(p)}  vs  {print_term(q)} "
+                        f"({chain[i].name} but not {chain[i + 1].name})")
+    return _played(f"endpoints-{calc.value}", pairs, play)
 
 
 _CONTEXTS = {
@@ -697,18 +678,15 @@ def check_congruence(calc: Calculus, count: int, *,
     laws = [(parse_term(p, calc), parse_term(q, calc)) for p, q in _LAWS[calc]]
     contexts = [parse_label(c, calc) for c in _CONTEXTS[calc]]
     cases = itertools.cycle(itertools.product(laws, contexts))
-    fails = []
-    done = 0
-    for (p, q), ctx in itertools.islice(cases, count):
-        try:
-            if not check("l-bisim", plug(ctx, p), plug(ctx, q), labels=labels,
-                         max_pairs=max_pairs).verdict:
-                fails.append(f"{print_term(p)} ~ {print_term(q)} "
-                             f"under {print_label(ctx)}")
-        except DivergenceBudgetExceededError:
-            continue
-        done += 1
-    return CheckOutcome(f"congruence-{labels.name}-{calc.value}", done, fails)
+
+    def play(law, ctx):
+        p, q = law
+        if not check("l-bisim", plug(ctx, p), plug(ctx, q), labels=labels,
+                     max_pairs=max_pairs).verdict:
+            return (f"{print_term(p)} ~ {print_term(q)} "
+                    f"under {print_label(ctx)}")
+    return _played(f"congruence-{labels.name}-{calc.value}",
+                   itertools.islice(cases, count), play)
 
 
 # --- suite driver ----------------------------------------------------------
@@ -774,10 +752,12 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
     of the first 30 terms against a congruent shuffle of itself, and
     `endpoints` plays the first max(60, `pairs` // 3) of those, or all
     of an explicit `pair_list` (which replaces both kinds of pairs).  A
-    run enumerates only the prefix of the corpus that its checks read;
-    the shuffles are drawn from the suite's random generator before any
-    check runs, whichever checks are selected, so each random check
-    sees the same terms as in a run of every check."""
+    run enumerates only the prefix of the corpus that its checks read.
+    The 30 shuffles are drawn from the suite's random generator before
+    any check runs, whichever checks are selected, so the first random
+    check of a run starts from the same generator state in every run;
+    each later one goes on where the random check before it stopped, so
+    run alone it draws other terms."""
     if type(spec) is not dict:
         raise LbisimError(f"corpus spec must be a JSON object, got {spec!r}")
     try:
@@ -830,30 +810,22 @@ def run_suite(spec: dict) -> list[CheckOutcome]:
     rnames = names
     if len(rnames) < 3:
         rnames = rnames + (("k",) if calc is Calculus.MA else ("c",))
-    out = []
-    for name in checks:
-        if name == "roundtrip":
-            out.append(check_roundtrip(calc, random_n, rng, rnames))
-        elif name == "idempotence":
-            out.append(check_idempotence(calc, random_n, rng, rnames))
-        elif name == "axioms":
-            out.append(check_axiom_soundness(calc, max(10, random_n // 10),
-                                             rng, rnames))
-        elif name == "shuffle":
-            out.append(check_shuffle_equiv(calc, random_n, rng, rnames))
-        elif name == "reducts":
-            out.append(check_reducts_invariance(calc, random_n, rng, rnames))
-        elif name == "lts":
-            out.append(check_lts_correspondence(calc, corpus))
-        elif name == "coincidence":
-            out.append(check_coincidence(calc, pairs, max_pairs=max_pairs))
-        elif name == "endpoints":
-            out.append(check_endpoints(calc, endpoint_pairs,
-                                       max_pairs=max_pairs))
-        elif name == "barbs":
-            out.append(check_barb_capturing(corpus))
-        elif name == "pred":
-            out.append(check_pred(calc, corpus, t1_pool))
-        elif name == "congruence":
-            out.append(check_congruence(calc, triples, max_pairs=max_pairs))
-    return out
+    run = {
+        "roundtrip": lambda: check_roundtrip(calc, random_n, rng, rnames),
+        "idempotence": lambda: check_idempotence(calc, random_n, rng, rnames),
+        "axioms": lambda: check_axiom_soundness(
+            calc, max(10, random_n // 10), rng, rnames),
+        "shuffle": lambda: check_shuffle_equiv(calc, random_n, rng, rnames),
+        "reducts": lambda: check_reducts_invariance(calc, random_n, rng,
+                                                    rnames),
+        "lts": lambda: check_lts_correspondence(calc, corpus),
+        "barbs": lambda: check_barb_capturing(corpus),
+        "pred": lambda: check_pred(calc, corpus, t1_pool),
+        "coincidence": lambda: check_coincidence(calc, pairs,
+                                                 max_pairs=max_pairs),
+        "endpoints": lambda: check_endpoints(calc, endpoint_pairs,
+                                             max_pairs=max_pairs),
+        "congruence": lambda: check_congruence(calc, triples,
+                                               max_pairs=max_pairs),
+    }
+    return [run[name]() for name in checks]

@@ -151,11 +151,12 @@ from .congruence import (
 )
 from .errors import (
     CrossCalculusError, DivergenceBudgetExceededError, LbisimError,
-    MalformedTermError, MAUnsupportedError,
+    MalformedTermError, MAUnsupportedError, ParseError,
 )
 from .lts import instantiate, its_transitions, ordinary_transitions
 from .reduction import barbs, reduct_terms
-from .syntax import is_name, print_label, print_node, print_term
+from .syntax import (is_name, parse_term, print_label, print_node,
+                     print_term)
 from .terms import (
     NIL, Amb, Calculus, Cap, Hole, Label, Msg, NameVar, Nil, Node, Par,
     Prefix, ProcVar, Recv, Restrict, Send, Substitution, Sum, Term,
@@ -275,28 +276,20 @@ class LabelSet:
 
     def barb_candidates(self, barb: str, calculus: Calculus) -> list[Label]:
         """Labels whose presence could witness the barb, filtered to this
-        set."""
-        x1 = ProcVar("X1")
-        raw: list[Label] = []
-        if calculus is Calculus.MA:
-            n = NameVar(barb[1:]) if barb.startswith("?") else barb
-            raw.append(Label(calculus, par(Hole(), Prefix(Cap("open", n), x1))))
-            raw.append(Label(calculus,
-                             par(Hole(),
-                                 Amb(NameVar("x"),
-                                     par(Prefix(Cap("in", n), x1),
-                                         ProcVar("X2"))))))
-        elif calculus is Calculus.CCS:
-            if barb.startswith("'"):
-                raw.append(Label(calculus,
-                                 par(Hole(), Prefix(Recv(barb[1:]), x1))))
-            else:
-                raw.append(Label(calculus, par(Hole(), Prefix(Send(barb), x1))))
-        else:
-            if barb.startswith("'"):
-                raw.append(Label(calculus,
-                                 par(Hole(), Prefix(Recv(barb[1:]), x1))))
-        return [canonical_label(l) for l in raw if self.contains(l)]
+        set: the ITS labels of the least process showing it, n[0] or
+        ?x[0] (MA), a.0 or 'a.0 (CCS), 'a (ACCS).  Empty if `barb` is no
+        barb of the calculus."""
+        text = (f"{barb}[0]" if calculus is Calculus.MA
+                else barb if calculus is Calculus.ACCS and barb.startswith("'")
+                else f"{barb}.0")
+        try:
+            shows = parse_term(text, calculus)
+        except ParseError:
+            return []
+        if barb not in barbs(shows):
+            return []
+        return [tr.label for tr in its_transitions(shows)
+                if self.contains(tr.label)]
 
 
 ALL = LabelSet("ALL", "all")
@@ -1165,7 +1158,9 @@ class CapturingReport:
 def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
         -> CapturingReport:
     """Check, over a corpus, that every barb is equivalent to having a
-    transition with some fixed label of the set."""
+    transition with some fixed label of the set.  Each entry names the
+    label that misses the fewest terms and up to five it misses; a barb
+    no label of the set can witness lists the terms that show it."""
     corpus = [canonical_term(t) for t in corpus]
     # The barbs a term of the corpus could show: its own, and each free
     # name n as the barb n (MA, and CCS input) and 'n (CCS and ACCS
@@ -1182,22 +1177,19 @@ def is_capturing(labels: LabelSet, calculus: Calculus, corpus) \
                 for t in corpus}
     entries = []
     for barb in sorted(checked, key=lambda b: (b.lstrip("'"), b)):
-        cands = labels.barb_candidates(barb, calculus)
-        best = None
-        for cand in cands:
-            bad = [t for t in corpus
-                   if (barb in barbs(t)) != (cand.body in observed[t.node])]
+        # the candidate missing the fewest terms; with none, each term
+        # showing the barb is missed
+        cand, bad = None, [t for t in corpus if barb in barbs(t)]
+        for label in labels.barb_candidates(barb, calculus):
+            missed = [t for t in corpus if (barb in barbs(t))
+                      != (label.body in observed[t.node])]
+            if cand is None or len(missed) < len(bad):
+                cand, bad = label, missed
             if not bad:
-                best = (cand, [])
                 break
-            if best is None or len(bad) < len(best[1]):
-                best = (cand, bad)
-        if best is None:
-            entries.append(BarbReport(barb, None, False))
-            continue
-        cand, bad = best
-        entries.append(BarbReport(barb, print_label(cand), not bad,
-                                  [print_term(t) for t in bad[:5]]))
+        entries.append(BarbReport(
+            barb, None if cand is None else print_label(cand),
+            cand is not None and not bad, [print_term(t) for t in bad[:5]]))
     return CapturingReport(labels.name, calculus.value, entries,
                            all(e.ok for e in entries))
 

@@ -85,7 +85,9 @@ def _scan(text: str) -> list[_Token]:
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    # the end of input sits just after the last token, not after blanks
+    last = toks[-1] if toks else _Token("", "", 1, 1)
+    toks.append(_Token("eof", "", last.line, last.col + len(last.text)))
     return toks
 
 

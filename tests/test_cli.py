@@ -340,6 +340,51 @@ def test_reduce_positions_name_components(capsys):
         == ["Comm at comm:1,2", "Tau at tau:0"]
 
 
+def test_reduce_prints_the_term_its_positions_index(capsys):
+    # the positions count the components of the canonical form, so that
+    # form, not the source as typed, heads the list
+    code, out, _ = run(capsys, "reduce", "--calculus", "accs",
+                       "a.0 | 'a | tau.0")
+    assert code == 0
+    assert out.splitlines() == [
+        "2 reduction(s) from 'a | tau.0 | a.0",
+        "  Comm at comm:2,0  ->  tau.0",
+        "  Tau at tau:1  ->  'a | a.0"]
+    code, out, _ = run(capsys, "reduce", "--calculus", "accs", "--format",
+                       "json", "a.0 | 'a | tau.0")
+    assert json.loads(out)["term"] == "'a | tau.0 | a.0"
+
+
+def test_refusal_in_a_term_file_names_file_line_and_column(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.txt").write_text("a.0 |\n  b.\n")
+    code, out, err = run(capsys, "check", "--calculus", "ccs", "--rel",
+                         "strong", "@bad.txt", "0")
+    assert (code, out) == (2, "")
+    # the end of input sits just after the last character that is not
+    # blank, not on a line after the file's last newline
+    assert err == ("parse error: bad.txt:2:5: expected a process, "
+                   "found 'end of input'\n")
+    code, out, err = run(capsys, "barbs", "--calculus", "ccs", "a.(b.0   ")
+    assert (code, out) == (2, "")
+    assert err == "parse error: 1:7: expected ')', found 'end of input'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reduce", "--calculus", "ccs", "a.(b.0"],
+     "parse error: 1:7: expected ')', found 'end of input'"),
+    (["check", "--calculus", "ccs", "--rel", "strong", "--mode", "bogus",
+      "0", "0"],
+     "unknown mode 'bogus'; use 'symbolic' or 'instantiate:@poolfile'"),
+    (["corpus", json.dumps({"calculus": "pi"})],
+     "corpus spec needs a valid calculus: 'pi' is not a valid Calculus"),
+])
+def test_refusals_exit_two_with_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_refusals_in_pattern_and_pool_files_name_file_line_and_column(
         capsys, tmp_path):
     pats = tmp_path / "pats.txt"

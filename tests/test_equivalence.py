@@ -14,6 +14,7 @@ import pytest
 
 from lbisim import (
     ALL,
+    BUILTIN_LABEL_SETS,
     EMPTY,
     LA,
     LCCS,
@@ -250,6 +251,25 @@ def test_barb_candidates():
     assert EMPTY.barb_candidates("n", MA) == []
 
 
+def test_barb_candidates_are_labels_of_the_barbs_own_process():
+    """Every candidate of every built-in set is an ITS label of the least
+    process showing the barb; a string that is no barb of the calculus
+    has none."""
+    shows = {(MA, "n"): "n[0]", (MA, "?x"): "?x[0]", (CCS, "a"): "a.0",
+             (CCS, "'a"): "'a.0", (ACCS, "'a"): "'a"}
+    for (calc, barb), text in shows.items():
+        its = [tr.label for tr in its_transitions(parse_term(text, calc))]
+        assert ALL.barb_candidates(barb, calc) == its
+        for labels in BUILTIN_LABEL_SETS.values():
+            for cand in labels.barb_candidates(barb, calc):
+                assert cand in its, (barb, labels.name, print_label(cand))
+    # the ITS keeps the label's variable apart from the barb's own ?x
+    assert [print_label(l) for l in ALL.barb_candidates("?x", MA)] \
+        == ["- | open ?x.@X1", "- | ?x1[@X2 | in ?x.@X1]"]
+    for calc, text in ((ACCS, "a"), (CCS, "tau"), (MA, "'a"), (CCS, "a b")):
+        assert ALL.barb_candidates(text, calc) == [], text
+
+
 def test_capturing_reports_each_barb_once():
     # ACCS: the barb 'a and the free name a are one output barb
     accs = [parse_term(s, ACCS) for s in ("'a", "a.0", "0", "'b | a.0")]
@@ -425,6 +445,29 @@ def test_pred_targets_are_the_instantiated_transitions(kind, calc, text, name,
     want = {tr.target.node for tr in trs}
     assert len(want) >= 2
     assert set(pred_targets(kind, p, name, t1)) == want
+
+
+@pytest.mark.parametrize("kind, calc, text, name, t1", [
+    ("open", MA, "n[k[0]] | n[0]", "n", "w[0]"),
+    ("out", CCS, "a.b.0 + a.0 | a.c.0", "a", "c.0"),
+    ("in", CCS, "'a.b.0 | 'a.0", "a", "c.0"),
+    ("tau", CCS, "a.0 | 'a.b.0 | tau.c.0", None, None),
+])
+def test_pred_holds_exactly_of_the_pred_targets(kind, calc, text, name, t1):
+    """`pred` holds of each target `pred_targets` gives, however it is
+    spelled, and of no other term."""
+    p = parse_term(text, calc)
+    t1 = None if t1 is None else parse_term(t1, calc)
+    targets = set(pred_targets(kind, p, name, t1))
+    others = {canonical_term(p).node, Nil(),
+              *(r.node for r in reduct_terms(p))} - targets
+    assert targets and others
+    for y in targets | others:
+        # a unit in parallel, which no canonical form has
+        spelled = parse_term(f"0 | ({print_term(Term(calc, y))})", calc)
+        assert spelled.node != y
+        for target in (Term(calc, y), spelled):
+            assert pred(kind, p, target, name, t1) is (y in targets)
 
 
 def test_pred_refuses_terms_of_another_calculus():

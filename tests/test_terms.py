@@ -210,11 +210,22 @@ def test_plug_rejects_cross_calculus():
         same_calculus(parse_term("0", CCS), parse_term("0", MA))
 
 
+def test_substitutions_and_labels_refuse_another_calculus():
+    ccs = Substitution.make(CCS, procs={"X1": parse_term("0", CCS)})
+    with pytest.raises(CrossCalculusError, match="ccs substitution applied "
+                       "to a ma term"):
+        apply_subst(parse_term("n[@X1]", MA), ccs)
+    with pytest.raises(CrossCalculusError, match="disagree on calculus"):
+        close_label(parse_label("- | a.@X1", ACCS), ccs)
+
+
 def test_make_label_counts_holes():
     with pytest.raises(MalformedTermError):
         make_label(MA, Par((Hole(), Hole())))
     with pytest.raises(MalformedTermError):
         make_label(MA, Nil())
+    body = Par((Hole(), Amb("n", ProcVar("X1"))))
+    assert make_label(MA, body).body is body
 
 
 def test_label_variables_in_first_use_order():
