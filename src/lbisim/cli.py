@@ -206,7 +206,14 @@ def _cmd_pred(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    spec = json.loads(_read_arg(args.spec))
+    try:
+        spec = json.loads(_read_arg(args.spec))
+    except json.JSONDecodeError as exc:
+        where = f"{exc.lineno}:{exc.colno}"
+        if args.spec.startswith("@"):
+            where = f"{args.spec[1:]}:{where}"
+        raise LbisimError(f"{where}: corpus spec is not JSON: {exc.msg}") \
+            from None
     if isinstance(spec, dict):     # run_suite rejects any other spec
         if args.seed is not None:
             spec["seed"] = args.seed
@@ -340,7 +347,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _fail(args, f"parse error: {exc}")
         return EXIT_USAGE
-    except (LbisimError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LbisimError, OSError, ValueError) as exc:
         _fail(args, str(exc))
         return EXIT_USAGE
     except Exception as exc:

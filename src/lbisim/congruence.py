@@ -62,10 +62,12 @@ order of components and the canonical form of subtrees: searching a body
 built from canonical parts gives what the full pass gives on the
 original.  Every body the search sees is built that way, so `_alpha`
 takes canonical input and returns as it stands any subtree that names
-none of the names it renames.  Chains of prefixes, ambients and restrictions are walked in a loop, so
-canonicalising takes a few frames per parallel composition or sum, not
-per level of the tree (the parser accepts chains of
-`syntax.MAX_DEPTH` levels).
+none of the names it renames.  Chains of prefixes, ambients and
+restrictions are walked in a loop, so canonicalising takes a few frames
+per parallel composition or sum, not per level of the tree.  `_alpha`
+does recurse once per level, down the subtrees that name a binder it
+places; `syntax.MAX_DEPTH`, which bounds how deep the parser lets input
+nest, keeps that within Python's default recursion limit.
 
 The least binder order is found by branch and bound.  The cluster's
 fresh names are given out least first as strings ("f10" sorts before

@@ -1,4 +1,5 @@
-"""Concrete syntax: a hand-rolled scanner/parser and the matching printer.
+"""Concrete syntax: a regex scanner, a recursive-descent parser and the
+matching printer.
 
 Grammar (identical for terms and labels; labels also admit the hole `-`):
 
@@ -18,8 +19,14 @@ states these rules once: the parser applies it to each node and action
 right after building it and refuses a second occurrence of a variable,
 each refusal a ParseError at the construct's first token (a sum's at its
 first `+`).
+
+The parser and the printer walk a chain of prefixes and restrictions in
+a loop; they recurse only into brackets and the components of a
+parallel composition or sum.
 """
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .terms import (
@@ -28,105 +35,88 @@ from .terms import (
 )
 
 KEYWORDS = ("tau", "nu", "in", "out", "open")
-_SYMBOLS = "()[].+|'@?-"
 
-# How deep the parser may recurse.  It takes one frame per grammar rule
-# it descends through: one per prefix or restriction, five per bracket
-# `(...)`, `n[...]` or `?x[...]` (expression, parallel, sum, sequent,
-# atom).  Deeper input is refused with a ParseError, so the parser, and
-# the passes that recurse once per level of the tree it builds, stay
-# within Python's default limit of 1,000 frames.
+# One token after any blanks: a symbol or `0`, a word, or any other
+# character, which `_scan` refuses.  A word goes on with letters, digits
+# and `_` (`\w` is `str.isalnum` or `_`).  It must start with a letter or
+# `_`: `[^\W\d]` also admits a numeral such as `²`, which `_scan` refuses
+# by `str.isalpha`.
+_TOKEN = re.compile(r"[ \t\r\n]*([()\[\].+|'@?\-0]|[^\W\d]\w*|[^ \t\r\n])")
+# The tokens whose kind is their text; any other word is a "name".
+_FIXED = frozenset("()[].+|'@?-0") | frozenset(KEYWORDS)
+
+# How deep input may nest, counted in the frames of a parser that took
+# one per grammar rule it descends through: one per prefix or
+# restriction, five per bracket `(...)`, `n[...]` or `?x[...]`
+# (expression, parallel, sum, sequent, atom).  The parser walks a chain
+# of prefixes and restrictions in a loop; the limit guards the passes
+# behind it that recurse once per level of the tree it builds
+# (`terms._subst`, `congruence._alpha`, the comparison of nested keys):
+# deeper input is refused with a ParseError, so that they stay within
+# Python's default limit of 1,000 frames.
 MAX_DEPTH = 800
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of `text`.  A symbol's or a
+    keyword's kind is its text, a name's "name"."""
+    texts = _TOKEN.findall(text)
+    kinds = [t if t in _FIXED else
+             "name" if t[0].isalpha() or t[0] == "_" else "" for t in texts]
+    if "" in kinds:
+        k = kinds.index("")
+        raise ParseError(f"unexpected character {texts[k][0]!r}",
+                         *_position(text, k))
+    return kinds, texts
 
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
 
-
-def _scan(text: str) -> list[_Token]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "0":
-            toks.append(_Token("0", "0", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "name"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    # the end of input sits just after the last token, not after blanks
-    last = toks[-1] if toks else _Token("", "", 1, 1)
-    toks.append(_Token("eof", "", last.line, last.col + len(last.text)))
-    return toks
+def _position(text: str, k: int) -> tuple[int, int]:
+    """The line and column of token `k` of `text`; past the last token,
+    of the end of input, which sits just after the last token, not after
+    blanks."""
+    offset = 0
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            offset = m.start(1)
+            break
+        offset = m.end(1)
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def is_name(text: str) -> bool:
     """Does the scanner read `text` as exactly one name token?"""
     try:
-        toks = _scan(text)
+        kinds, texts = _scan(text)
     except ParseError:
         return False
-    return len(toks) == 2 and toks[0].kind == "name" and toks[0].text == text
+    return kinds == ["name"] and texts == [text]
 
 
 class _Parser:
     def __init__(self, text: str, calculus: Calculus, allow_hole: bool):
-        self.toks = _scan(text)
-        # two more end tokens, so `peek` may look two past the first
-        self.toks += self.toks[-1:] * 2
-        self.pos = 0
+        self.text = text
+        kinds, texts = _scan(text)
+        # three end tokens, so the parser may look two past the first
+        self.kinds = kinds + ["eof"] * 3
+        self.texts = texts + [""] * 3
+        self.pos = 0                # the index of the next token
         self.calc = calculus
         self.allow_hole = allow_hole
         self.seen: set = set()      # the variables read so far
 
-    def peek(self, ahead=0) -> _Token:
-        return self.toks[self.pos + ahead]
+    def found(self) -> str:
+        return repr(self.texts[self.pos] or "end of input")
 
-    def take(self) -> _Token:
-        tok = self.toks[self.pos]
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.found()}")
         self.pos += 1
-        return tok
 
-    def expect(self, kind) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.take()
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message, at=None):
+        """Refuse the input at token `at`, by default the next one."""
+        raise ParseError(message, *_position(
+            self.text, self.pos if at is None else at))
 
     def within(self, depth: int) -> None:
         if depth > MAX_DEPTH:
@@ -134,136 +124,157 @@ class _Parser:
                       f"{MAX_DEPTH} frames")
 
     def name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected a name, found {tok.text or 'end of input'!r}")
-        return self.take().text
+        if self.kinds[self.pos] != "name":
+            self.fail(f"expected a name, found {self.found()}")
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
-    def built(self, node, tok: _Token):
-        """`node`, just built from the text at `tok`, if the calculus
+    def built(self, node, at: int):
+        """`node`, just built from the text at token `at`, if the calculus
         admits it there."""
         why = _illegal(self.calc, node, self.allow_hole)
         if why is not None:
-            self.fail(why, tok)
+            self.fail(why, at)
         return node
 
     def variable(self, cls):
         """The ProcVar or NameVar after a sigil `@` or `?`."""
-        tok = self.take()
+        at = self.pos
+        self.pos += 1
         var = cls(self.name())
         if var in self.seen:
-            self.fail(f"variable {var.name!r} occurs twice", tok)
+            self.fail(f"variable {var.name!r} occurs twice", at)
         self.seen.add(var)
         return var
 
+    def at_restriction(self) -> bool:
+        return self.kinds[self.pos] == "(" \
+            and self.kinds[self.pos + 1] == "nu"
+
+    def restriction(self) -> str:
+        """The name `n` of the `(nu n)` at the next token."""
+        self.pos += 2
+        n = self.name()
+        self.expect(")")
+        return n
+
     def whole(self) -> Node:
         node = self.expr(0)
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"trailing input {self.texts[self.pos]!r}")
         return node
 
-    # Every rule takes the depth of its own frame; `expr` and `seq`, one
-    # of which lies on every cycle of the grammar, check it.
+    # Every rule takes the depth of its own frame, as if each prefix or
+    # restriction of a chain were one more frame; `expr` and `seq`, one of
+    # which lies on every cycle of the grammar, check it per level.
     # expr ::= "(nu n)" expr | par
     def expr(self, depth: int) -> Node:
+        binders = []                # (token, name), outermost first
         self.within(depth)
-        tok = self.peek()
-        if tok.kind == "(" and self.peek(1).kind == "nu":
-            self.take()
-            self.take()
-            n = self.name()
-            self.expect(")")
-            return self.built(Restrict(n, self.expr(depth + 1)), tok)
-        return self.par(depth + 1)
+        while self.at_restriction():
+            binders.append((self.pos, self.restriction()))
+            depth += 1
+            self.within(depth)
+        node = self.par(depth + 1)
+        for at, n in reversed(binders):
+            node = self.built(Restrict(n, node), at)
+        return node
 
     def par(self, depth: int) -> Node:
-        tok = self.peek()
+        at = self.pos
         parts = [self.sum(depth + 1)]
-        while self.peek().kind == "|":
-            self.take()
-            if self.peek().kind == "(" and self.peek(1).kind == "nu":
+        while self.kinds[self.pos] == "|":
+            self.pos += 1
+            if self.at_restriction():
                 # a restriction scopes maximally right, swallowing the
                 # rest of the parallel composition
                 parts.append(self.expr(depth + 1))
                 break
             parts.append(self.sum(depth + 1))
         return parts[0] if len(parts) == 1 else self.built(Par(tuple(parts)),
-                                                           tok)
+                                                           at)
 
     def sum(self, depth: int) -> Node:
         parts = [self.seq(depth + 1)]
-        plus = self.peek()
-        while self.peek().kind == "+":
-            self.take()
+        plus = self.pos
+        while self.kinds[self.pos] == "+":
+            self.pos += 1
             parts.append(self.seq(depth + 1))
         return parts[0] if len(parts) == 1 else self.built(Sum(tuple(parts)),
                                                            plus)
 
     # seq ::= PREFIX "." seq | "(nu n)" seq | atom
     def seq(self, depth: int) -> Node:
-        self.within(depth)
-        tok = self.peek()
-        if tok.kind == "(" and self.peek(1).kind == "nu":
-            # under a prefix the restriction scope ends with the sequent
-            self.take()
-            self.take()
-            n = self.name()
-            self.expect(")")
-            return self.built(Restrict(n, self.seq(depth + 1)), tok)
-        if tok.kind in ("in", "out", "open"):
-            op = self.take().kind
-            act = Cap(op, self.variable(NameVar) if self.peek().kind == "?"
-                      else self.name())
-        elif tok.kind == "tau":
-            self.take()
-            act = Tau()
-        elif (tok.kind == "'" and self.peek(1).kind == "name"
-              and self.peek(2).kind == "."):
-            self.take()
-            act = Send(self.name())
-        elif tok.kind == "name" and self.peek(1).kind == ".":
-            act = Recv(self.name())
-        else:
-            return self.atom(depth + 1)
-        self.built(act, tok)
-        self.expect(".")
-        return self.built(Prefix(act, self.seq(depth + 1)), tok)
+        kinds, texts = self.kinds, self.texts
+        chain = []                  # (class, action or name, token)
+        while True:
+            self.within(depth)
+            at = self.pos
+            kind = kinds[at]
+            if kind == "name" and kinds[at + 1] == ".":
+                self.pos += 1
+                act = Recv(texts[at])
+            elif kind == "'" and kinds[at + 1] == "name" \
+                    and kinds[at + 2] == ".":
+                self.pos += 2
+                act = Send(texts[at + 1])
+            elif kind in ("in", "out", "open"):
+                self.pos += 1
+                act = Cap(kind, self.variable(NameVar)
+                          if kinds[at + 1] == "?" else self.name())
+            elif kind == "tau":
+                self.pos += 1
+                act = Tau()
+            elif self.at_restriction():
+                # under a prefix the restriction scope ends with the sequent
+                chain.append((Restrict, self.restriction(), at))
+                depth += 1
+                continue
+            else:
+                break
+            self.built(act, at)
+            self.expect(".")
+            chain.append((Prefix, act, at))
+            depth += 1
+        node = self.atom(depth + 1)
+        for cls, x, at in reversed(chain):
+            node = self.built(cls(x, node), at)
+        return node
 
     def atom(self, depth: int) -> Node:
-        tok = self.peek()
-        match tok.kind:
+        at = self.pos
+        match self.kinds[at]:
             case "0":
-                self.take()
-                return self.built(Nil(), tok)
+                self.pos += 1
+                return self.built(Nil(), at)
             case "-":
-                self.take()
-                return self.built(Hole(), tok)
+                self.pos += 1
+                return self.built(Hole(), at)
             case "'":
-                self.take()
-                return self.built(Msg(self.name()), tok)
+                self.pos += 1
+                return self.built(Msg(self.name()), at)
             case "@":
-                return self.built(self.variable(ProcVar), tok)
+                return self.built(self.variable(ProcVar), at)
             case "?":
                 x = self.variable(NameVar)
                 self.expect("[")
                 body = self.expr(depth + 1)
                 self.expect("]")
-                return self.built(Amb(x, body), tok)
+                return self.built(Amb(x, body), at)
             case "name":
-                if self.peek(1).kind == "[":
-                    n = self.name()
-                    self.take()
+                if self.kinds[at + 1] == "[":
+                    self.pos += 2
                     body = self.expr(depth + 1)
                     self.expect("]")
-                    return self.built(Amb(n, body), tok)
-                self.fail(f"name {tok.text!r} is not a process"
+                    return self.built(Amb(self.texts[at], body), at)
+                self.fail(f"name {self.texts[at]!r} is not a process"
                           " (write a prefix 'name.P' or an ambient 'name[P]')")
             case "(":
-                self.take()
+                self.pos += 1
                 body = self.expr(depth + 1)
                 self.expect(")")
                 return body
-        self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a process, found {self.found()}")
 
 
 def parse_term(text: str, calculus: Calculus) -> Term:
@@ -274,28 +285,51 @@ def parse_label(text: str, calculus: Calculus) -> Label:
     p = _Parser(text, calculus, allow_hole=True)
     node = p.whole()
     if node.holes != 1:
-        p.fail("a label needs exactly one hole", p.toks[0])
+        p.fail("a label needs exactly one hole", 0)
     return Label(calculus, node)
 
 
 # --- printing --------------------------------------------------------------
 
 def _act_text(act) -> str:
-    match act:
-        case Tau():
-            return "tau"
-        case Recv(channel=a):
-            return a
-        case Send(channel=a):
-            return f"'{a}"
-        case Cap(op=op, amb=NameVar(name=x)):
-            return f"{op} ?{x}"
-        case Cap(op=op, amb=n):
-            return f"{op} {n}"
+    cls = type(act)
+    if cls is Recv:
+        return act.channel
+    if cls is Send:
+        return f"'{act.channel}"
+    if cls is Cap:
+        amb = act.amb
+        return (f"{act.op} ?{amb.name}" if type(amb) is NameVar
+                else f"{act.op} {amb}")
+    if cls is Tau:
+        return "tau"
     raise TypeError(f"not an action: {act!r}")
 
 
 def _print(node: Node) -> str:
+    pieces = []
+    opened = 0                      # brackets to close at the end
+    while True:                     # down a chain of prefixes and restrictions
+        cls = type(node)
+        if cls is Prefix:
+            pieces.append(f"{_act_text(node.action)}.")
+            wrap = isinstance(node.body, (Par, Sum, Restrict))
+        elif cls is Restrict:
+            pieces.append(f"(nu {node.name}) ")
+            wrap = isinstance(node.body, (Par, Sum))
+        else:
+            pieces.append(_print_other(node))
+            break
+        if wrap:
+            pieces.append("(")
+            opened += 1
+        node = node.body
+    pieces.append(")" * opened)
+    return "".join(pieces)
+
+
+def _print_other(node: Node) -> str:
+    """A node that is neither a prefix nor a restriction."""
     match node:
         case Nil():
             return "0"
@@ -309,11 +343,6 @@ def _print(node: Node) -> str:
             return f"?{x}[{_print(b)}]"
         case Amb(name=n, body=b):
             return f"{n}[{_print(b)}]"
-        case Prefix(action=act, body=b):
-            inner = _print(b)
-            if isinstance(b, (Par, Sum, Restrict)):
-                inner = f"({inner})"
-            return f"{_act_text(act)}.{inner}"
         case Sum(children=cs):
             parts = [f"({_print(c)})" if isinstance(c, (Sum, Restrict))
                      else _print(c) for c in cs]
@@ -322,11 +351,6 @@ def _print(node: Node) -> str:
             parts = [f"({_print(c)})" if isinstance(c, (Par, Restrict))
                      else _print(c) for c in cs]
             return " | ".join(parts)
-        case Restrict(name=n, body=b):
-            inner = _print(b)
-            if isinstance(b, (Par, Sum)):
-                inner = f"({inner})"
-            return f"(nu {n}) {inner}"
     raise TypeError(f"not a node: {node!r}")
 
 

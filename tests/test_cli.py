@@ -473,6 +473,18 @@ def test_corpus_verb(capsys, tmp_path):
             "lts-correspondence-ccs"}
 
 
+def test_malformed_corpus_spec_is_refused_at_its_position(capsys, tmp_path):
+    text = '{"calculus": "ccs",\n "checks": [roundtrip]}'
+    f = tmp_path / "spec.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "corpus", f"@{f}")
+    assert (code, out) == (2, "")
+    assert err == f"{f}:2:13: corpus spec is not JSON: Expecting value\n"
+    code, out, err = run(capsys, "corpus", text)
+    assert (code, out, err) == (2, "", "2:13: corpus spec is not JSON: "
+                                       "Expecting value\n")
+
+
 def test_corpus_rejects_unknown_check(capsys):
     spec = json.dumps({"calculus": "ccs", "count": 10,
                        "checks": ["sideways"]})

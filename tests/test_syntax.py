@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from lbisim.corpus import random_term
 from lbisim.errors import ParseError
-from lbisim.syntax import parse_label, parse_term, print_label, print_term
+from lbisim.syntax import (MAX_DEPTH, is_name, parse_label, parse_term,
+                           print_label, print_term)
 from lbisim.terms import (Amb, Calculus, Cap, Msg, NameVar, Nil, Par, Prefix,
                           ProcVar, Recv, Restrict, Send, Sum, Tau)
 
@@ -101,11 +103,52 @@ def test_parse_error_position():
     (parse_term, "a.b.0", MA, "1:1", "channel prefixes do not exist in MA"),
     (parse_term, "b.0 | - ", CCS, "1:7", "the hole '-' is label syntax"),
     (parse_label, "- | -", CCS, "1:1", "a label needs exactly one hole"),
+    # the scanner: a tab and a carriage return take one column each
+    (parse_term, "a.0 |\t%", CCS, "1:7", "unexpected character '%'"),
+    (parse_term, "a.0 |\r\n b.%", CCS, "2:4", "unexpected character '%'"),
+    (parse_term, "\t\r\ta", CCS, "1:4", "name 'a' is not a process"),
+    # a name starts with a letter (by `str.isalpha`) or `_`
+    (parse_term, "a.²", CCS, "1:3", "unexpected character '²'"),
+    (parse_term, "a.1", CCS, "1:3", "unexpected character '1'"),
+    (parse_term, "a.0 | ²b.0", CCS, "1:7", "unexpected character '²'"),
+    (parse_term, "0a", CCS, "1:2", "trailing input 'a'"),
+    (parse_term, "a0", CCS, "1:1", "name 'a0' is not a process"),
+    # the end of input sits just after the last token, not after blanks
+    (parse_term, "a.0 |\n\n\n", CCS, "1:6",
+     "expected a process, found 'end of input'"),
+    (parse_term, "\n\n", CCS, "1:1",
+     "expected a process, found 'end of input'"),
 ])
 def test_every_refusal_is_positioned(parse, text, calc, where, why):
     with pytest.raises(ParseError) as exc:
         parse(text, calc)
     assert str(exc.value).startswith(f"{where}: {why}")
+
+
+def test_names_are_words_that_start_with_a_letter():
+    assert print_term(parse_term("é.0", CCS)) == "é.0"
+    assert print_term(parse_term("a².0 | _b1.0", CCS)) == "a².0 | _b1.0"
+    for text, want in (("a", True), ("_x1", True), ("é", True),
+                       ("tau", False), ("a ", False), ("²", False),
+                       ("", False)):
+        assert is_name(text) is want, text
+
+
+@pytest.mark.parametrize("calc, text", [
+    (CCS, "a." * (MAX_DEPTH - 3) + "0"),
+    (CCS, "(nu a) " * (MAX_DEPTH - 4) + "a.0"),
+    (MA, "in a." * 790 + "0"),
+], ids=["prefixes", "restrictions", "capabilities"])
+def test_chains_take_no_stack(calc, text):
+    """The parser and the printer walk a chain of prefixes or
+    restrictions in a loop: the deepest chains they accept parse and
+    print back within a recursion limit of 200 frames."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert print_term(parse_term(text, calc)) == text
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_print_parenthesization_is_minimal_but_sufficient():
