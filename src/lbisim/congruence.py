@@ -56,6 +56,33 @@ canonical:
     around the least C, which is C.  When n is in F the binder named n
     is renamed and the search runs.
 
+Two rules keep a cluster from being searched twice; both give the node
+the search gives.
+
+  * Marks.  Each node `_canon_node` returns, and each level of a chain
+    it walks, is marked canonical for its calculus (`Node.canon`).  A
+    marked node is its own canonical form, so `_canon_node` returns it
+    at once and a chain walk stops at its first marked level: a move's
+    target that is a level of a canonical chain, or a canonical form
+    handed back to the canonicaliser, costs O(1).  The mark lives and
+    dies with its node, so `_canon_node.cache_clear()` leaves it: a
+    test that wants a fresh computation must build a spelling that is
+    not canonical, as `corpus._respelled` does.
+  * Split search.  A cluster (nu B) of three or more binders over
+    components of which some name no binder in B is searched over the
+    others only: (nu B) of the binder-naming components is looked up
+    as one node, and the rest are merged back into its sorted body.  So
+    an ITS target (nu F)(C | @X1) of a marked (nu F) C is a lookup.
+    This is exact.  Inserting the same component into two sorted
+    component lists of one length keeps their lexicographic order, so
+    the least body over all binder orders is the least body of the
+    binder-naming part with the others merged in.  Fresh names avoid
+    the free names of what they bind over, and the part keeps every
+    binder, so its fresh names F follow from its free names before it
+    is looked up.  When no set-aside component is free in F, F are the
+    cluster's fresh names too; when one is, the whole cluster is
+    searched instead.
+
 The search renames and sorts every candidate body itself, so its result
 depends on the body only up to the names of the cluster's binders, the
 order of components and the canonical form of subtrees: searching a body
@@ -257,16 +284,22 @@ class CanonicalForm:
         return Term(self.calculus, self.node)
 
 
+_mark = Node.canon.__set__          # _mark(node, calc): node is canonical
+
+
 @lru_cache(maxsize=1 << 17)
 def _canon_node(calc: Calculus, node: Node) -> Node:
     """The canonical form of `node`, built from its children's (see the
     module docstring).  A chain of prefixes, ambients and restrictions is
-    walked in a loop, and the node below it is looked up here."""
+    walked in a loop down to its first marked level, or else to the node
+    below it, which is looked up here; each level built is marked."""
     chain = []
-    while isinstance(node, (Prefix, Amb, Restrict)):
+    while node.canon is not calc and isinstance(node, (Prefix, Amb, Restrict)):
         chain.append(node)
         node = node.body
-    if isinstance(node, Par):
+    if node.canon is calc:
+        form = node
+    elif isinstance(node, Par):
         form = _canon_node(calc, node) if chain else _par(calc, node)
     elif isinstance(node, Sum):
         form = _canon_node(calc, node) if chain else _sum(calc, node)
@@ -278,10 +311,15 @@ def _canon_node(calc: Calculus, node: Node) -> Node:
             names.append(top.name)
             continue
         if names:
-            form = _restrict(names, form)
+            form = _restrict(calc, names, form)
+            _mark(form, calc)
             names = []
         form = _enclose(calc, top, form)
-    return _restrict(names, form) if names else form
+        _mark(form, calc)
+    if names:
+        form = _restrict(calc, names, form)
+    _mark(form, calc)
+    return form
 
 
 def _sum(calc: Calculus, node: Sum) -> Node:
@@ -317,14 +355,38 @@ def _par(calc: Calculus, node: Par) -> Node:
                 c = _alpha(c, ren)
         parts.extend(components(c))
     body = par(*sorted(parts, key=node_key))
-    return _cluster(binders, body) if binders else body
+    return _restrict(calc, binders[::-1], body) if binders else body
 
 
-def _restrict(names: list[str], form: Node) -> Node:
+def _restrict(calc: Calculus, names: list[str], form: Node) -> Node:
     """(nu names) over the canonical form `form`; `names` innermost
-    first, so an inner binder shadows an outer one of the same name."""
+    first, so an inner binder shadows an outer one of the same name.
+    A cluster of three or more binders is searched over the components
+    that name them, looked up as one node, and the others are merged
+    back in, unless one of those is free in the part's fresh names (see
+    the module docstring)."""
     kept = [n for n in dict.fromkeys(names) if n in form.free]
-    return _cluster(kept, form) if kept else form
+    if not kept:
+        return form
+    fs, core = strip_restricts(form)
+    if len(kept) + len(fs) > 2:
+        bound = {*kept, *fs}
+        inner, aside = [], []
+        for c in components(core):
+            (aside if c.free.isdisjoint(bound) else inner).append(c)
+        if aside:
+            # Every binder names a component of `inner`, so the part
+            # keeps them all and takes these fresh names.
+            fresh = fresh_names(
+                frozenset().union(*(c.free for c in inner)) - bound,
+                len(bound))
+            if all(c.free.isdisjoint(fresh) for c in aside):
+                part = _canon_node(calc, restricts(kept[::-1] + fs,
+                                                   par(*inner)))
+                return restricts(fresh, par(*sorted(
+                    (*components(strip_restricts(part)[1]), *aside),
+                    key=node_key)))
+    return _cluster(kept, form)
 
 
 def _enclose(calc: Calculus, top: Prefix | Amb, form: Node) -> Node:

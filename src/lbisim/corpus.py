@@ -33,7 +33,7 @@ from .reduction import reduct_terms
 from .terms import (
     Amb, Calculus, Cap, Hole, Label, Msg, Nil, Node, Par, Prefix,
     ProcVar, Recv, Restrict, Send, Substitution, Sum, Tau, Term,
-    free_names, par, plug, rename_free,
+    _ren_action, free_names, par, plug, rename_free,
 )
 from .syntax import (is_name, parse_label, parse_term, print_label,
                      print_term)
@@ -444,12 +444,46 @@ def check_roundtrip(calc: Calculus, count: int, rng: random.Random,
                          vars_every=5)
 
 
+def _respelled(node: Node, fresh, ren: dict) -> Node:
+    """A spelling of `node` with its free names renamed by `ren`, in
+    which only a chain of prefixes and ambients down to a leaf may be
+    canonical: each binder is renamed to the next name of the iterator
+    `fresh`, whose names occur nowhere in `node`, and each sum and
+    parallel composition has its children reversed and a 0 added."""
+    match node:
+        case Restrict(name=n, body=b):
+            m = next(fresh)
+            return Restrict(m, _respelled(b, fresh, {**ren, n: m}))
+        case Prefix(action=act, body=b):
+            return Prefix(_ren_action(act, ren), _respelled(b, fresh, ren))
+        case Amb(name=n, body=b):
+            return Amb(ren.get(n, n), _respelled(b, fresh, ren))
+        case Msg(channel=a):
+            return Msg(ren.get(a, a))
+        case Par(children=cs) | Sum(children=cs):
+            return type(node)((*(_respelled(c, fresh, ren)
+                                 for c in reversed(cs)), Nil()))
+    return node
+
+
 def check_idempotence(calc: Calculus, count: int, rng: random.Random,
                       names=("a", "b", "c")) -> CheckOutcome:
+    """c1 = canonical_term(t) must be the canonical form of its printed
+    text read back and of its `_respelled` spelling.  `canonical_term(c1)`
+    would return c1 unread, as c1 carries the mark of a canonical node
+    (see `congruence`).  The respelling carries a mark only on a chain of
+    prefixes and ambients down to a leaf, which is its own canonical
+    form with nothing in it to sort or place, so all of the rest of c1
+    is canonicalised again: every cluster searched, every composition
+    and sum flattened and sorted."""
     def bad(t):
         c1 = canonical_term(t)
-        if canonical_term(c1).node != c1.node or canonical_term(
-                parse_term(print_term(c1), calc)).node != c1.node:
+        if canonical_term(parse_term(print_term(c1), calc)).node != c1.node:
+            return print_term(t)
+        fresh = (m for i in itertools.count()
+                 if (m := f"r{i}") not in c1.node.free)
+        again = canonical_term(Term(calc, _respelled(c1.node, fresh, {})))
+        if again.node != c1.node:
             return print_term(t)
     return _random_check("canonical-idempotent", calc, count, rng, names,
                          bad, vars_every=7)

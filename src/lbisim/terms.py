@@ -193,22 +193,24 @@ class Node(_Interned):
 
     A node whose free names or variables equal a child's shares the
     child's frozenset or tuple, and nodes without variables share `()`.
-    Actions and name variables store the first three facts too.
+    Actions and name variables store the first three facts too.  The
+    slot `canon` starts as None; `congruence` sets it to a calculus once
+    the node is known to be canonical for that calculus (its mark).
     """
-    __slots__ = ("holes",)
-    _FACTS = ("key", "free", "vars", "holes")
+    __slots__ = ("holes", "canon")
+    _FACTS = ("key", "free", "vars", "holes", "canon")
 
 
 class Nil(Node):
     __slots__ = ()
-    _facts = staticmethod(lambda: ((0,), _NO_NAMES, (), 0))
+    _facts = staticmethod(lambda: ((0,), _NO_NAMES, (), 0, None))
 
 
 class Prefix(Node):
     __slots__ = ("action", "body")  # action: Tau | Recv | Send | Cap
     _facts = staticmethod(lambda act, b: (
         (4, act.key, b.key), _union(act.free, b.free), act.vars + b.vars,
-        b.holes))
+        b.holes, None))
 
 
 def _many(tag: int, children) -> tuple:
@@ -219,7 +221,7 @@ def _many(tag: int, children) -> tuple:
         free = _union(free, c.free)
         vs += c.vars
         holes += c.holes
-    return (tag, tuple(keys)), free, vs, holes
+    return (tag, tuple(keys)), free, vs, holes, None
 
 
 class Sum(Node):
@@ -236,7 +238,7 @@ class Restrict(Node):
     __slots__ = ("name", "body")
     _facts = staticmethod(lambda n, b: (
         (7, n, b.key), b.free - {n} if n in b.free else b.free, b.vars,
-        b.holes))
+        b.holes, None))
 
 
 class Amb(Node):
@@ -245,23 +247,25 @@ class Amb(Node):
     @staticmethod
     def _facts(n, b):
         key, free, vs = _name_facts(n)
-        return (6, key, b.key), _union(free, b.free), vs + b.vars, b.holes
+        return ((6, key, b.key), _union(free, b.free), vs + b.vars, b.holes,
+                None)
 
 
 class Msg(Node):
     """ACCS output particle (an unguarded message in the ether)."""
     __slots__ = ("channel",)
-    _facts = staticmethod(lambda a: ((3, a), frozenset((a,)), (), 0))
+    _facts = staticmethod(lambda a: ((3, a), frozenset((a,)), (), 0, None))
 
 
 class ProcVar(Node):
     __slots__ = ("name",)
-    _facts = staticmethod(lambda v: ((2, v), _NO_NAMES, (("proc", v),), 0))
+    _facts = staticmethod(lambda v: ((2, v), _NO_NAMES, (("proc", v),), 0,
+                                     None))
 
 
 class Hole(Node):
     __slots__ = ()
-    _facts = staticmethod(lambda: ((1,), _NO_NAMES, (), 1))
+    _facts = staticmethod(lambda: ((1,), _NO_NAMES, (), 1, None))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import count, permutations
 
 import lbisim.congruence as congruence
 from lbisim.congruence import (_canon_node, ambient_cap_matches,
@@ -7,9 +7,11 @@ from lbisim.congruence import (_canon_node, ambient_cap_matches,
                                cap_matches, components, equiv, node_key,
                                particle_matches, strip_restricts,
                                summand_matches)
-from lbisim.corpus import (axiom_closure, bounded_closure,
+from lbisim.corpus import (_respelled, axiom_closure, bounded_closure,
                            check_axiom_soundness, congruent_shuffle,
                            enumerate_terms, random_term)
+from lbisim.lts import its_transitions
+from lbisim.reduction import reducts
 from lbisim.syntax import parse_term, print_term
 from lbisim.terms import (Amb, Calculus, Cap, Hole, Msg, Nil, Node, Par,
                           Prefix, ProcVar, Recv, Restrict, Send, Sum, Tau,
@@ -81,7 +83,34 @@ def test_canonicalize_idempotent_random():
         for i in range(150):
             t = random_term(calc, names, rng, allow_vars=(i % 6 == 0))
             c1 = canonical_term(t)
-            assert canonical_term(c1).node == c1.node
+            # canonical_term(c1) would return the marked c1 unread
+            assert c1.node is reference_canon(c1.node, calc)
+
+
+def test_respelling_carries_no_mark():
+    """The idempotence check canonicalises `_respelled(c1)`: a congruent
+    spelling in which only a chain of prefixes and ambients down to a
+    leaf may be marked, so the rest of c1 is computed again."""
+    def chain_to_leaf(node):
+        while isinstance(node, (Prefix, Amb)):
+            node = node.body
+        return isinstance(node, (Nil, Msg, ProcVar))
+
+    rng = random.Random(29)
+    for calc, names in ((CCS, ("a", "b", "c")), (ACCS, ("a", "b", "c")),
+                        (MA, ("n", "m", "k"))):
+        for i in range(100):
+            c1 = canonical_term(random_term(calc, names, rng,
+                                            allow_vars=(i % 6 == 0))).node
+            spelling = _respelled(c1, (f"r{j}" for j in count()), {})
+            todo = [spelling]
+            while todo:
+                node = todo.pop()
+                assert chain_to_leaf(node) or node.canon is not calc, \
+                    print_term(Term(calc, c1))
+                todo.extend(getattr(node, "children", ()))
+                todo.extend([node.body] if hasattr(node, "body") else [])
+            assert canonical_term(Term(calc, spelling)).node is c1
 
 
 def test_congruent_shuffle_is_invisible():
@@ -407,10 +436,7 @@ def _random_ma_cluster(rng, width):
 def _random_graph_cluster(rng, width):
     """Edges x[y[0]] between the binders, as in big-terms' clusters:
     many binders tie in the bounds without being interchangeable."""
-    ks = [f"k{i}" for i in range(width)]
-    comps = [f"{rng.choice(ks)}[{rng.choice(ks)}[0]]"
-             for _ in range(rng.randint(width - 1, width + 1))]
-    return "".join(f"(nu {k}) " for k in ks) + f"({' | '.join(comps)})"
+    return _cluster_text(*_edges(rng, MA, width))
 
 
 def test_search_matches_permutation_on_random_ma_clusters():
@@ -601,3 +627,91 @@ def test_one_binder_search_per_cluster(monkeypatch):
             form = _canon_node(MA, node)
             assert len(searches) == 1, (k, len(searches))
             assert strip_restricts(form)[0] == ["f0", "f1", "f2", "f3"]
+    # The whole pipeline searches the cluster once: `reducts` finds its
+    # canonical input marked, and the Open target (nu F)(C | @X1) looks
+    # up the marked (nu F) C, setting @X1 aside.
+    _canon_node.cache_clear()
+    searches.clear()
+    form = canonical_term(parse_term(_cluster_text(*_ring(8, True)), MA))
+    assert reducts(form) == ()
+    (move,) = its_transitions(form)
+    assert move.rule == "Open" and len(searches) == 1, len(searches)
+    binders, core = strip_restricts(move.target.node)
+    assert binders == [f"f{i}" for i in range(8)]
+    assert ProcVar("X1") in components(core)
+    # A set-aside component free in the part's fresh names sends the
+    # cluster to the whole search at once, without searching the part.
+    _canon_node.cache_clear()
+    searches.clear()
+    ks, comps = _ring(8, True)
+    text = _cluster_text(ks, comps[:-1] + ["f3[0]"])
+    form = canonical_term(parse_term(text, MA))
+    assert len(searches) == 1, len(searches)
+    assert strip_restricts(form.node)[0] == [
+        f"f{i}" for i in range(9) if i != 3]
+
+
+def test_a_canonical_chain_is_recognised_at_every_level(monkeypatch):
+    """Each level of a walked chain is marked canonical, so looking up
+    a level's body walks nothing, even with the cache cleared."""
+    node = Nil()
+    for i in range(790):
+        node = Prefix(Recv("a") if i % 3 else Send("b"), node)
+    chain = canonical_term(Term(CCS, node)).node
+    assert chain is node
+    calls = []
+    enclose = congruence._enclose
+    monkeypatch.setattr(congruence, "_enclose",
+                        lambda *args: calls.append(1) or enclose(*args))
+    _canon_node.cache_clear()
+    level = chain
+    while isinstance(level, Prefix):
+        assert _canon_node(CCS, level.body) is level.body
+        level = level.body
+    assert calls == []
+
+
+# Components that name no binder of a cluster, set aside by the search;
+# those named f0-f7 are free in the cluster's fresh names, so the search
+# falls back to the whole body.
+_ASIDE = {
+    CCS: ("a.0", "'b.a.0", "f0.0", "'f2.0", "f7.b.0"),
+    ACCS: ("'a", "a.'b", "f0.0", "'f1", "f5.'a"),
+    MA: ("open n.0", "m[0]", "f0[0]", "in f3.0", "m[f7[0]]"),
+}
+
+
+_EDGE = {CCS: "{}.'{}.0", ACCS: "{}.'{}", MA: "{}[{}[0]]"}
+
+
+def _edges(rng, calc, width):
+    """The binders of a random cluster and one component per edge
+    between two of them: x[y[0]] in MA, prefixes in CCS and ACCS."""
+    ks = [f"k{i}" for i in range(width)]
+    return ks, [_EDGE[calc].format(rng.choice(ks), rng.choice(ks))
+                for _ in range(rng.randint(width - 1, width + 1))]
+
+
+def test_split_search_matches_the_full_pass():
+    """A cluster of three or more binders is searched over the
+    components that name them; the others are merged back in, unless
+    one is free in the fresh names."""
+    rng = random.Random(53)
+    for calc in (CCS, ACCS, MA):
+        widths = [7] + [3, 4, 5, 6] * 4
+        if calc is MA:
+            widths = [8] + widths
+        for i, width in enumerate(widths):
+            if calc is MA and i % 2 == 0:
+                ks, comps = _ring(width, True)
+                comps = comps[:-1]          # drop its `open n.0`
+            else:
+                ks, comps = _edges(rng, calc, width)
+            comps += rng.sample(_ASIDE[calc], rng.randint(1, 3))
+            rng.shuffle(comps)
+            node = parse_term(_cluster_text(ks, comps), calc).node
+            # The full pass tries every binder order, and a context may
+            # add a binder: the widest clusters go bare.
+            contexts = _contexts(calc) if width < 7 else ()
+            for context in (lambda p: p, *contexts):
+                _assert_canonical(context(node), calc)
