@@ -62,8 +62,9 @@ def _terms_of_size(calc: Calculus, names: tuple, size: int,
             base += [Msg(a) for a in names]
         return tuple(base)
     out = []
+    acts = _actions(calc, names)
     for body in _terms_of_size(calc, names, size - 1, max_depth - 1):
-        for act in _actions(calc, names):
+        for act in acts:
             out.append(Prefix(act, body))
         for n in names:
             out.append(Restrict(n, body))
@@ -134,56 +135,39 @@ def term_pairs(terms, count: int):
 
 def random_term(calc: Calculus, names, rng: random.Random, *,
                 max_depth: int = 4, allow_vars: bool = False) -> Term:
-    node = _random_node(calc, tuple(names), rng, max_depth, allow_vars,
-                        itertools.count(1))
-    return Term(calc, node)
+    names = tuple(names)
+    acts = _actions(calc, names)    # built once, drawn from at each prefix
+    var_ids = itertools.count(1)
+    # the draws, in the order the pinned corpus digests depend on
+    tail = (["msg"] if calc is Calculus.ACCS else []) + (
+        ["pvar"] if allow_vars else [])
+    leaf = ["nil", "prefix", "prefix", *tail]
+    inner = ["nil", "prefix", "prefix", "par", "par", "restrict",
+             *(["amb", "amb"] if calc is Calculus.MA else ["sum"]), *tail]
 
+    def node(fuel) -> Node:
+        match rng.choice(inner if fuel > 0 else leaf):
+            case "nil":
+                return Nil()
+            case "msg":
+                return Msg(rng.choice(names))
+            case "pvar":
+                return ProcVar(f"Y{next(var_ids)}")
+            case "prefix":
+                return Prefix(rng.choice(acts), node(fuel - 1))
+            case "restrict":
+                return Restrict(rng.choice(names), node(fuel - 1))
+            case "amb":
+                return Amb(rng.choice(names), node(fuel - 1))
+            case "par":
+                k = rng.choice((2, 2, 3))
+                return Par(tuple(node(fuel - 1) for _ in range(k)))
+            case "sum":
+                return Sum(tuple(Prefix(rng.choice(acts), node(fuel - 1))
+                                 for _ in range(rng.choice((2, 2, 3)))))
+        raise AssertionError
 
-def _random_node(calc, names, rng, fuel, allow_vars, var_ids) -> Node:
-    choices = ["nil", "prefix", "prefix"]
-    if fuel > 0:
-        choices += ["par", "par", "restrict"]
-        if calc is not Calculus.MA:
-            choices += ["sum"]
-        if calc is Calculus.MA:
-            choices += ["amb", "amb"]
-    if calc is Calculus.ACCS:
-        choices += ["msg"]
-    if allow_vars:
-        choices += ["pvar"]
-    match rng.choice(choices):
-        case "nil":
-            return Nil()
-        case "msg":
-            return Msg(rng.choice(names))
-        case "pvar":
-            return ProcVar(f"Y{next(var_ids)}")
-        case "prefix":
-            act = rng.choice(_actions(calc, names))
-            return Prefix(act, _random_node(calc, names, rng, fuel - 1,
-                                            allow_vars, var_ids))
-        case "restrict":
-            return Restrict(rng.choice(names),
-                            _random_node(calc, names, rng, fuel - 1,
-                                         allow_vars, var_ids))
-        case "amb":
-            return Amb(rng.choice(names),
-                       _random_node(calc, names, rng, fuel - 1,
-                                    allow_vars, var_ids))
-        case "par":
-            k = rng.choice((2, 2, 3))
-            return Par(tuple(_random_node(calc, names, rng, fuel - 1,
-                                          allow_vars, var_ids)
-                             for _ in range(k)))
-        case "sum":
-            parts = []
-            for _ in range(rng.choice((2, 2, 3))):
-                act = rng.choice(_actions(calc, names))
-                parts.append(Prefix(act, _random_node(calc, names, rng,
-                                                      fuel - 1, allow_vars,
-                                                      var_ids)))
-            return Sum(tuple(parts))
-    raise AssertionError
+    return Term(calc, node(max_depth))
 
 
 # --- congruent shuffling ---------------------------------------------------

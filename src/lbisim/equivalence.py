@@ -616,18 +616,25 @@ def _budget_exceeded(pairs: dict, max_pairs: int):
     the one of most syntax nodes, prints."""
     sizes: dict = {}               # node -> syntax nodes in its tree
 
-    def size(node):
-        n = sizes.get(node)
-        if n is None:
+    def size(root):
+        # post-order on an explicit stack: a node is sized once its
+        # children are, so deep chains take no frames
+        stack = [root]
+        while stack:
+            node = stack[-1]
             match node:
                 case Prefix(body=b) | Restrict(body=b) | Amb(body=b):
-                    n = 1 + size(b)
+                    cs = (b,)
                 case Par(children=cs) | Sum(children=cs):
-                    n = 1 + sum(map(size, cs))
+                    pass
                 case _:
-                    n = 1
-            sizes[node] = n
-        return n
+                    cs = ()
+            todo = [c for c in cs if c not in sizes]
+            if todo:
+                stack += todo
+            else:
+                sizes[stack.pop()] = 1 + sum(sizes[c] for c in cs)
+        return sizes[root]
 
     states = (t.node for node in pairs.values() for t in (node.p, node.q))
     largest = max(states, key=size, default=None)

@@ -24,12 +24,15 @@ that is structurally equal to a live object returns that object, so
 `==` is `is` and hashing is O(1) whatever the tree's size.  Construction
 is positional, fields in declaration order (`Prefix(Recv("a"), Nil())`);
 `match` class patterns work as with dataclasses.  A node is built once,
-so it stores four facts then, computed from its children's: its sort
-key `key`, its free names `free`, its variable occurrences `vars` and
-its hole count `holes` (see `Node`).  A node shares a child's set or
-tuple when its own would be equal, so pure nodes share `()`; facts live
-and die with their nodes, and no traversal recomputes them.  `Term`, `Label` and
-`Substitution` stay dataclasses and compare their interned fields.
+so its class's `_init` stores its fields and five facts then, on a
+private construction twin of the class (see `_Interned`): four computed
+from its children's (its sort key `key`, its free names `free`, its
+variable occurrences `vars`, its hole count `holes`) and its canonical
+mark `canon`, None until `congruence` sets it (see `Node`).  A node
+shares a child's set or tuple when its own would be equal, so pure
+nodes share `()`; facts live and die with their nodes, and no traversal
+recomputes them.  `Term`, `Label` and `Substitution` stay dataclasses
+and compare their interned fields.
 """
 from __future__ import annotations
 
@@ -80,19 +83,25 @@ class _Interned:
 
     A subclass lists its fields in `__slots__`; construction is
     positional, in that order, as with `match` class patterns.  A
-    concrete subclass also defines `_facts(*fields)`, which returns the
-    values of the `_FACTS` slots; `__new__` stores them when it creates
-    the object, so an intern hit costs nothing extra.
+    concrete subclass defines `_init(self, *fields)`, which stores the
+    fields and their facts with plain `self.x = ...` stores; a class
+    without one is abstract.  Those stores run on the class's private
+    construction twin `_raw`, a subclass whose `__setattr__` and
+    `__delattr__` are object's: an intern miss builds a twin, fills it
+    and only then gives it the public class, so no twin escapes.  The
+    twin restores both: CPython keeps them in one type slot, and with
+    one restored every store would still run Python code.
     """
     __slots__ = ("__weakref__", "key", "free", "vars")
-    _FACTS = ("key", "free", "vars")
+    _raw = None                     # the construction twin, if concrete
 
     def __init_subclass__(cls):
-        if "_facts" not in cls.__dict__:
-            return                  # an abstract base: Node
+        if "_init" not in cls.__dict__:
+            return                  # an abstract base (Node), or a twin
         cls.__match_args__ = cls.__slots__
-        cls._setters = tuple(getattr(cls, f).__set__
-                             for f in (*cls.__slots__, *cls._FACTS))
+        cls._raw = type(cls.__name__, (cls,), {
+            "__slots__": (), "__setattr__": object.__setattr__,
+            "__delattr__": object.__delattr__})
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -101,12 +110,16 @@ class _Interned:
             obj = ref()
             if obj is not None:
                 return obj
+        raw = cls._raw
+        if raw is None:
+            raise TypeError(f"{cls.__name__} is an abstract node class; "
+                            f"build one of its subclasses")
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} "
                             f"positional fields, got {len(fields)}")
-        obj = object.__new__(cls)
-        for setter, value in zip(cls._setters, fields + cls._facts(*fields)):
-            setter(obj, value)
+        obj = object.__new__(raw)
+        obj._init(*fields)
+        obj.__class__ = cls
         ref = _Ref(obj, _forget)
         ref.key = key
         _INTERNED[key] = ref
@@ -152,120 +165,149 @@ def _name_facts(n) -> tuple:
 class NameVar(_Interned):
     """Ambient-name variable; ranges over ambient names, never bound."""
     __slots__ = ("name",)
-    _facts = staticmethod(lambda x: ((1, x), _NO_NAMES, (("name", x),)))
+
+    def _init(self, x):
+        self.name, self.key, self.free = x, (1, x), _NO_NAMES
+        self.vars = (("name", x),)
 
 
 class Tau(_Interned):
     __slots__ = ()
-    _facts = staticmethod(lambda: ((0,), _NO_NAMES, ()))
+
+    def _init(self):
+        self.key, self.free, self.vars = (0,), _NO_NAMES, ()
 
 
 class Recv(_Interned):
     __slots__ = ("channel",)
-    _facts = staticmethod(lambda a: ((1, a), frozenset((a,)), ()))
+
+    def _init(self, a):
+        self.channel, self.key, self.free = a, (1, a), frozenset((a,))
+        self.vars = ()
 
 
 class Send(_Interned):
     __slots__ = ("channel",)
-    _facts = staticmethod(lambda a: ((2, a), frozenset((a,)), ()))
+
+    def _init(self, a):
+        self.channel, self.key, self.free = a, (2, a), frozenset((a,))
+        self.vars = ()
 
 
 class Cap(_Interned):
     """Mobility capability: op is one of "in", "out", "open"."""
     __slots__ = ("op", "amb")       # amb: str | NameVar
 
-    @staticmethod
-    def _facts(op, amb):
-        key, free, vs = _name_facts(amb)
-        return (3, _CAP_OPS[op], key), free, vs
+    def _init(self, op, amb):
+        key, self.free, self.vars = _name_facts(amb)
+        self.op, self.amb, self.key = op, amb, (3, _CAP_OPS[op], key)
 
 
 class Node(_Interned):
-    """A syntax tree node.  Besides its fields, every node stores four
-    facts, computed from its children's when it is first built:
+    """A syntax tree node, abstract.  Besides its fields, every node
+    stores five facts, set by its class's `_init` from its children's
+    when it is first built:
 
       * `key`: its place in the total order on nodes, a tuple that
         compares like the tree (see `congruence.node_key`);
       * `free`: its free concrete names, a frozenset;
       * `vars`: its ("proc"|"name", name) variable occurrences in
         pre-order, repeats kept;
-      * `holes`: how many holes it contains.
+      * `holes`: how many holes it contains;
+      * `canon`: None when built; `congruence` sets it, through the
+        slot's own setter, to a calculus the node is canonical for.
 
     A node whose free names or variables equal a child's shares the
     child's frozenset or tuple, and nodes without variables share `()`.
-    Actions and name variables store the first three facts too.  The
-    slot `canon` starts as None; `congruence` sets it to a calculus once
-    the node is known to be canonical for that calculus (its mark).
+    Actions and name variables store the first three facts too.
     """
     __slots__ = ("holes", "canon")
-    _FACTS = ("key", "free", "vars", "holes", "canon")
 
 
 class Nil(Node):
     __slots__ = ()
-    _facts = staticmethod(lambda: ((0,), _NO_NAMES, (), 0, None))
+
+    def _init(self):
+        self.key, self.free, self.vars = (0,), _NO_NAMES, ()
+        self.holes, self.canon = 0, None
 
 
 class Prefix(Node):
     __slots__ = ("action", "body")  # action: Tau | Recv | Send | Cap
-    _facts = staticmethod(lambda act, b: (
-        (4, act.key, b.key), _union(act.free, b.free), act.vars + b.vars,
-        b.holes, None))
+
+    def _init(self, act, b):
+        self.action, self.body, self.key = act, b, (4, act.key, b.key)
+        self.free, self.vars = _union(act.free, b.free), act.vars + b.vars
+        self.holes, self.canon = b.holes, None
 
 
-def _many(tag: int, children) -> tuple:
-    keys = []
-    free, vs, holes = _NO_NAMES, (), 0
-    for c in children:
-        keys.append(c.key)
-        free = _union(free, c.free)
-        vs += c.vars
-        holes += c.holes
-    return (tag, tuple(keys)), free, vs, holes, None
+def _many(tag: int):
+    """The `_init` of a node whose field is a tuple of children."""
+    def _init(self, children):
+        keys = []
+        free, vs, holes = _NO_NAMES, (), 0
+        for c in children:
+            keys.append(c.key)
+            free = _union(free, c.free)
+            vs += c.vars
+            holes += c.holes
+        self.children, self.free, self.vars = children, free, vs
+        self.key, self.holes, self.canon = (tag, tuple(keys)), holes, None
+    return _init
 
 
 class Sum(Node):
     __slots__ = ("children",)       # tuple[Node, ...]
-    _facts = staticmethod(lambda cs: _many(5, cs))
+    _init = _many(5)
 
 
 class Par(Node):
     __slots__ = ("children",)       # tuple[Node, ...]
-    _facts = staticmethod(lambda cs: _many(8, cs))
+    _init = _many(8)
 
 
 class Restrict(Node):
     __slots__ = ("name", "body")
-    _facts = staticmethod(lambda n, b: (
-        (7, n, b.key), b.free - {n} if n in b.free else b.free, b.vars,
-        b.holes, None))
+
+    def _init(self, n, b):
+        self.name, self.body, self.key = n, b, (7, n, b.key)
+        self.free = b.free - {n} if n in b.free else b.free
+        self.vars, self.holes, self.canon = b.vars, b.holes, None
 
 
 class Amb(Node):
     __slots__ = ("name", "body")    # name: str | NameVar
 
-    @staticmethod
-    def _facts(n, b):
+    def _init(self, n, b):
         key, free, vs = _name_facts(n)
-        return ((6, key, b.key), _union(free, b.free), vs + b.vars, b.holes,
-                None)
+        self.name, self.body, self.key = n, b, (6, key, b.key)
+        self.free, self.vars = _union(free, b.free), vs + b.vars
+        self.holes, self.canon = b.holes, None
 
 
 class Msg(Node):
     """ACCS output particle (an unguarded message in the ether)."""
     __slots__ = ("channel",)
-    _facts = staticmethod(lambda a: ((3, a), frozenset((a,)), (), 0, None))
+
+    def _init(self, a):
+        self.channel, self.key, self.free = a, (3, a), frozenset((a,))
+        self.vars, self.holes, self.canon = (), 0, None
 
 
 class ProcVar(Node):
     __slots__ = ("name",)
-    _facts = staticmethod(lambda v: ((2, v), _NO_NAMES, (("proc", v),), 0,
-                                     None))
+
+    def _init(self, v):
+        self.name, self.key, self.free = v, (2, v), _NO_NAMES
+        self.vars, self.holes, self.canon = (("proc", v),), 0, None
 
 
 class Hole(Node):
     __slots__ = ()
-    _facts = staticmethod(lambda: ((1,), _NO_NAMES, (), 1, None))
+
+    def _init(self):
+        self.key, self.free, self.vars = (1,), _NO_NAMES, ()
+        self.holes, self.canon = 1, None
 
 
 @dataclass(frozen=True)

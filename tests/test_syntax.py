@@ -1,8 +1,10 @@
+import json
 import random
 import sys
 
 import pytest
 
+from lbisim.cli import main
 from lbisim.corpus import random_term
 from lbisim.errors import ParseError
 from lbisim.syntax import (MAX_DEPTH, is_name, parse_label, parse_term,
@@ -149,6 +151,23 @@ def test_chains_take_no_stack(calc, text):
         assert print_term(parse_term(text, calc)) == text
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_budget_report_sizes_chains_without_recursing(capsys):
+    """A game over two 791-deep chains that runs out of budget reports
+    its largest state, the longer chain, within 300 frames."""
+    chain = "a." * 790
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code = main(["check", "--format", "json", "--calculus", "ccs",
+                     "--rel", "semi-sat", "--max-pairs", "1",
+                     chain + "0", chain + "b.0"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert f"largest state of {len(chain + 'b.0')} characters" in error
 
 
 def test_print_parenthesization_is_minimal_but_sufficient():

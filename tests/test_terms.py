@@ -10,14 +10,15 @@ from lbisim import terms
 from lbisim.congruence import canonical_term
 from lbisim.corpus import enumerate_terms, random_term
 from lbisim.lts import its_transitions
+from lbisim.reduction import reduct_terms
 from lbisim.errors import (CrossCalculusError, IncompleteSubstitutionError,
                            MalformedTermError)
 from lbisim.syntax import parse_label, parse_term, print_term
 from lbisim.terms import (
-    Amb, Calculus, Cap, Hole, Msg, NameVar, Nil, Par, Prefix, ProcVar, Recv,
-    Restrict, Send, Substitution, Sum, Tau, Term, apply_subst, check_node,
-    close_label, free_names, fresh_name, fresh_names, make_label, par, plug,
-    rename_free, same_calculus,
+    Amb, Calculus, Cap, Hole, Msg, NameVar, Nil, Node, Par, Prefix, ProcVar,
+    Recv, Restrict, Send, Substitution, Sum, Tau, Term, apply_subst,
+    check_node, close_label, free_names, fresh_name, fresh_names, make_label,
+    par, plug, rename_free, same_calculus,
 )
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
@@ -258,6 +259,17 @@ def test_equal_nodes_are_one_object():
     assert Sum((Nil(), Nil())) is not Par((Nil(), Nil()))
 
 
+# The concrete classes of `terms`, each built once; a twin is none of them.
+_PUBLIC = frozenset(c for c in vars(terms).values()
+                    if isinstance(c, type) and issubclass(c, terms._Interned)
+                    and c._raw is not None)
+_ONE_OF_EACH = (NameVar("x"), Tau(), Recv("a"), Send("a"), Cap("in", "n"),
+                Nil(), Prefix(Tau(), Nil()), Par((Nil(), Msg("a"))),
+                Sum((Prefix(Tau(), Nil()), Nil())), Restrict("a", Hole()),
+                Amb(NameVar("x"), ProcVar("X")), Msg("a"), ProcVar("X"),
+                Hole())
+
+
 def test_nodes_are_immutable():
     node = Prefix(Tau(), Nil())
     with pytest.raises(AttributeError):
@@ -267,6 +279,91 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         NameVar("x").name = "y"
     assert node.body is Nil()
+    assert {type(n) for n in _ONE_OF_EACH} == _PUBLIC
+    for n in _ONE_OF_EACH:
+        slots = [f for k in type(n).__mro__
+                 for f in getattr(k, "__slots__", ()) if f != "__weakref__"]
+        assert {"key", "free", "vars"} <= set(slots), n
+        for f in slots:
+            value = getattr(n, f)
+            with pytest.raises(AttributeError):
+                setattr(n, f, None)
+            with pytest.raises(AttributeError):
+                delattr(n, f)
+            assert getattr(n, f) is value, (n, f)
+
+
+def _fields_by_match(n):
+    match n:
+        case Prefix(x, y) | Restrict(x, y) | Amb(x, y) | Cap(x, y):
+            return x, y
+        case Sum(x) | Par(x) | Recv(x) | Send(x) | Msg(x) | ProcVar(x) \
+                | NameVar(x):
+            return (x,)
+        case Nil() | Hole() | Tau():
+            return ()
+
+
+def _assert_public(node):
+    """Every node, action and name variable in `node` has a public class
+    and binds its fields in a positional `match` pattern."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        assert type(n) in _PUBLIC, type(n)
+        fields = tuple(getattr(n, f) for f in type(n).__match_args__)
+        assert _fields_by_match(n) == fields, n
+        for v in fields:
+            if isinstance(v, tuple):
+                todo.extend(v)
+            elif isinstance(v, terms._Interned):
+                todo.append(v)
+
+
+def test_no_construction_twin_escapes():
+    nodes = list(_ONE_OF_EACH)
+    for calc, names in ((CCS, ("a", "b")), (ACCS, ("a", "b")),
+                        (MA, ("n", "m"))):
+        rng = random.Random(3)
+        found = enumerate_terms(calc, names, count=60) + [
+            random_term(calc, names, rng, allow_vars=True) for _ in range(40)]
+        for t in found:
+            canon = canonical_term(t)
+            nodes += (t.node, canon.node)
+            if t.node.vars:
+                continue
+            nodes += (r.node for r in reduct_terms(canon))
+            for tr in its_transitions(canon):
+                nodes += (tr.label.body, tr.target.node)
+    for text, calc in (("- | 'a.@X1 + tau.@X2", CCS),
+                       ("(nu k) open m.(- | k[out n.@X1 | @X2]) | ?z[0]", MA)):
+        nodes.append(parse_label(text, calc).body)
+    for n in nodes:
+        _assert_public(n)
+        assert copy.copy(n) is n and copy.deepcopy(n) is n
+        assert pickle.loads(pickle.dumps(n)) is n
+
+
+def test_wrong_field_count_is_refused_and_interns_nothing():
+    fields = {Prefix: (Tau(),), Nil: (Nil(),), Sum: (), Cap: ("in", "n", "m"),
+              NameVar: ()}
+    gc.collect()
+    before = len(terms._INTERNED)
+    for cls, args in fields.items():
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes "):
+            cls(*args)
+    assert len(terms._INTERNED) == before
+
+
+@pytest.mark.parametrize("args", [(), (Nil(),), (Nil(), None)])
+def test_abstract_bases_are_refused_by_name(args):
+    gc.collect()
+    before = len(terms._INTERNED)
+    for cls in (Node, terms._Interned):
+        with pytest.raises(TypeError,
+                           match=f"^{cls.__name__} is an abstract node class"):
+            cls(*args)
+    assert len(terms._INTERNED) == before
 
 
 def test_repr_keeps_field_names():
