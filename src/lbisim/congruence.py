@@ -4,10 +4,10 @@
 
   * drop parallel and sum units, flatten both associative operators;
   * prune vacuous restrictions ((nu n) p with n not free in p);
-  * hoist restrictions outward — across parallel composition in every
-    calculus, and through ambients and capability prefixes in MA, so an MA
-    canonical form keeps every binder in one top-level cluster while CCS
-    and ACCS keep binders under prefixes where they started;
+  * hoist restrictions outward — across parallel composition, and
+    through ambients and capability prefixes, so an MA canonical form
+    keeps every binder in one top-level cluster while CCS and ACCS keep
+    binders under the channel prefixes where they started;
   * alpha-rename each binder cluster to f0, f1, ... (smallest names not
     free in the cluster), in the binder order that gives the least body
     (found by branch and bound, below);
@@ -23,15 +23,15 @@ gives, because a canonical form is its own normal form and is already
 sorted:
 
   * a leaf is its own canonical form;
-  * a CCS or ACCS prefix is the prefix over its body's canonical form
-    (binders stay under prefixes);
+  * a channel prefix is the prefix over its body's canonical form
+    (binders stay under it);
   * a sum is its children's canonical summands, flattened and sorted,
     with 0 dropped: no summand gives 0, one gives that summand (sums
     are guarded, so no summand starts with a binder);
   * a parallel composition none of whose children starts with a binder
     is the sorted components of its children's canonical forms;
-  * an ambient, or an MA prefix, over a canonical form that starts with
-    no binder is rebuilt over it;
+  * an ambient, or a capability prefix, over a canonical form that
+    starts with no binder is rebuilt over it;
   * a restriction chain whose binders are all vacuous is its body's
     canonical form.
 
@@ -60,7 +60,7 @@ Two rules keep a cluster from being searched twice; both give the node
 the search gives.
 
   * Marks.  Each node `_canon_node` returns, and each level of a chain
-    it walks, is marked canonical for its calculus (`Node.canon`).  A
+    it walks, is marked canonical (`Node.canon` is True).  A
     marked node is its own canonical form, so `_canon_node` returns it
     at once and a chain walk stops at its first marked level: a move's
     target that is a level of a canonical chain, or a canonical form
@@ -104,7 +104,7 @@ is not itself of the form f<digits>.  A bound is no greater than the
 body of any completion of its state: keys are lexicographic tuples,
 monotone in each name position, sorting children keeps that order, and
 the placeholder lies below every name a completion gives.  Inner
-clusters (CCS and ACCS keep binders under prefixes) choose their names
+clusters (binders stay under channel prefixes) choose their names
 by avoiding their free names: a placeholder blocks nothing, but in a
 completion it is a fresh name the inner cluster may have to skip.  So
 inside a bound an inner cluster with k placeholders among its free names
@@ -284,25 +284,25 @@ class CanonicalForm:
         return Term(self.calculus, self.node)
 
 
-_mark = Node.canon.__set__          # _mark(node, calc): node is canonical
+_mark = Node.canon.__set__          # _mark(node, True): node is canonical
 
 
 @lru_cache(maxsize=1 << 17)
-def _canon_node(calc: Calculus, node: Node) -> Node:
+def _canon_node(node: Node) -> Node:
     """The canonical form of `node`, built from its children's (see the
     module docstring).  A chain of prefixes, ambients and restrictions is
     walked in a loop down to its first marked level, or else to the node
     below it, which is looked up here; each level built is marked."""
     chain = []
-    while node.canon is not calc and isinstance(node, (Prefix, Amb, Restrict)):
+    while node.canon is None and isinstance(node, (Prefix, Amb, Restrict)):
         chain.append(node)
         node = node.body
-    if node.canon is calc:
+    if node.canon:
         form = node
     elif isinstance(node, Par):
-        form = _canon_node(calc, node) if chain else _par(calc, node)
+        form = _canon_node(node) if chain else _par(node)
     elif isinstance(node, Sum):
-        form = _canon_node(calc, node) if chain else _sum(calc, node)
+        form = _canon_node(node) if chain else _sum(node)
     else:
         form = node
     names: list[str] = []           # a restriction chain, innermost first
@@ -311,21 +311,21 @@ def _canon_node(calc: Calculus, node: Node) -> Node:
             names.append(top.name)
             continue
         if names:
-            form = _restrict(calc, names, form)
-            _mark(form, calc)
+            form = _restrict(names, form)
+            _mark(form, True)
             names = []
-        form = _enclose(calc, top, form)
-        _mark(form, calc)
+        form = _enclose(top, form)
+        _mark(form, True)
     if names:
-        form = _restrict(calc, names, form)
-    _mark(form, calc)
+        form = _restrict(names, form)
+    _mark(form, True)
     return form
 
 
-def _sum(calc: Calculus, node: Sum) -> Node:
+def _sum(node: Sum) -> Node:
     flat: list[Node] = []
     for c in node.children:
-        c = _canon_node(calc, c)
+        c = _canon_node(c)
         if isinstance(c, Sum):
             flat.extend(c.children)
         elif not isinstance(c, Nil):
@@ -337,12 +337,12 @@ def _sum(calc: Calculus, node: Sum) -> Node:
     return Sum(tuple(sorted(flat, key=node_key)))
 
 
-def _par(calc: Calculus, node: Par) -> Node:
+def _par(node: Par) -> Node:
     parts: list[Node] = []
     binders: list[str] = []
     taken = node.free               # free names, then binders placed so far
     for c in node.children:
-        c = _canon_node(calc, c)
+        c = _canon_node(c)
         if isinstance(c, Restrict):
             fs, c = strip_restricts(c)
             ren = {}
@@ -355,10 +355,10 @@ def _par(calc: Calculus, node: Par) -> Node:
                 c = _alpha(c, ren)
         parts.extend(components(c))
     body = par(*sorted(parts, key=node_key))
-    return _restrict(calc, binders[::-1], body) if binders else body
+    return _restrict(binders[::-1], body) if binders else body
 
 
-def _restrict(calc: Calculus, names: list[str], form: Node) -> Node:
+def _restrict(names: list[str], form: Node) -> Node:
     """(nu names) over the canonical form `form`; `names` innermost
     first, so an inner binder shadows an outer one of the same name.
     A cluster of three or more binders is searched over the components
@@ -381,20 +381,19 @@ def _restrict(calc: Calculus, names: list[str], form: Node) -> Node:
                 frozenset().union(*(c.free for c in inner)) - bound,
                 len(bound))
             if all(c.free.isdisjoint(fresh) for c in aside):
-                part = _canon_node(calc, restricts(kept[::-1] + fs,
-                                                   par(*inner)))
+                part = _canon_node(restricts(kept[::-1] + fs, par(*inner)))
                 return restricts(fresh, par(*sorted(
                     (*components(strip_restricts(part)[1]), *aside),
                     key=node_key)))
     return _cluster(kept, form)
 
 
-def _enclose(calc: Calculus, top: Prefix | Amb, form: Node) -> Node:
+def _enclose(top: Prefix | Amb, form: Node) -> Node:
     """`top` rebuilt over the canonical form `form` of its body."""
     kind = type(top)
     head = top.action if kind is Prefix else top.name
     if not isinstance(form, Restrict) or (kind is Prefix
-                                          and calc is not Calculus.MA):
+                                          and type(head) is not Cap):
         return top if form is top.body else kind(head, form)
     n = getattr(head, "amb", head)  # the ambient's or the capability's name
     fs, core = strip_restricts(form)
@@ -407,12 +406,12 @@ def _enclose(calc: Calculus, top: Prefix | Amb, form: Node) -> Node:
 
 
 def canonical_node(term: Term) -> Node:
-    return _canon_node(term.calculus, term.node)
+    return _canon_node(term.node)
 
 
 def canonicalize(term: Term) -> CanonicalForm:
     """Canonical representative of the structural-congruence class."""
-    node = _canon_node(term.calculus, term.node)
+    node = _canon_node(term.node)
     binders, core = strip_restricts(node)
     return CanonicalForm(term.calculus, tuple(binders), components(core),
                          node)
@@ -423,7 +422,7 @@ def canonical_term(term: Term) -> Term:
 
 
 def canonical_label(label: Label) -> Label:
-    return Label(label.calculus, _canon_node(label.calculus, label.body))
+    return Label(label.calculus, _canon_node(label.body))
 
 
 def equiv(t1: Term, t2: Term) -> bool:

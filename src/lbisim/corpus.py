@@ -177,33 +177,34 @@ _POOL = tuple(f"g{i}" for i in range(8))
 
 def congruent_shuffle(term: Term, rng: random.Random) -> Term:
     """A provably congruent variant: applies literal congruence axioms
-    (commutativity, associativity, units, alpha, scope mobility, vacuous
-    restriction) at random positions, in three passes."""
+    (commutativity, associativity, units, alpha, vacuous restriction, and
+    scope mobility across parallel composition, ambients and capability
+    prefixes) at random positions, in three passes."""
     node = term.node
     for _ in range(3):
-        node = _shuffle(node, rng, term.calculus)
+        node = _shuffle(node, rng)
     return Term(term.calculus, node)
 
 
-def _shuffle(node: Node, rng, calc) -> Node:
+def _shuffle(node: Node, rng) -> Node:
     match node:
         case Prefix(action=act, body=b):
-            b = _shuffle(b, rng, calc)
+            b = _shuffle(b, rng)
             node = Prefix(act, b)
-            if calc is Calculus.MA and isinstance(b, Restrict) \
+            if type(act) is Cap and isinstance(b, Restrict) \
                     and rng.random() < 0.3:
                 blocked = free_names(Prefix(act, Nil()))
                 if b.name not in blocked:
                     node = Restrict(b.name, Prefix(act, b.body))
         case Amb(name=n, body=b):
-            b = _shuffle(b, rng, calc)
+            b = _shuffle(b, rng)
             node = Amb(n, b)
-            if calc is Calculus.MA and isinstance(b, Restrict) \
-                    and b.name != n and rng.random() < 0.3:
+            if isinstance(b, Restrict) and b.name != n \
+                    and rng.random() < 0.3:
                 node = Restrict(b.name, Amb(n, b.body))
         case Par(children=cs) | Sum(children=cs):
             op = type(node)
-            cs = [_shuffle(c, rng, calc) for c in cs]
+            cs = [_shuffle(c, rng) for c in cs]
             rng.shuffle(cs)
             if rng.random() < 0.2:
                 cs.append(Nil())
@@ -222,7 +223,7 @@ def _shuffle(node: Node, rng, calc) -> Node:
                 return Restrict(cs[i].name, Par(tuple(inner)))
             node = op(tuple(cs)) if len(cs) > 1 else cs[0]
         case Restrict(name=n, body=b):
-            b = _shuffle(b, rng, calc)
+            b = _shuffle(b, rng)
             node = Restrict(n, b)
             r = rng.random()
             if r < 0.25:
@@ -282,8 +283,9 @@ def _children(node: Node):
             return ()
 
 
-def _axiom_neighbours(node: Node, calc: Calculus, pool):
-    """One literal axiom step at the root, both directions."""
+def _axiom_neighbours(node: Node, pool):
+    """One literal axiom step at the root, both directions; a binder
+    crosses an ambient or a capability prefix, never a channel prefix."""
     match node:
         case Par(children=cs) | Sum(children=cs):
             op = type(node)
@@ -318,21 +320,19 @@ def _axiom_neighbours(node: Node, calc: Calculus, pool):
                     if all(n not in free_names(d) for d in others):
                         inner = Restrict(n, c)
                         yield Par((inner,) + others)
-            if calc is Calculus.MA:
-                if isinstance(b, Amb) and isinstance(b.name, str) \
-                        and b.name != n:
-                    yield Amb(b.name, Restrict(n, b.body))
-                if isinstance(b, Prefix) \
-                        and n not in free_names(Prefix(b.action, Nil())):
-                    yield Prefix(b.action, Restrict(n, b.body))
+            if isinstance(b, Amb) and isinstance(b.name, str) \
+                    and b.name != n:
+                yield Amb(b.name, Restrict(n, b.body))
+            if isinstance(b, Prefix) and type(b.action) is Cap \
+                    and n not in free_names(Prefix(b.action, Nil())):
+                yield Prefix(b.action, Restrict(n, b.body))
             if n not in free_names(b):         # convention: vacuous drop
                 yield b
         case Amb(name=n, body=b):
-            if calc is Calculus.MA and isinstance(b, Restrict) \
-                    and b.name != n:
+            if isinstance(b, Restrict) and b.name != n:
                 yield Restrict(b.name, Amb(n, b.body))
         case Prefix(action=act, body=b):
-            if calc is Calculus.MA and isinstance(b, Restrict) \
+            if type(act) is Cap and isinstance(b, Restrict) \
                     and b.name not in free_names(Prefix(act, Nil())):
                 yield Restrict(b.name, Prefix(act, b.body))
     # unit introduction anywhere
@@ -342,10 +342,10 @@ def _axiom_neighbours(node: Node, calc: Calculus, pool):
             yield Restrict(m, node)            # convention, reverse
 
 
-def _all_neighbours(node: Node, calc, pool):
-    yield from _axiom_neighbours(node, calc, pool)
+def _all_neighbours(node: Node, pool):
+    yield from _axiom_neighbours(node, pool)
     for i, c in enumerate(_children(node)):
-        for c2 in _all_neighbours(c, calc, pool):
+        for c2 in _all_neighbours(c, pool):
             yield _with_child(node, i, c2)
 
 
@@ -358,7 +358,7 @@ def _closure(t: Term, pool):
     while frontier:
         nxt = []
         for n in frontier:
-            for m in _all_neighbours(n, t.calculus, pool):
+            for m in _all_neighbours(n, pool):
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)

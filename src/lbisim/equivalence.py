@@ -326,7 +326,7 @@ class _Attack:
         if self.label is None:
             return self.action
         label = self.label
-        body = rename_vars(label.body, {}, names)
+        body = rename_vars(label.body, names)
         if body is not label.body:
             label = canonical_label(Label(label.calculus, body))
         return print_label(label)
@@ -653,8 +653,8 @@ def _class_named(p: Term, q: Term):
         return p, q, _NO_VARS
     nvars = {v for kind, v in (*p.node.vars, *q.node.vars) if kind == "name"}
     names = {v: "p" + _spell(i) for i, v in enumerate(sorted(nvars))}
-    return (Term(p.calculus, rename_vars(p.node, {}, names)),
-            Term(q.calculus, rename_vars(q.node, {}, names)),
+    return (Term(p.calculus, rename_vars(p.node, names)),
+            Term(q.calculus, rename_vars(q.node, names)),
             {c: v for v, c in names.items()})
 
 
@@ -680,13 +680,13 @@ def _move_key(attack: _Attack, back=_NO_VARS):
     """The attack's side and action or label, the label's variables
     renamed by `back`."""
     return (attack.side, attack.action,
-            attack.label and rename_vars(attack.label.body, {}, back))
+            attack.label and rename_vars(attack.label.body, back))
 
 
 def _show(term: Term, names: dict) -> str:
     """Print a game state with its name variables renamed."""
     return print_term(canonical_term(
-        Term(term.calculus, rename_vars(term.node, {}, names))))
+        Term(term.calculus, rename_vars(term.node, names))))
 
 
 def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
@@ -1059,12 +1059,14 @@ PRED_KINDS = {"open": Calculus.MA, "out": Calculus.CCS, "in": Calculus.CCS,
 
 def _pred_args(kind: str, name, t1, *terms) -> Calculus:
     """The calculus of predicate `kind`, once `kind` is known, `name` and
-    T1 are given if it needs them, `name` is a name, and T1 and each of
-    `terms` is a pure term of that calculus."""
+    T1 are given exactly when it needs them, `name` is a name, and T1 and
+    each of `terms` is a pure term of that calculus."""
     calc = PRED_KINDS.get(kind)
     if calc is None:
         raise LbisimError(f"unknown predicate kind {kind!r}; the kinds are "
                           f"{', '.join(PRED_KINDS)}")
+    if kind == "tau" and (name is not None or t1 is not None):
+        raise LbisimError("predicate kind 'tau' takes no name and no term T1")
     if kind != "tau" and (name is None or t1 is None):
         raise LbisimError(f"predicate kind {kind!r} needs a name and a "
                           f"term T1")
@@ -1242,9 +1244,9 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
         if chosen is None or set(ren) != set(_label_variables(attack)):
             return False
         nxt_att = canonical_term(
-            Term(calc, rename_vars(attack.target.node, {}, ren)))
+            Term(calc, rename_vars(attack.target.node, ren)))
         nxt_def = canonical_term(
-            Term(calc, rename_vars(chosen.node, {}, ren)))
+            Term(calc, rename_vars(chosen.node, ren)))
         cur_p, cur_q = ((nxt_att, nxt_def) if side == 0
                         else (nxt_def, nxt_att))
     return False

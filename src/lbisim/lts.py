@@ -110,9 +110,9 @@ def ordinary_transitions(term: Term) -> tuple[OrdinaryTransition, ...]:
     return tuple(trs)
 
 
-def _mk(calc, cf, label_body, target_body, rule, acc):
-    label = canonical_label(Label(calc, label_body))
-    target = canonical_term(Term(calc, target_body))
+def _mk(cf, label_body, target_body, rule, acc):
+    label = canonical_label(Label(cf.calculus, label_body))
+    target = canonical_term(Term(cf.calculus, target_body))
     acc.append(ItsTransition(cf.term, label, target, rule))
 
 
@@ -125,67 +125,67 @@ def its_transitions(term: Term) -> tuple[ItsTransition, ...]:
     hole = Hole()
     X1, X2, XN = _label_vars(cf.term.node)
     for step in reducts(cf.term):
-        _mk(calc, cf, hole, step.target.node, "Tau", acc)
+        _mk(cf, hole, step.target.node, "Tau", acc)
     nu = cf.binders
     if calc is Calculus.MA:
         for n, p1, rest in cap_matches(cf, "open"):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Amb(n, X1)),
                 restricts(nu, par(p1, *rest, X1)),
                 "Open", acc)
         for n, p1, rest in ambient_matches(cf):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Prefix(Cap("open", n), X1)),
                 restricts(nu, par(p1, X1, *rest)),
                 "CoOpen", acc)
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Amb(XN, par(Prefix(Cap("in", n), X1), X2))),
                 restricts(nu, par(Amb(n, par(Amb(XN, par(X1, X2)), p1)),
                                   *rest)),
                 "CoIn", acc)
         for m, p1, rest in cap_matches(cf, "in"):
-            _mk(calc, cf,
+            _mk(cf,
                 par(Amb(XN, par(hole, X1)), Amb(m, X2)),
                 restricts(nu, Amb(m, par(Amb(XN, par(p1, *rest, X1)), X2))),
                 "In", acc)
         for n, m, p1, inner_rest, rest in ambient_cap_matches(cf, "in"):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Amb(m, X1)),
                 restricts(nu, par(Amb(m, par(Amb(n, par(p1, *inner_rest)),
                                              X1)),
                                   *rest)),
                 "InAmb", acc)
         for m, p1, rest in cap_matches(cf, "out"):
-            _mk(calc, cf,
+            _mk(cf,
                 Amb(m, par(Amb(XN, par(hole, X1)), X2)),
                 restricts(nu, par(Amb(m, X2),
                                   Amb(XN, par(p1, *rest, X1)))),
                 "Out", acc)
         for n, m, p1, inner_rest, rest in ambient_cap_matches(cf, "out"):
-            _mk(calc, cf,
+            _mk(cf,
                 Amb(m, par(hole, X1)),
                 restricts(nu, par(Amb(m, par(*rest, X1)),
                                   Amb(n, par(p1, *inner_rest)))),
                 "OutAmb", acc)
     elif calc is Calculus.CCS:
         for action, q, rest in summand_matches(cf, Recv):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Prefix(Send(action.channel), X1)),
                 restricts(nu, par(q, *rest, X1)),
                 "Rcv", acc)
         for action, q, rest in summand_matches(cf, Send):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Prefix(Recv(action.channel), X1)),
                 restricts(nu, par(q, *rest, X1)),
                 "Snd", acc)
     else:
         for action, q, rest in summand_matches(cf, Recv):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Msg(action.channel)),
                 restricts(nu, par(q, *rest)),
                 "Rcv", acc)
         for a, rest in particle_matches(cf):
-            _mk(calc, cf,
+            _mk(cf,
                 par(hole, Prefix(Recv(a), X1)),
                 restricts(nu, par(*rest, X1)),
                 "Snd", acc)

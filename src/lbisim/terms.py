@@ -28,7 +28,7 @@ so its class's `_init` stores its fields and five facts then, on a
 private construction twin of the class (see `_Interned`): four computed
 from its children's (its sort key `key`, its free names `free`, its
 variable occurrences `vars`, its hole count `holes`) and its canonical
-mark `canon`, None until `congruence` sets it (see `Node`).  A node
+mark `canon`, None until `congruence` sets it to True.  A node
 shares a child's set or tuple when its own would be equal, so pure
 nodes share `()`; facts live and die with their nodes, and no traversal
 recomputes them.  `Term`, `Label` and `Substitution` stay dataclasses
@@ -55,7 +55,7 @@ class Calculus(Enum):
 
     # Members are singletons, so identity hashing (in C) agrees with
     # equality; `Enum.__hash__` is Python code that hashes the name, and
-    # every cache key holds a calculus.
+    # every Term, a key of most caches, holds a calculus.
     __hash__ = object.__hash__
 
 
@@ -214,8 +214,8 @@ class Node(_Interned):
       * `vars`: its ("proc"|"name", name) variable occurrences in
         pre-order, repeats kept;
       * `holes`: how many holes it contains;
-      * `canon`: None when built; `congruence` sets it, through the
-        slot's own setter, to a calculus the node is canonical for.
+      * `canon`: None when built; `congruence` sets it to True, through
+        the slot's own setter, once the node is a canonical form.
 
     A node whose free names or variables equal a child's shares the
     child's frozenset or tuple, and nodes without variables share `()`.
@@ -453,14 +453,13 @@ def rename_free(node: Node, ren: dict) -> Node:
     return _subst(node, {}, None, _NO_NAMES, ren)
 
 
-def rename_vars(node: Node, procs: dict, names: dict) -> Node:
-    """Rename variables: @v becomes @procs[v] and ?x becomes ?names[x].
-    No binder is freshened, for variables are never bound.  A subtree
-    without variables is returned as it stands."""
-    if not (procs or names):
-        return node             # most calls rename nothing: spare the maps
-    return _subst(node, {ProcVar(v): ProcVar(w) for v, w in procs.items()}
-                  | {NameVar(x): NameVar(y) for x, y in names.items()},
+def rename_vars(node: Node, names: dict) -> Node:
+    """Rename name variables: ?x becomes ?names[x].  No binder is
+    freshened, for variables are never bound.  A subtree without
+    variables is returned as it stands."""
+    if not names:
+        return node             # most calls rename nothing: spare the map
+    return _subst(node, {NameVar(x): NameVar(y) for x, y in names.items()},
                   None, _NO_NAMES, {})
 
 

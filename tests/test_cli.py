@@ -449,6 +449,10 @@ def test_pred_verb(capsys):
     (["--calculus", "ccs", "--kind", "in", "--name", "a", "'a.0", "0"], "in"),
     (["--calculus", "ma", "--kind", "open", "n[0]", "0"], "open"),
     (["--calculus", "accs", "--kind", "tau", "tau.0", "0"], "tau"),
+    (["--calculus", "ccs", "--kind", "tau", "--name", "a",
+      "a.0 | 'a.b.0", "b.0"], "tau"),
+    (["--calculus", "ccs", "--kind", "tau", "--t1", "c.0",
+      "a.0 | 'a.b.0", "b.0"], "tau"),
 ])
 def test_pred_refusals_name_the_kind(capsys, argv, kind):
     code, out, err = run(capsys, "pred", *argv)

@@ -3,20 +3,22 @@ from itertools import count, permutations
 
 import lbisim.congruence as congruence
 from lbisim.congruence import (_canon_node, ambient_cap_matches,
-                               ambient_matches, canonical_term, canonicalize,
-                               cap_matches, components, equiv, node_key,
+                               ambient_matches, canonical_node,
+                               canonical_term, canonicalize, cap_matches,
+                               components, equiv, node_key,
                                particle_matches, strip_restricts,
                                summand_matches)
 from lbisim.corpus import (_respelled, axiom_closure, bounded_closure,
                            check_axiom_soundness, congruent_shuffle,
                            enumerate_terms, random_term)
 from lbisim.lts import its_transitions
+from lbisim.errors import MalformedTermError
 from lbisim.reduction import reducts
 from lbisim.syntax import parse_term, print_term
 from lbisim.terms import (Amb, Calculus, Cap, Hole, Msg, Nil, Node, Par,
                           Prefix, ProcVar, Recv, Restrict, Send, Sum, Tau,
-                          Term, fresh_name, fresh_names, par, rename_free,
-                          restricts)
+                          Term, check_node, fresh_name, fresh_names, par,
+                          rename_free, restricts)
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
 
@@ -50,6 +52,7 @@ def test_scope_extrusion_hoists_binders():
 def test_binders_hoist_through_ambients_but_not_prefixes():
     assert canon("n[(nu n) n[0]]", MA) == "(nu f0) n[f0[0]]"
     assert canon("open k.(nu n) n[0]", MA) == "(nu f0) open k.f0[0]"
+    assert canon("in n.(nu k) k[0]", MA) == "(nu f0) in n.f0[0]"
     # CCS prefixes block hoisting: the binder stays under the prefix
     assert canon("a.(nu b) b.0", CCS) == "a.((nu f0) f0.0)"
 
@@ -106,7 +109,7 @@ def test_respelling_carries_no_mark():
             todo = [spelling]
             while todo:
                 node = todo.pop()
-                assert chain_to_leaf(node) or node.canon is not calc, \
+                assert chain_to_leaf(node) or node.canon is None, \
                     print_term(Term(calc, c1))
                 todo.extend(getattr(node, "children", ()))
                 todo.extend([node.body] if hasattr(node, "body") else [])
@@ -346,7 +349,7 @@ def reference_canon(node, calc):
 
 
 def _assert_canonical(node, calc):
-    assert _canon_node(calc, node) is reference_canon(node, calc), \
+    assert _canon_node(node) is reference_canon(node, calc), \
         print_term(Term(calc, node))
 
 
@@ -374,7 +377,7 @@ def test_parallel_composition_matches_the_full_canonicaliser():
         groups += [(c, rng.choice(corpus)) for c in binder]
         with_binders = 0
         for children in groups:
-            if any(isinstance(_canon_node(calc, c), Restrict)
+            if any(isinstance(_canon_node(c), Restrict)
                    for c in children):
                 with_binders += 1
             _assert_canonical(Par(children), calc)
@@ -404,7 +407,7 @@ def test_search_matches_permutation_on_the_corpus():
                   for _ in range(400)]
         clustered = 0
         for node in terms:
-            sizes = list(_cluster_sizes(_canon_node(calc, node)))
+            sizes = list(_cluster_sizes(_canon_node(node)))
             if sizes and 2 <= max(sizes) <= 7:
                 clustered += 1
                 _assert_canonical(node, calc)
@@ -624,7 +627,7 @@ def test_one_binder_search_per_cluster(monkeypatch):
                 node = wrap(node)
             _canon_node.cache_clear()
             searches.clear()
-            form = _canon_node(MA, node)
+            form = _canon_node(node)
             assert len(searches) == 1, (k, len(searches))
             assert strip_restricts(form)[0] == ["f0", "f1", "f2", "f3"]
     # The whole pipeline searches the cluster once: `reducts` finds its
@@ -666,9 +669,45 @@ def test_a_canonical_chain_is_recognised_at_every_level(monkeypatch):
     _canon_node.cache_clear()
     level = chain
     while isinstance(level, Prefix):
-        assert _canon_node(CCS, level.body) is level.body
+        assert _canon_node(level.body) is level.body
         level = level.body
     assert calls == []
+
+
+# --- one structural congruence for every calculus ---------------------------
+
+def test_one_node_has_one_canonical_form_in_every_calculus():
+    """Canonicalising does not read the calculus: a node that CCS and
+    ACCS both admit has one canonical form, the one the calculus-aware
+    full pass gives under either, and it is marked True."""
+    nodes = []
+    for t in enumerate_terms(CCS, ("a", "b"), count=300):
+        nodes.append(t.node)
+        for tr in its_transitions(t):
+            nodes += (tr.label.body, tr.target.node)
+    shared = 0
+    for node in nodes:
+        try:
+            check_node(ACCS, node, allow_hole=True)
+        except MalformedTermError:
+            continue
+        shared += 1
+        form = canonical_node(Term(CCS, node))
+        assert canonical_node(Term(ACCS, node)) is form
+        assert form is reference_canon(node, CCS) \
+            is reference_canon(node, ACCS)
+        assert form.canon is True, print_term(Term(CCS, node))
+    assert shared >= 300, shared
+
+
+def test_a_node_is_canonicalised_once_for_every_calculus():
+    node = parse_term("u29.0 | (nu a)(a.0 | tau.0) | 0", CCS).node
+    misses = _canon_node.cache_info().misses
+    form = canonical_node(Term(CCS, node))
+    assert _canon_node.cache_info().misses > misses
+    misses = _canon_node.cache_info().misses
+    assert canonical_node(Term(ACCS, node)) is form
+    assert _canon_node.cache_info().misses == misses
 
 
 # Components that name no binder of a cluster, set aside by the search;

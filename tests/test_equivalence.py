@@ -426,6 +426,19 @@ def test_pred_ccs_golden():
         pred("tau", parse_term("tau.0 | @X", CCS), parse_term("0 | @X", CCS))
 
 
+def test_pred_tau_refuses_a_name_and_a_t1():
+    """tau acts on no name and has no X1: a name or a T1 given to it is
+    refused, not ignored."""
+    comm = parse_term("a.0 | 'a.b.0", CCS)
+    target, c = parse_term("b.0", CCS), parse_term("c.0", CCS)
+    for name, t1 in (("a", None), (None, c), ("a", c)):
+        with pytest.raises(LbisimError, match="'tau' takes no name"):
+            pred("tau", comm, target, name, t1)
+        with pytest.raises(LbisimError, match="'tau' takes no name"):
+            list(pred_targets("tau", comm, name, t1))
+    assert pred("tau", comm, target) is True
+
+
 @pytest.mark.parametrize("kind, calc, text, name, t1, rule", [
     ("open", MA, "n[k[0]] | n[0]", "n", "w[0]", "CoOpen"),
     ("out", CCS, "a.b.0 + a.0 | a.c.0", "a", "c.0", "Rcv"),

@@ -193,14 +193,13 @@ def test_plug_and_close_avoid_capture_under_a_summand():
 
 def test_rename_vars_renames_under_binders_ambients_and_capabilities():
     t = parse_term("(nu n)(n[@X] | ?x[in ?y.@Z] | open k.0)", MA)
-    out = terms.rename_vars(t.node, {"X": "W1", "Z": "W3"},
-                            {"x": "w2", "y": "w4"})
+    out = terms.rename_vars(t.node, {"x": "w2", "y": "w4"})
     assert print_term(Term(MA, out)) == \
-        "(nu n) (n[@W1] | ?w2[in ?w4.@W3] | open k.0)"
+        "(nu n) (n[@X] | ?w2[in ?w4.@Z] | open k.0)"
     # a subtree without variables is returned as it stands
     pure = t.node.body.children[2]
-    assert terms.rename_vars(pure, {"X": "W1"}, {"x": "w2"}) is pure
-    assert terms.rename_vars(t.node, {}, {}) is t.node
+    assert terms.rename_vars(pure, {"x": "w2"}) is pure
+    assert terms.rename_vars(t.node, {}) is t.node
 
 
 def test_plug_rejects_cross_calculus():
