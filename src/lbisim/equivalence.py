@@ -15,19 +15,23 @@ The relations.  `check(relation, p, q, ...)` decides each name of
 RELATIONS; `_game` is the one place that maps a name to its game, which
 `verify_witness` replays.
 
-  * strong and async play on the ordinary labelled semantics (async uses
-    the asynchronous input clause: an input may also be answered by an
-    internal step, leaving the message `'a` next to the defender's
-    residual).
-  * l-bisim with a label set L plays one game on the instance transition
-    systems: attacks whose label lies in L must be answered by the same
-    label; any other attack C[-] is answered by one reduction step of
-    C[defender].  The endpoints are this game with a fixed L: ipo is
+Every relation is one game, `_Game`, played on a transition system with
+a label set L: attacks whose label lies in L must be answered by the
+same label; any other attack C[-] is answered by one reduction step of
+C[defender].
+
+  * l-bisim with a label set L plays it on the instance transition
+    systems.  The endpoints are this game with a fixed L: ipo is
     L = ALL, semi-sat is L = EMPTY, and barbed-semi-sat is L = EMPTY
     that additionally requires equal barbs at every pair: the two
     states' barbs, as `reduction.barbs` reads them, must be the same
     set.  With a pool, the same game closes label variables over the
     pool instead of playing them symbolically.
+  * strong plays it on the ordinary labelled semantics, whose labels
+    are actions, with L = ALL: every attack is answered by its own
+    action.  async (`_AsyncGame`) adds the asynchronous input clause:
+    an input may also be answered by an internal step, leaving the
+    message `'a` next to the defender's residual.
 
 Game states hold no process variables.  Symbolic moves carry the
 canonical label variables X1, X2 and x.  A process variable @X1 or @X2
@@ -38,8 +42,8 @@ So erasing it, replacing it by 0, commutes with every ITS move, with
 plugging into a label and with reduction, and {(t, t with its process
 variables erased)} is an L-bisimulation for every L, barbed or not: a
 pair is related exactly when its erased pair is.  The game plays the
-erased game: `_SymbolicGame.attacks` and `answers` hand back each target
-and answer erased and canonical again (`_erased`), so every state stays
+erased game: `_Game.attacks` and `answers` hand back each target and
+answer erased and canonical again (`_erased`), so every state stays
 as small as its own processes, and no game state holds a process
 variable.  The name variable x stays, since a later label may name the
 ambient ?x it stands for (the ambient ?p10 of `- | open ?p10.@X1`): the
@@ -131,11 +135,12 @@ Per relation:
     paper's instances, whose L meets its conditions for L-bisimilarity
     to be a congruence.
 
-For every other label set (pattern files, or a built-in set on another
+`_game` sets each game's `upto`: true for these relations, false for
+every other label set (pattern files, or a built-in set on another
 calculus) and for pool games, which decide an approximation closed over
-the pool, no argument is stated here: their residual is the pair
-itself.  The tests play the full game, whose residual is the pair
-itself, as the oracle of the game up to context.
+the pool and for which no argument is stated here; a game not up to
+context plays every pair in full.  The tests take the same game with
+`upto=False` as the oracle of the game up to context.
 """
 from __future__ import annotations
 
@@ -316,16 +321,15 @@ def pattern_label_set(name: str, patterns) -> LabelSet:
 @dataclass(frozen=True)
 class _Attack:
     side: int                      # 0: left state attacks, 1: right
-    action: "str | None"           # ordinary games: the action
-    label: "Label | None"          # ITS games: the label
+    label: "Label | str"           # an ITS label, or an ordinary action
     target: Term
 
     def text(self, names: dict) -> str:
         """The move as a witness prints it: the action, or the label with
         the state's name variables renamed."""
-        if self.label is None:
-            return self.action
         label = self.label
+        if not isinstance(label, Label):
+            return label
         body = rename_vars(label.body, names)
         if body is not label.body:
             label = canonical_label(Label(label.calculus, body))
@@ -672,15 +676,16 @@ def _following(moves, dead_residual, back) -> "set | range":
     follow = {i for i, (attack, _) in enumerate(moves)
               if _move_key(attack) == failing}
     return follow or {i for i, (attack, _) in enumerate(moves)
-                      if attack.label is not None
+                      if isinstance(attack.label, Label)
                       and LM.contains(attack.label)} or everything
 
 
 def _move_key(attack: _Attack, back=_NO_VARS):
-    """The attack's side and action or label, the label's variables
-    renamed by `back`."""
-    return (attack.side, attack.action,
-            attack.label and rename_vars(attack.label.body, back))
+    """The attack's side and its action, or its label with the label's
+    variables renamed by `back`."""
+    label = attack.label
+    return (attack.side, rename_vars(label.body, back)
+            if isinstance(label, Label) else label)
 
 
 def _show(term: Term, names: dict) -> str:
@@ -702,6 +707,8 @@ def _build_witness(pairs, root, root_back) -> list[WitnessMove]:
         kind, *info = node.fail
         if kind == "barb":
             side, name = info
+            if name[:1] == "?":            # a variable's barb, renamed
+                name = "?" + ren[name[1:]]
             moves.append(WitnessMove(pair_text, "left" if side == 0 else "right",
                                      "barb", name, None, None, {},
                                      "barb unmatched"))
@@ -762,10 +769,6 @@ def _strip_context(p: Term, q: Term) -> tuple[Term, Term]:
     bp, cp = strip_restricts(p.node)
     bq, cq = strip_restricts(q.node)
     cp, cq = components(cp), components(cq)
-    if set(cp).isdisjoint(cq) and not (len(cp) == 1 == len(cq)
-                                       and type(cp[0]) is Amb
-                                       and type(cq[0]) is Amb):
-        return p, q                # the common case: nothing shared
     bound = {*bp, *bq}
     dropped: set = set()
     stripped = False
@@ -817,51 +820,7 @@ def _capless(node: Node) -> bool:
     return False
 
 
-def _no_residual(self, p, q):
-    """The residual of games for which no soundness argument is stated:
-    the pair itself."""
-    return p, q
-
-
-# --- concrete games --------------------------------------------------------
-
-class _OrdinaryGame:
-    """Strong bisimulation on the ordinary labelled semantics."""
-
-    def residual(self, p, q):
-        """The pair up to its common context; see the module docstring."""
-        return _strip_context(p, q)
-
-    def __init__(self, calculus: Calculus):
-        self.calculus = calculus
-
-    def pair_barb_fail(self, p, q):
-        return None
-
-    def attacks(self, p, q):
-        for side, state in ((0, p), (1, q)):
-            for tr in ordinary_transitions(state):
-                yield _Attack(side, tr.action, None, tr.target)
-
-    def answers(self, attack, defender):
-        return [tr.target for tr in ordinary_transitions(defender)
-                if tr.action == attack.action]
-
-
-class _AsyncGame(_OrdinaryGame):
-    """Asynchronous bisimulation: inputs may be answered by a tau step
-    that leaves the consumed message beside the residual."""
-
-    def answers(self, attack, defender):
-        exact = super().answers(attack, defender)
-        action = attack.action
-        if action == "tau" or action.startswith("'"):
-            return exact
-        return exact + [
-            canonical_term(Term(defender.calculus,
-                                par(tr.target.node, Msg(action))))
-            for tr in ordinary_transitions(defender) if tr.action == "tau"]
-
+# --- the game ----------------------------------------------------------------
 
 def _spell(n: int) -> str:
     """n as its digit count followed by its digits: spelt numbers sort
@@ -874,7 +833,8 @@ def _label_variables(attack: _Attack) -> list:
     """The variables a move introduces into the states: the label's name
     variable x, if it has one (its process variables are erased, and its
     other name variables are the state's own)."""
-    if attack.label is not None and ("name", "x") in attack.label.body.vars:
+    if isinstance(attack.label, Label) \
+            and ("name", "x") in attack.label.body.vars:
         return ["x"]
     return []
 
@@ -889,16 +849,23 @@ def _erased(term: Term) -> Term:
         term.node, procs, None, frozenset(), {})))
 
 
-class _SymbolicGame:
-    """l-bisim(L) on the symbolic ITS: an attack whose label lies in L is
-    answered by the same label, any other attack C[-] by one reduction of
-    C[defender].  L = ALL gives IPO bisimilarity, L = EMPTY
-    semi-saturated bisimilarity."""
+class _Game:
+    """l-bisim(L) on a transition system `moves`, a function from a state
+    to its transitions: an attack whose label lies in L is answered by
+    the same label, any other attack C[-] by one reduction of
+    C[defender].  On the ITS, L = ALL gives IPO bisimilarity and L =
+    EMPTY semi-saturated bisimilarity; on the ordinary LTS, whose labels
+    are actions, L = ALL gives strong bisimilarity.  A barbed game also
+    requires equal barbs at every pair, and a game up to context
+    (`upto`) plays each pair up to its residual (see the module
+    docstring)."""
 
-    def __init__(self, calculus: Calculus, labels: LabelSet, barbed: bool):
-        self.calculus = calculus
+    def __init__(self, moves, labels: LabelSet, barbed: bool = False,
+                 upto: bool = True):
+        self.moves = moves
         self.labels = labels
         self.barbed = barbed
+        self.upto = upto
 
     def pair_barb_fail(self, p, q):
         if not self.barbed:
@@ -910,46 +877,53 @@ class _SymbolicGame:
         return None
 
     def residual(self, p, q):
-        """The pair up to its common context where the module docstring
-        states why that is sound, else the pair itself."""
-        if self.labels.kind in ("all", "empty",
-                                OWN_LABEL_SETS[self.calculus].kind):
-            return _strip_context(p, q)
-        return p, q
-
-    def moves(self, state):
-        """The state's ITS transitions."""
-        return its_transitions(state)
+        """The pair up to its common context, or the pair itself."""
+        return _strip_context(p, q) if self.upto else (p, q)
 
     def attacks(self, p, q):
-        """The states' ITS moves, each target erased as it is reached."""
+        """The states' moves, each target erased as it is reached."""
         for side, state in ((0, p), (1, q)):
             for tr in self.moves(state):
-                yield _Attack(side, None, tr.label, _erased(tr.target))
+                yield _Attack(side, tr.label, _erased(tr.target))
 
     def answers(self, attack, defender):
-        if self.labels.contains(attack.label):
+        label = attack.label
+        if self.labels.contains(label):
             # the defender's moves with the attack's label
             return [_erased(tr.target) for tr in self.moves(defender)
-                    if tr.label.body == attack.label.body]
-        return [_erased(t) for t in reduct_terms(plug(attack.label, defender))]
+                    if tr.label == label]
+        return [_erased(t) for t in reduct_terms(plug(label, defender))]
 
 
-class _InstantiatedGame(_SymbolicGame):
-    """l-bisim(L) with label variables closed over a finite pool, so
-    every move carries a closed label and no state has variables."""
+class _AsyncGame(_Game):
+    """Asynchronous bisimulation on the ordinary LTS: inputs may also be
+    answered by a tau step that leaves the consumed message beside the
+    residual."""
 
-    residual = _no_residual
+    def answers(self, attack, defender):
+        exact = super().answers(attack, defender)
+        action = attack.label
+        if action == "tau" or action.startswith("'"):
+            return exact
+        return exact + [
+            canonical_term(Term(defender.calculus,
+                                par(tr.target.node, Msg(action))))
+            for tr in self.moves(defender) if tr.label == "tau"]
 
-    def __init__(self, calculus, labels: LabelSet, barbed: bool,
-                 pool: tuple[Term, ...], names: tuple[str, ...]):
-        super().__init__(calculus, labels, barbed)
-        self.pool = pool
-        self.names = names
 
-    def moves(self, state):
-        """Every closure of each ITS transition over the pool, each
-        (label, target) once, in first-seen order."""
+def _pool_moves(calc: Calculus, p: Term, q: Term, pool: tuple):
+    """The ITS with label variables closed over the pool and over the
+    free names of p, q and the pool plus one fresh name: every closure
+    of each ITS transition, each (label, target) once, in first-seen
+    order, so every move carries a closed label and no state has
+    variables."""
+    names = set(free_names(p.node)) | set(free_names(q.node))
+    for t in pool:
+        names |= free_names(t.node)
+    names.add(fresh_name(names))
+    names = tuple(sorted(names))
+
+    def moves(state):
         out = {}
         for tr in its_transitions(state):
             label_vars = dict.fromkeys(tr.label.body.vars)
@@ -958,21 +932,14 @@ class _InstantiatedGame(_SymbolicGame):
                 continue
             pvars = [name for kind, name in label_vars if kind == "proc"]
             nvars = [name for kind, name in label_vars if kind == "name"]
-            for procs in product(self.pool, repeat=len(pvars)):
-                for names in product(self.names, repeat=len(nvars)):
+            for procs in product(pool, repeat=len(pvars)):
+                for chosen in product(names, repeat=len(nvars)):
                     inst = instantiate(tr, Substitution.make(
-                        self.calculus, procs=dict(zip(pvars, procs)),
-                        names=dict(zip(nvars, names))))
+                        calc, procs=dict(zip(pvars, procs)),
+                        names=dict(zip(nvars, chosen))))
                     out.setdefault((inst.label.body, inst.target.node), inst)
         return list(out.values())
-
-
-def _pool_names(p, q, pool) -> tuple[str, ...]:
-    names = set(free_names(p.node)) | set(free_names(q.node))
-    for t in pool:
-        names |= free_names(t.node)
-    names.add(fresh_name(names))
-    return tuple(sorted(names))
+    return moves
 
 
 # --- the relations and their entry point -----------------------------------
@@ -1008,15 +975,18 @@ def _game(relation: str, calc: Calculus, p: Term, q: Term,
             if calc is not Calculus.ACCS:
                 raise LbisimError(
                     "asynchronous bisimilarity is an ACCS relation")
-            return _AsyncGame(calc)
+            return _AsyncGame(ordinary_transitions, ALL, upto=True)
         if calc is Calculus.MA:
             raise MAUnsupportedError("strong bisimilarity needs an ordinary "
                                      "LTS; MA has none here")
-        return _OrdinaryGame(calc)
+        return _Game(ordinary_transitions, ALL, upto=True)
     labels = _FIXED_LABELS.get(relation, labels)
     barbed = relation == "barbed-semi-sat"
     if pool is None:
-        return _SymbolicGame(calc, labels, barbed)
+        # up to context where the module docstring states why it is sound
+        return _Game(its_transitions, labels, barbed,
+                     upto=any(labels is own for own in
+                              (ALL, EMPTY, OWN_LABEL_SETS[calc])))
     pool = tuple(canonical_term(t) for t in pool)
     if not pool:
         raise MalformedTermError("the instantiation pool is empty, so no "
@@ -1025,8 +995,7 @@ def _game(relation: str, calc: Calculus, p: Term, q: Term,
         if t.calculus is not calc or t.node.vars:
             raise MalformedTermError("instantiation pool terms must be "
                                      "pure terms of the same calculus")
-    return _InstantiatedGame(calc, labels, barbed, pool,
-                             _pool_names(p, q, pool))
+    return _Game(_pool_moves(calc, p, q, pool), labels, barbed, upto=False)
 
 
 def _entry(p: Term, q: Term) -> Calculus:
@@ -1227,8 +1196,9 @@ def verify_witness(p: Term, q: Term, result: GameResult, relation: str,
             return False
         side = 0 if step.side == "left" else 1
         if step.kind == "barb":
-            return game.pair_barb_fail(cur_p, cur_q) == ("barb", side,
-                                                         step.move)
+            shown = barbs(cur_p), barbs(cur_q)
+            return game.barbed and step.move in shown[side] \
+                and step.move not in shown[1 - side]
         for attack in game.attacks(cur_p, cur_q):
             if attack.side == side and attack.text({}) == step.move \
                     and _show(attack.target, {}) == step.attacker_target:

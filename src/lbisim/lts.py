@@ -69,6 +69,11 @@ class OrdinaryTransition:
     target: Term
     rule: str
 
+    @property
+    def label(self) -> str:
+        """The action: the label a game reads off an ordinary move."""
+        return self.action
+
 
 @dataclass(frozen=True)
 class ItsTransition:

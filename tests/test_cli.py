@@ -15,8 +15,8 @@ import pytest
 
 import lbisim.cli
 from lbisim.cli import main
-from lbisim.corpus import (DEFAULT_CHECKS, enumerate_terms, run_suite,
-                           term_pairs)
+from lbisim.corpus import (DEFAULT_CHECKS, CheckOutcome, enumerate_terms,
+                           run_suite, term_pairs)
 from lbisim.syntax import MAX_DEPTH, print_term
 from lbisim.terms import Calculus
 
@@ -475,6 +475,31 @@ def test_corpus_verb(capsys, tmp_path):
     assert {c["name"] for c in payload["checks"]} \
         == {"roundtrip-ccs", "canonical-idempotent-ccs",
             "lts-correspondence-ccs"}
+
+
+def test_failing_corpus_suite_exits_one_and_names_failures(capsys,
+                                                           monkeypatch):
+    failures = [f"case {i}" for i in range(12)]
+    monkeypatch.setattr(
+        "lbisim.corpus.check_roundtrip",
+        lambda calc, count, rng, names: CheckOutcome("roundtrip-ccs", 30,
+                                                     failures))
+    spec = json.dumps({"calculus": "ccs", "count": 25, "random": 30,
+                       "checks": ["roundtrip", "idempotence"]})
+    code, out, _ = run(capsys, "corpus", spec)
+    lines = out.splitlines()
+    assert code == 1
+    at = lines.index("FAIL roundtrip-ccs  (30 cases, 12 failures)")
+    assert lines[at + 1:at + 4] == ["       case 0", "       case 1",
+                                    "       case 2"]
+    assert not lines[at + 4].startswith(" ")
+    assert sum(line.startswith("       ") for line in lines) == 3
+    assert lines[-1] == "suite FAILED"
+    code, out, _ = run(capsys, "corpus", "--format", "json", spec)
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    [failed] = [c for c in payload["checks"] if not c["ok"]]
+    assert failed["failures"] == failures[:10]
 
 
 def test_malformed_corpus_spec_is_refused_at_its_position(capsys, tmp_path):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -48,8 +49,8 @@ from lbisim import (
     verify_witness,
 )
 from lbisim.equivalence import (
-    DEFAULT_MAX_PAIRS, GameResult, _class_named, _game, _label_variables,
-    _no_residual, _OrdinaryGame, _solve, _SymbolicGame,
+    DEFAULT_MAX_PAIRS, GameResult, _class_named, _Game, _game,
+    _label_variables, _solve,
 )
 from lbisim import equivalence, syntax
 from lbisim.congruence import components
@@ -350,10 +351,13 @@ def _fault(monkeypatch, check):
         monkeypatch.setattr(equivalence, "barbs", lambda u: frozenset())
         return check_pred(MA, [parse_term("n[0]", MA)], [parse_term("0", MA)])
     if check == "coincidence":
-        # strong bisimilarity lets only the left side attack
-        attacks = _OrdinaryGame.attacks
-        monkeypatch.setattr(_OrdinaryGame, "attacks", lambda self, p, q: [
-            a for a in attacks(self, p, q) if a.side == 0])
+        # strong bisimilarity lets only the left side attack: the
+        # ordinary game drops the right side's actions, the ITS game
+        # keeps both sides' labels
+        attacks = _Game.attacks
+        monkeypatch.setattr(_Game, "attacks", lambda self, p, q: [
+            a for a in attacks(self, p, q)
+            if a.side == 0 or isinstance(a.label, Label)])
         pair = (parse_term("a.0", CCS), parse_term("a.0 + b.0", CCS))
         return check_coincidence(CCS, [pair], max_pairs=100)
     # congruence: every label set takes in every label, so l-bisim(LA)
@@ -636,15 +640,21 @@ _REPLAYED = (
     + [(ACCS, rel, labels, *_FLAGSHIP)
        for rel, labels in (("strong", None), ("ipo", None), ("l-bisim", ALL))]
     + [(MA, rel, labels, *pair)
-       for pair in _MA_DIFFS.values() for rel, labels in _MA_RELS])
+       for pair in _MA_DIFFS.values() for rel, labels in _MA_RELS]
+    # the last step's barb is the ambient the first move's x names
+    + [(MA, "barbed-semi-sat", None, "in m.0 | m[k[out m.0]]",
+        "m[k[out m.0]]")])
 
 
 def _assert_intro_vars_fresh(r, calc):
     """Each witness step introduces only the label variable x, under a
-    name no variable of its pair has, and no state it prints holds a
-    process variable."""
+    name no variable of its pair has, no state it prints holds a
+    process variable, and no text names a variable by its class name."""
     for step in r.witness:
         assert set(step.intro_vars) <= {"x"}, step
+        texts = (*step.pair, step.move, step.attacker_target,
+                 step.defender_target)
+        assert not any(re.search(r"\?p\d", t) for t in texts if t), step
         states = [parse_term(text, calc).node.vars
                   for text in (*step.pair, step.attacker_target,
                                step.defender_target) if text is not None]
@@ -676,12 +686,6 @@ def test_witness_labels_name_witness_variables():
 
 # --- pairs merged up to renaming ---------------------------------------------
 
-class _Plain(_SymbolicGame):
-    """The same game with every pair played in full: its residual is the
-    pair itself."""
-    residual = _no_residual
-
-
 _ITS_RELS = {CCS: _CCS_RELS[1:],
              ACCS: [("ipo", None), ("semi-sat", None),
                     ("barbed-semi-sat", None), ("l-bisim", LA),
@@ -707,13 +711,15 @@ def _query_id(calc, rel, labels, s1, s2):
     return f"{calc.value}-{rel}{'-' + labels.name if labels else ''}-{s1}"
 
 
-def _play_game(cls, calc, rel, labels, p, q):
-    """The result dict of one game, or the budget it exhausted: the
-    relation's game, played as a `cls`."""
+def _play_game(calc, rel, labels, p, q, upto=True):
+    """The result of one game, or the budget it exhausted: the relation's
+    game, or with `upto=False` the same game with every pair played in
+    full."""
     game = _game(rel, calc, p, q, labels, None)
+    if not upto:
+        game = _Game(game.moves, game.labels, game.barbed, upto=False)
     try:
-        return _solve(cls(calc, game.labels, game.barbed), p, q,
-                      _MEMO_BUDGET)
+        return _solve(game, p, q, _MEMO_BUDGET)
     except DivergenceBudgetExceededError as exc:
         return str(exc)
 
@@ -824,7 +830,7 @@ def test_memo_agrees_with_unmemoised_game(calc, rel, labels, s1, s2):
     more pairs than it did nor expands more pairs than it expanded
     without a replay."""
     p, q = parse_term(s1, calc), parse_term(s2, calc)
-    r = _play_game(_SymbolicGame, calc, rel, labels, p, q)
+    r = _play_game(calc, rel, labels, p, q)
     assert not isinstance(r, str), r
     verdict, rounds, expanded, pairs, digest = \
         _UNMERGED[_query_id(calc, rel, labels, s1, s2)]
@@ -861,7 +867,7 @@ _FIREWALL_REPLAYS = [(rel, labels, s1, s2) for s1, s2 in _FIREWALL
     ids=[_query_id(MA, *q) for q in _FIREWALL_REPLAYS])
 def test_firewall_witnesses_replay(rel, labels, s1, s2):
     p, q = parse_term(s1, MA), parse_term(s2, MA)
-    r = _play_game(_SymbolicGame, MA, rel, labels, p, q)
+    r = _play_game(MA, rel, labels, p, q)
     if isinstance(r, str) or r.verdict:
         return  # no witness to replay
     assert verify_witness(p, q, r, rel, labels=labels) is True
@@ -874,14 +880,14 @@ def test_firewall_pairs_are_never_inequivalent(rel, labels, s1, s2):
     """The freshening regression: once a label names a state's own
     ambient, the defender must be plugged into that same ambient."""
     p, q = parse_term(s1, MA), parse_term(s2, MA)
-    r = _play_game(_SymbolicGame, MA, rel, labels, p, q)
+    r = _play_game(MA, rel, labels, p, q)
     assert not isinstance(r, str) and r.verdict is True
     assert r.residuals >= 1
-    plain = _play_game(_Plain, MA, rel, labels, p, q)
+    plain = _play_game(MA, rel, labels, p, q, upto=False)
     assert isinstance(plain, str) or plain.verdict is True
 
 
-class _CountingAnswers(_SymbolicGame):
+class _CountingAnswers(_Game):
     def __init__(self, *args):
         super().__init__(*args)
         self.asked = 0
@@ -897,7 +903,7 @@ def test_dead_first_attack_computes_no_later_answers():
                    ("a.0 | b.0 | c.0 | @V13", "@V13")):
         p, q = parse_term(s1, CCS), parse_term(s2, CCS)
         for labels in (ALL, EMPTY):
-            game = _CountingAnswers(CCS, labels, False)
+            game = _CountingAnswers(its_transitions, labels)
             assert len(list(game.attacks(canonical_term(p),
                                          canonical_term(q)))) == 3
             r = _solve(game, p, q, 100)
@@ -951,7 +957,7 @@ def test_moves_of_class_named_states_are_canonical():
         firsts = [(canonical_term(p), canonical_term(q))
                   for p, q in zip(corpus, corpus[1:])]
         for labels in (ALL, EMPTY):
-            game = _SymbolicGame(calc, labels, False)
+            game = _Game(its_transitions, labels)
             seconds = _successors(game, firsts)
             assert bool(seconds) is (calc is MA), (calc, labels.name)
             _successors(game, seconds)
@@ -963,7 +969,7 @@ def test_moves_keep_the_state_variables():
     # the label's process variables from its target and answers
     state = canonical_term(parse_term("?p10[0] | ?p11[a[0]]", MA))
     own = set(state.node.vars)
-    game = _SymbolicGame(MA, EMPTY, False)
+    game = _Game(its_transitions, EMPTY)
     named = 0
     for attack in game.attacks(state, state):
         states = (attack.target, *game.answers(attack, state))

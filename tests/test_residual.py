@@ -2,9 +2,9 @@
 
 A pair's residual is what is left of its two states once their largest
 common evaluation context is stripped; the game keeps a pair alive when
-its residual is.  The game whose residual is the identity plays every
-pair in full and serves as the oracle: both must give the same verdict
-wherever the full game terminates.
+its residual is.  The same game with `upto=False` plays every pair in
+full and serves as the oracle: both must give the same verdict wherever
+the full game terminates.
 """
 
 import gc
@@ -18,8 +18,7 @@ from lbisim import (
     term_pairs, verify_witness,
 )
 from lbisim.equivalence import (
-    OWN_LABEL_SETS, _AsyncGame, _game, _inert, _no_residual, _OrdinaryGame,
-    _solve, _strip_context, _SymbolicGame,
+    OWN_LABEL_SETS, _game, _inert, _solve, _strip_context,
 )
 from lbisim.terms import par
 
@@ -142,18 +141,6 @@ def test_residuals_are_canonical(calc, corpora):
 
 # --- the full game as the oracle ---------------------------------------------
 
-class _PlainSymbolic(_SymbolicGame):
-    residual = _no_residual
-
-
-class _PlainOrdinary(_OrdinaryGame):
-    residual = _no_residual
-
-
-class _PlainAsync(_AsyncGame):
-    residual = _no_residual
-
-
 _SIZES = {CCS: 500, ACCS: 500, MA: 200}
 # A deterministic share of each criterion pair set keeps this test to a
 # few seconds: MA games in contexts often run to the budget.
@@ -162,18 +149,18 @@ _BUDGET = 1500
 
 
 def _games(calc):
-    """(name, full game, up-to game, verify_witness arguments)."""
-    out = [(ls.name, lambda ls=ls: _PlainSymbolic(calc, ls, False),
-            lambda ls=ls: _SymbolicGame(calc, ls, False),
-            ("l-bisim", ls))
-           for ls in (ALL, OWN_LABEL_SETS[calc], EMPTY)]
+    """(relation, label set) of each game up to context."""
+    out = [("l-bisim", ls) for ls in (ALL, OWN_LABEL_SETS[calc], EMPTY)]
     if calc is not MA:
-        out.append(("strong", lambda: _PlainOrdinary(calc),
-                    lambda: _OrdinaryGame(calc), ("strong", None)))
+        out.append(("strong", None))
     if calc is ACCS:
-        out.append(("async", lambda: _PlainAsync(calc),
-                    lambda: _AsyncGame(calc), ("async", None)))
+        out.append(("async", None))
     return out
+
+
+def _full(game):
+    """The same game with every pair played in full."""
+    return type(game)(game.moves, game.labels, game.barbed, upto=False)
 
 
 @pytest.mark.parametrize("calc", [CCS, ACCS, MA])
@@ -182,12 +169,15 @@ def test_upto_game_agrees_with_the_full_game(calc, corpora):
     pairs = term_pairs(corpus, _SIZES[calc])[::_STRIDE[calc]]
     agreed = 0
     for p, q in _variants(calc, corpus, pairs):
-        for name, full, upto, (rel, labels) in _games(calc):
+        for rel, labels in _games(calc):
+            upto = _game(rel, calc, p, q, labels, None)
+            assert upto.upto, (rel, labels)
+            name = labels.name if labels else rel
             try:
-                want = _solve(full(), p, q, _BUDGET)
+                want = _solve(_full(upto), p, q, _BUDGET)
             except DivergenceBudgetExceededError:
                 continue
-            got = _solve(upto(), p, q, _BUDGET)
+            got = _solve(upto, p, q, _BUDGET)
             assert got.verdict is want.verdict, \
                 (name, print_term(p), print_term(q))
             if not got.verdict:
@@ -201,16 +191,17 @@ def test_residual_is_the_pair_without_a_stated_argument():
     p = canonical_term(parse_term("a.0 | b.0", CCS))
     q = canonical_term(parse_term("a.0 | b.0 + b.0", CCS))
     onlya = pattern_label_set("onlya", [parse_label("- | a.@X1", CCS)])
-    for game in (_SymbolicGame(CCS, onlya, False),
-                 _SymbolicGame(CCS, LM, False),
+    for game in (_game("l-bisim", CCS, p, q, onlya, None),
+                 _game("l-bisim", CCS, p, q, LM, None),
                  _game("semi-sat", CCS, p, q, None,
                        [parse_term("0", CCS)])):
-        assert game.residual(p, q) == (p, q)
+        assert not game.upto and game.residual(p, q) == (p, q)
     stripped = tuple(canonical_term(parse_term(s, CCS))
                      for s in ("b.0", "b.0 + b.0"))
-    for game in (_SymbolicGame(CCS, LCCS, False),
-                 _SymbolicGame(CCS, ALL, False), _OrdinaryGame(CCS)):
-        assert game.residual(p, q) == stripped
+    for game in (_game("l-bisim", CCS, p, q, LCCS, None),
+                 _game("l-bisim", CCS, p, q, ALL, None),
+                 _game("strong", CCS, p, q, None, None)):
+        assert game.upto and game.residual(p, q) == stripped
 
 
 def test_pairs_alive_through_their_residual_are_counted():
@@ -240,7 +231,7 @@ def test_dead_residual_guides_the_pair_by_its_own_names():
     once renamed back to the pair's names."""
     p = parse_term("?v1[0] | ?v2[a[0]]", MA)
     q = parse_term("?v1[0] | ?v2[b[0]] | (nu k) k[0]", MA)
-    r = _solve(_SymbolicGame(MA, EMPTY, False), p, q, 100)
+    r = _solve(_game("semi-sat", MA, p, q, None, None), p, q, 100)
     assert r.verdict is False
     assert (r.pairs_explored, r.expanded, r.rounds) == (8, 4, 2)
     # the witness calls the root's variables by the names they were
