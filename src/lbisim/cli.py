@@ -4,7 +4,7 @@ Exit codes: 0 the relation holds (or every corpus check passed), 1 it
 does not hold, 2 usage or parse error, 3 a search budget was exhausted,
 4 an internal error (a crash never reports a verdict).
 Term arguments are taken literally or, with a leading ``@``, read from a
-file.
+UTF-8 file; a leading byte-order mark is ignored.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ EXIT_INTERNAL = 4
 
 def _read_arg(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
+        with open(text[1:], encoding="utf-8-sig") as fh:
             return fh.read()
     return text
 
@@ -63,7 +63,7 @@ def _parse_lines(path: str, parse, calc: Calculus) -> list:
     `#` comment, the column of a refusal counted in the file's own
     line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip() and not line.lstrip().startswith("#"):
                 out.append(_parse_in(path, parse, line.rstrip(), calc,

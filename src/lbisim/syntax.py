@@ -15,10 +15,12 @@ productions are legal depends on the calculus: ambients, `?x[...]` and
 capability prefixes (`in n`, or `in ?x` on a name variable) are MA-only,
 `+` is rejected in MA, the output particle `'a` is ACCS-only and the
 output prefix `'a.P` is CCS-only; summands are guarded.  `terms._illegal`
-states these rules once: the parser applies it to each node and action
-right after building it and refuses a second occurrence of a variable,
-each refusal a ParseError at the construct's first token (a sum's at its
-first `+`).
+states these rules once.  The parser applies it to each node but a
+prefix or restriction right after building it, and to each distinct
+action of a parse once, where it first reads it; prefixes and
+restrictions need no check, as `_illegal` admits them everywhere.  It
+refuses a second occurrence of a variable.  Each refusal is a ParseError
+at the construct's first token (a sum's at its first `+`).
 
 The parser and the printer walk a chain of prefixes and restrictions in
 a loop; they recurse only into brackets and the components of a
@@ -104,6 +106,7 @@ class _Parser:
         self.calc = calculus
         self.allow_hole = allow_hole
         self.seen: set = set()      # the variables read so far
+        self.acts: dict = {}        # (kind, name) -> its checked action
 
     def found(self) -> str:
         return repr(self.texts[self.pos] or "end of input")
@@ -169,15 +172,15 @@ class _Parser:
     # which lies on every cycle of the grammar, check it per level.
     # expr ::= "(nu n)" expr | par
     def expr(self, depth: int) -> Node:
-        binders = []                # (token, name), outermost first
+        names = []                  # outermost first
         self.within(depth)
         while self.at_restriction():
-            binders.append((self.pos, self.restriction()))
+            names.append(self.restriction())
             depth += 1
             self.within(depth)
         node = self.par(depth + 1)
-        for at, n in reversed(binders):
-            node = self.built(Restrict(n, node), at)
+        for n in reversed(names):
+            node = Restrict(n, node)
         return node
 
     def par(self, depth: int) -> Node:
@@ -205,40 +208,54 @@ class _Parser:
 
     # seq ::= PREFIX "." seq | "(nu n)" seq | atom
     def seq(self, depth: int) -> Node:
-        kinds, texts = self.kinds, self.texts
-        chain = []                  # (class, action or name, token)
+        kinds, texts, acts = self.kinds, self.texts, self.acts
+        chain = []                  # actions and names, outermost first
+        pos = self.pos
         while True:
-            self.within(depth)
-            at = self.pos
-            kind = kinds[at]
-            if kind == "name" and kinds[at + 1] == ".":
-                self.pos += 1
-                act = Recv(texts[at])
-            elif kind == "'" and kinds[at + 1] == "name" \
-                    and kinds[at + 2] == ".":
-                self.pos += 2
-                act = Send(texts[at + 1])
-            elif kind in ("in", "out", "open"):
-                self.pos += 1
-                act = Cap(kind, self.variable(NameVar)
-                          if kinds[at + 1] == "?" else self.name())
+            if depth > MAX_DEPTH:
+                self.pos = pos
+                self.within(depth)
+            kind = kinds[pos]
+            if kind == "name" and kinds[pos + 1] == ".":
+                name, dot = texts[pos], pos + 1
+            elif kind == "'" and kinds[pos + 1] == "name" \
+                    and kinds[pos + 2] == ".":
+                name, dot = texts[pos + 1], pos + 2
             elif kind == "tau":
-                self.pos += 1
-                act = Tau()
-            elif self.at_restriction():
-                # under a prefix the restriction scope ends with the sequent
-                chain.append((Restrict, self.restriction(), at))
-                depth += 1
-                continue
+                name, dot = "", pos + 1
+            elif kind in ("in", "out", "open") and kinds[pos + 1] == "name":
+                name, dot = texts[pos + 1], pos + 2
             else:
-                break
-            self.built(act, at)
-            self.expect(".")
-            chain.append((Prefix, act, at))
-            depth += 1
+                self.pos = pos
+                if kind in ("in", "out", "open"):
+                    # `?x` must be a new variable; anything else is refused
+                    self.pos += 1
+                    chain.append(self.built(Cap(kind, self.variable(NameVar)
+                                                if kinds[pos + 1] == "?"
+                                                else self.name()), pos))
+                    self.expect(".")
+                elif self.at_restriction():
+                    # under a prefix its scope ends with the sequent
+                    chain.append(self.restriction())
+                else:
+                    break
+                pos, depth = self.pos, depth + 1
+                continue
+            act = acts.get((kind, name))
+            if act is None:         # first sight in this parse: build, check
+                act = acts[kind, name] = self.built(
+                    Recv(name) if kind == "name" else Send(name)
+                    if kind == "'" else Tau() if kind == "tau"
+                    else Cap(kind, name), pos)
+            if kinds[dot] != ".":
+                self.pos = dot
+                self.expect(".")
+            chain.append(act)
+            pos, depth = dot + 1, depth + 1
         node = self.atom(depth + 1)
-        for cls, x, at in reversed(chain):
-            node = self.built(cls(x, node), at)
+        # `_illegal` admits every prefix and restriction: no check
+        for x in reversed(chain):
+            node = Restrict(x, node) if type(x) is str else Prefix(x, node)
         return node
 
     def atom(self, depth: int) -> Node:

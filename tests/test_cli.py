@@ -403,6 +403,39 @@ def test_refusals_in_pattern_and_pool_files_name_file_line_and_column(
                    "found 'end of input'\n")
 
 
+@pytest.mark.parametrize("argv, good, code, bad, refusal", [
+    (["check", "--calculus", "ccs", "--rel", "strong", "@{}", "b.0 | a.0"],
+     "a.0 | b.0\n", 0, "a.b.a.(nu c) c.0 | a.a[0]\n",
+     "parse error: {}:1:22: ambients exist only in MA"),
+    (["check", "--calculus", "ma", "--rel", "l-bisim", "--labels", "@{}",
+      "0", "0"],
+     "-\n- | in m.@X1\n", 0, "  - | in ?x.@X | out ?x.0\n",
+     "parse error: {}:1:22: variable 'x' occurs twice"),
+    (["check", "--calculus", "accs", "--rel", "semi-sat", "--mode",
+      "instantiate:@{}", "'a", "0"],
+     "0\n'c\n", 1, "  a[0] | (\n",
+     "parse error: {}:1:3: ambients exist only in MA"),
+    (["corpus", "@{}"],
+     '{"calculus": "ccs", "checks": ["roundtrip"], "count": 5}', 0,
+     '{"calculus": "ccs", "checks": [roundtrip]}',
+     "{}:1:32: corpus spec is not JSON: Expecting value"),
+], ids=["term", "labels", "pool", "spec"])
+def test_a_byte_order_mark_heading_a_file_is_ignored(
+        capsys, tmp_path, argv, good, code, bad, refusal):
+    """A UTF-8 byte-order mark at the head of an `@file` changes neither
+    the answer nor the column of a refusal on the file's first line."""
+    f = tmp_path / "input"
+    argv = [a.format(f) for a in argv]
+    answers = []
+    for bom in (b"", "\ufeff".encode()):
+        f.write_bytes(bom + good.encode())
+        answers.append(run(capsys, *argv))
+        assert answers[-1][0] == code, (bom, answers[-1])
+        f.write_bytes(bom + bad.encode())
+        assert run(capsys, *argv) == (2, "", refusal.format(f) + "\n"), bom
+    assert answers[0] == answers[1]
+
+
 def test_barbs_output(capsys):
     code, out, _ = run(capsys, "barbs", "--calculus", "accs", "'a | b.0")
     assert code == 0

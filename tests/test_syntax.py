@@ -9,8 +9,8 @@ from lbisim.corpus import random_term
 from lbisim.errors import ParseError
 from lbisim.syntax import (MAX_DEPTH, is_name, parse_label, parse_term,
                            print_label, print_term)
-from lbisim.terms import (Amb, Calculus, Cap, Msg, NameVar, Nil, Par, Prefix,
-                          ProcVar, Recv, Restrict, Send, Sum, Tau)
+from lbisim.terms import (_ANYWHERE, Amb, Calculus, Cap, Msg, NameVar, Nil,
+                          Par, Prefix, ProcVar, Recv, Restrict, Send, Sum, Tau)
 
 CCS, ACCS, MA = Calculus.CCS, Calculus.ACCS, Calculus.MA
 
@@ -90,6 +90,9 @@ def test_parse_error_position():
     assert "2:4" in str(exc.value)
 
 
+_TOO_DEEP = "input nested deeper than the parser's limit of 800 frames"
+
+
 @pytest.mark.parametrize("parse, text, calc, where, why", [
     (parse_term, "n[0] + m[0]", MA, "1:6", "MA has no summation"),
     (parse_term, "?x[0]", CCS, "1:1", "ambient-name variables are MA"),
@@ -120,11 +123,87 @@ def test_parse_error_position():
      "expected a process, found 'end of input'"),
     (parse_term, "\n\n", CCS, "1:1",
      "expected a process, found 'end of input'"),
+    # inside chains, where each action of a parse is checked once, at
+    # its first occurrence
+    (parse_term, "a.b.a.'a.0", ACCS, "1:7",
+     "output prefixes exist only in CCS"),
+    (parse_term, "'a.'a.0", ACCS, "1:1", "output prefixes exist only in CCS"),
+    (parse_term, "in n.out m.in n.a.0", MA, "1:17",
+     "channel prefixes do not exist in MA"),
+    (parse_term, "a.b.in n.0", CCS, "1:5",
+     "capability prefixes are MA syntax"),
+    (parse_term, "in n.tau.0", MA, "1:6", "tau prefixes do not exist in MA"),
+    (parse_term, "a.b.a.(nu c) c.0 | a.a[0]", CCS, "1:22",
+     "ambients exist only in MA"),
+    (parse_term, "in ?x.out ?x.0", MA, "1:11", "variable 'x' occurs twice"),
+    (parse_term, "a.tau tau.0", CCS, "1:7", "expected '.', found 'tau'"),
+    (parse_term, "in n.open n x", MA, "1:13", "expected '.', found 'x'"),
+    (parse_term, "in n.in ?x", MA, "1:11",
+     "expected '.', found 'end of input'"),
+    pytest.param(parse_term, "a." * 899 + "a.0", CCS, "1:1597", _TOO_DEEP,
+                 id="too-deep-prefixes"),
+    pytest.param(parse_term, "in n." * 899 + "in n.0", MA, "1:3991",
+                 _TOO_DEEP, id="too-deep-capabilities"),
+    pytest.param(parse_term, "(nu a) " * 900 + "0", CCS, "1:5608", _TOO_DEEP,
+                 id="too-deep-restrictions"),
 ])
 def test_every_refusal_is_positioned(parse, text, calc, where, why):
     with pytest.raises(ParseError) as exc:
         parse(text, calc)
     assert str(exc.value).startswith(f"{where}: {why}")
+
+
+def test_no_action_memo_crosses_parses():
+    text = "a.'a.a.'a.0"
+    node = Prefix(Recv("a"), Prefix(Send("a"), Prefix(Recv("a"), Prefix(
+        Send("a"), Nil()))))
+    assert parse_term(text, CCS).node == node
+    with pytest.raises(ParseError) as exc:
+        parse_term(text, ACCS)
+    assert str(exc.value) == "1:3: output prefixes exist only in CCS"
+    assert parse_term(text, CCS).node == node
+
+
+def _mixed_chain(calc, rng, depth):
+    """A chain of `depth` prefixes and restrictions over `0` that uses
+    every kind of level, in the printer's text, and the node the
+    constructors build for it."""
+    pieces, levels, opened, used = [], [], 0, set()
+    for k in range(depth):
+        n = rng.choice("abc")
+        kinds = (((Recv(n), n), (Send(n), f"'{n}"), (Tau(), "tau"))
+                 if calc is CCS else
+                 ((Cap("in", n), f"in {n}"), (Cap("out", n), f"out {n}"),
+                  (Cap("open", n), f"open {n}"),
+                  (Cap("in", NameVar(f"x{k}")), f"in ?x{k}"))) \
+            + ((None, n),)
+        i = rng.randrange(len(kinds))
+        used.add(i)
+        act, text = kinds[i]
+        if act is not None:
+            pieces.append(f"{text}.")
+        else:
+            if levels and levels[-1][0] is not None:
+                pieces.append("(")  # a restriction under a prefix
+                opened += 1
+            pieces.append(f"(nu {n}) ")
+        levels.append((act, n))
+    assert used == set(range(len(kinds)))
+    node = Nil()
+    for act, n in reversed(levels):
+        node = Restrict(n, node) if act is None else Prefix(act, node)
+    return "".join(pieces) + "0" + ")" * opened, node
+
+
+@pytest.mark.parametrize("calc", [CCS, MA])
+def test_long_mixed_chains_build_the_constructors_tree(calc):
+    """The parser builds chain levels unchecked, because `_illegal`
+    admits every prefix and restriction; a seeded 300-level chain
+    parses to the tree built by hand and prints back to its text."""
+    assert {Prefix, Restrict} <= _ANYWHERE
+    text, node = _mixed_chain(calc, random.Random(31), 300)
+    assert parse_term(text, calc).node == node
+    assert print_term(parse_term(text, calc)) == text
 
 
 def test_names_are_words_that_start_with_a_letter():
